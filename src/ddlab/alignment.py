@@ -20,6 +20,7 @@ from .assignments import cube, product_all, restrict_set
 from .diagrams import DiagramBuilder, validate
 from .errors import (EssentialityError, PreconditionError, ScaleError,
                      SoundnessError)
+from .kernels import pattern
 
 
 @dataclass(frozen=True)
@@ -274,11 +275,10 @@ def _check_essentials(b, x, i, cap):
     else:
         table = truth_table(b, rest)
         half = 1 << len(rest)
-    from ._kernels_py import _pattern
     n = len(rest)
     full = (1 << (1 << n)) - 1
     for p, y in enumerate(rest):
-        pat = _pattern(n, p)
+        pat = pattern(n, p)
         width = 1 << (n - 1 - p)
         hi = table & pat
         lo = table & (full ^ pat)

@@ -17,6 +17,7 @@ from . import config, kernels
 from .assignments import Assignment, AssignmentSet
 from .errors import FormatError, ScaleError, ScopeError
 from .graphs import Graph
+from .sources import read_text
 
 
 def literal(name, sign):
@@ -81,7 +82,7 @@ def evaluate(phi, a):
     return 1
 
 
-def _encode(phi, order):
+def encode(phi, order):
     """Clauses in position space for the kernels; order fixes positions."""
     pos = {name: p for p, name in enumerate(order)}
     out = []
@@ -92,7 +93,7 @@ def _encode(phi, order):
 
 def truth_table(phi, order):
     """Model indicator bitset of phi over the ordered universe ``order``."""
-    return kernels.cnf_truth_table(len(order), _encode(phi, order))
+    return kernels.cnf_truth_table(len(order), encode(phi, order))
 
 
 def assignment_from_index(order, m):
@@ -195,11 +196,7 @@ def read_dimacs(source):
 
     Unnamed indices fall back to x<i> names.
     """
-    if "\n" not in source:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+    text = read_text(source, ("c", "p"))
     names = {}
     nvars = None
     claimed = None

@@ -22,6 +22,7 @@ from .diagrams import DiagramBuilder, graft, validate
 from .errors import FormatError, PreconditionError, ScopeError, SoundnessError
 from .graphs import LinearOrder, grid, grid_name, grid_order, tag, validate_decomposition
 from .formulas import JUNCTION
+from .sources import read_text
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +196,7 @@ def write_vtree(vt, path=None):
 
 
 def read_vtree(source):
-    if "\n" not in source:
-        with open(source, encoding="utf-8") as fh:
-            source = fh.read()
+    source = read_text(source, ("L", "I"))
     entries = {}
     for raw in source.splitlines():
         line = raw.strip()

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from . import config
 from .assignments import Assignment, AssignmentSet, product
 from .errors import DiagramInvariantError, FormatError, ScaleError, ScopeError
+from .kernels import pattern
 
 
 @dataclass(frozen=True)
@@ -408,8 +409,7 @@ def truth_table(b, order):
     n = len(order)
     size = 1 << n
     full = (1 << size) - 1
-    from ._kernels_py import _pattern
-    pats = {name: _pattern(n, p) for p, name in enumerate(order)}
+    pats = {name: pattern(n, p) for p, name in enumerate(order)}
     tt = {}
     for i in b.topo():
         node = b.node(i)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import config
 from .errors import (DecompositionError, PreconditionError, ScaleError,
                      ScopeError, SoundnessError)
+from .sources import read_text
 
 
 def edge(a, b):
@@ -285,16 +286,6 @@ def is_induced_matching(g, edges):
         if e <= matched and e not in frozenset(edges):
             return False
     return True
-
-
-def crosses(order, edges, cut=None):
-    """Does the matching cross the order? Optionally check one specific cut."""
-    cuts = [cut] if cut is not None else range(1, len(order))
-    for k in cuts:
-        prefix = order.prefix(k)
-        if all(len(e & prefix) == 1 for e in edges):
-            return k
-    return None
 
 
 def neat_sides(edges, order, cut):
@@ -821,9 +812,7 @@ def write_graph(g, path=None):
 
 
 def read_graph(source):
-    if "\n" not in source:
-        with open(source, encoding="utf-8") as fh:
-            source = fh.read()
+    source = read_text(source, ("v", "e"))
     vertices = set()
     edges = set()
     for raw in source.splitlines():
@@ -849,9 +838,9 @@ def write_order(order, path=None):
 
 
 def read_order(source):
-    if "\n" not in source:
-        with open(source, encoding="utf-8") as fh:
-            source = fh.read()
+    """An order from text or a path. Order lines have no keyword, so a
+    one-line string is always a path; one-name order text ends in a newline."""
+    source = read_text(source, ())
     return LinearOrder(line.strip() for line in source.splitlines() if line.strip())
 
 
@@ -869,9 +858,7 @@ def write_decomposition(d, path=None):
 
 
 def read_decomposition(source):
-    if "\n" not in source:
-        with open(source, encoding="utf-8") as fh:
-            source = fh.read()
+    source = read_text(source, ("B", "T"))
     bags = {}
     tree = set()
     for raw in source.splitlines():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import config, kernels
 from .alignment import frontier
 from .assignments import Assignment, AssignmentSet
-from .cnf import evaluate as cnf_evaluate, truth_table as cnf_truth_table
+from .cnf import encode, evaluate as cnf_evaluate, truth_table as cnf_truth_table
 from .diagrams import (DiagramBuilder, to_json,
                        truth_table as diagram_truth_table, validate)
 from .errors import PreconditionError, ScaleError, SoundnessError
@@ -293,14 +293,6 @@ def certify(b, pi, exp):
 # the minimal-OBDD oracle
 
 
-def _position_clauses(phi, order):
-    pos = {name: p + 1 for p, name in enumerate(order)}
-    out = []
-    for c in phi.sorted_clauses():
-        out.append([pos[n] if s else -pos[n] for n, s in sorted(c)])
-    return out
-
-
 def obdd_size(phi, order):
     """Reduced-OBDD node count for one order, via the kernels."""
     names = list(order.names if isinstance(order, LinearOrder) else order)
@@ -308,7 +300,7 @@ def obdd_size(phi, order):
         raise PreconditionError("order must cover exactly the formula's variables")
     if len(names) > 20:
         raise ScaleError("per-order OBDD sizing caps at 20 variables")
-    return kernels.obdd_size_for_order(len(names), _position_clauses(phi, names))
+    return kernels.obdd_size_for_order(len(names), encode(phi, names))
 
 
 def obdd_for_order(phi, order, universe=None):
@@ -374,8 +366,13 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None, cap=None, verify=F
         candidates = shuffled()
     else:
         raise ValueError(f"unknown search {search!r}")
+    # encode once over the sorted names; each order only relabels positions
+    base = encode(phi, names)
+    rank = {name: i + 1 for i, name in enumerate(names)}
     for order in candidates:
-        size = kernels.obdd_size_for_order(n, _position_clauses(phi, order))
+        pos = {rank[name]: p for p, name in enumerate(order, 1)}
+        clauses = [[pos[lit] if lit > 0 else -pos[-lit] for lit in c] for c in base]
+        size = kernels.obdd_size_for_order(n, clauses)
         if best is None or size < best[0]:
             best = (size, order)
     size, order = best

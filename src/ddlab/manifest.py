@@ -77,6 +77,7 @@ def _step_gen(args, bundle):
 
 def _step_compile(args, bundle):
     method = args["method"]
+    vtree = None
     if method == "grid-junction":
         diagram = compile_mod.grid_junction_diagram(int(args["n"]))
     elif method == "psi-layer":
@@ -92,17 +93,18 @@ def _step_compile(args, bundle):
         phi = cnf_mod.read_dimacs(_resolve(bundle, args["cnf"]))
         d = graphs.read_decomposition(_resolve(bundle, args["decomp"]))
         diagram, vtree = compile_mod.compile_primal(phi, d)
-        if args.get("vtree_out"):
-            compile_mod.write_vtree(vtree, _resolve(bundle, args["vtree_out"]))
     elif method == "split":
         phi = cnf_mod.read_dimacs(_resolve(bundle, args["cnf"]))
         d = graphs.read_decomposition(_resolve(bundle, args["decomp"]))
         labels = dict(cnf_mod.clause_labels(phi))
         chosen = [labels[name] for name in args["long"]]
         diagram = compile_mod.compile_split(phi, chosen, d)
+        vtree = compile_mod.split_vtree(phi, chosen, d)
     else:
         raise FormatError(f"unknown compile method {method!r}")
     diagrams.save(diagram, _resolve(bundle, args["out"]))
+    if vtree is not None and args.get("vtree_out"):
+        compile_mod.write_vtree(vtree, _resolve(bundle, args["vtree_out"]))
     return {"size": diagram.size}
 
 

@@ -82,6 +82,12 @@ class TestCompileCountValidate:
         assert code == 2
         assert json.loads(err.splitlines()[0])["error"] == "FormatError"
 
+    def test_missing_input_file_is_exit_2(self, tmp_path, capsys):
+        code, _, err = run(["compile", "--method", "dtree", "--cnf", str(tmp_path / "f.cnf"),
+                            "--out", str(tmp_path / "x.json")], capsys)
+        assert code == 2
+        assert json.loads(err.splitlines()[0])["error"] == "FileNotFoundError"
+
     def test_missing_method_arguments_are_exit_2(self, tmp_path, capsys):
         code, _, err = run(["compile", "--method", "primal",
                             "--out", str(tmp_path / "x.json")], capsys)
@@ -235,6 +241,32 @@ class TestRun:
             cert = json.loads((bundle / "cert.json").read_text())
             assert cert["bound"] == 3
         assert digests[0] == digests[1]
+
+    def test_split_step_writes_the_cli_vtree(self, tmp_path, capsys):
+        from ddlab import graphs as G
+        from conftest import exact_decomposition
+        bundle = tmp_path / "b"
+        bundle.mkdir()
+        cnf = bundle / "psi2.cnf"
+        run(["gen", "--family", "psi", "--grid", "2", "--out", str(cnf)], capsys)
+        phi = C.read_dimacs(str(cnf))
+        labels = C.clause_labels(phi)
+        long = [name for name, c in labels if len(c) > 2]
+        rest = C.Cnf(c for name, c in labels if name not in long)
+        G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0]), bundle / "d.txt")
+        code, _, _ = run(["compile", "--method", "split", "--cnf", str(cnf),
+                          "--decomp", str(bundle / "d.txt"), "--long", ",".join(long),
+                          "--out", str(tmp_path / "cli.json"),
+                          "--vtree-out", str(tmp_path / "cli.vtree")], capsys)
+        assert code == 0
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps({"name": "split", "steps": [
+            {"name": "split", "verb": "compile",
+             "args": {"method": "split", "cnf": "psi2.cnf", "decomp": "d.txt",
+                      "long": long, "out": "b.json", "vtree_out": "b.vtree"}}]}))
+        code, _, _ = run(["run", "--manifest", str(man), "--out-dir", str(bundle)], capsys)
+        assert code == 0
+        assert (bundle / "b.vtree").read_text() == (tmp_path / "cli.vtree").read_text()
 
 
 def test_version_flag(capsys):

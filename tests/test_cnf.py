@@ -168,6 +168,11 @@ class TestDimacs:
         assert "p cnf 4 2" in text
         assert C.read_dimacs(text) == phi
 
+    def test_one_line_text_and_missing_file(self, tmp_path):
+        assert C.read_dimacs("p cnf 0 0") == C.Cnf()
+        with pytest.raises(FileNotFoundError):
+            C.read_dimacs(str(tmp_path / "missing.cnf"))
+
     def test_unnamed_indices_get_default_names(self):
         phi = C.read_dimacs("p cnf 2 1\n1 -2 0\n")
         assert phi.vars == {"x1", "x2"}

@@ -85,6 +85,11 @@ class TestVtree:
         # children precede parents; the root is the last line
         assert text.strip().splitlines()[-1].startswith("I")
 
+    def test_one_line_text_and_missing_file(self, tmp_path):
+        assert CP.read_vtree("L 0 x") == CP.Vtree("x")
+        with pytest.raises(FileNotFoundError):
+            CP.read_vtree(str(tmp_path / "missing.vtree"))
+
     def test_distinct_leaves_required(self):
         with pytest.raises(ValueError):
             CP.Vtree(("a", "a"))

@@ -278,6 +278,25 @@ class TestFiles:
         G.write_order(order, p)
         assert G.read_order(str(p)) == order
 
+    def test_one_line_graph_text_and_missing_file(self, tmp_path):
+        assert G.read_graph("v a") == G.Graph({"a"}, ())
+        with pytest.raises(FileNotFoundError):
+            G.read_graph(str(tmp_path / "missing.txt"))
+
+    def test_one_line_order_is_a_path(self, tmp_path):
+        # order lines have no keyword: one line is a path, one-name text ends in \n
+        (tmp_path / "a").write_text("a\n")
+        assert G.read_order(str(tmp_path / "a")) == G.LinearOrder(["a"])
+        assert G.read_order("a\n") == G.LinearOrder(["a"])
+        with pytest.raises(FileNotFoundError):
+            G.read_order(str(tmp_path / "missing.txt"))
+
+    def test_one_line_decomposition_text_and_missing_file(self, tmp_path):
+        d = G.read_decomposition("B 0 a b")
+        assert d.bags == {"0": frozenset({"a", "b"})} and not d.tree
+        with pytest.raises(FileNotFoundError):
+            G.read_decomposition(str(tmp_path / "missing.txt"))
+
     def test_decomposition_roundtrip(self, c4, tmp_path):
         d = exact_decomposition(c4)
         p = tmp_path / "d.txt"

@@ -1,20 +1,13 @@
-"""Backend agreement: the compiled kernels must match the pure-Python twin
-bit for bit."""
+"""The kernels against independent oracles: per-assignment clause evaluation
+for truth tables, and the bottom-up level reduction over all 2^n cells for
+reduced-OBDD sizes."""
 
 import random
 
-import pytest
-
-from ddlab import _kernels_py as pure
+import ddlab
+from ddlab import formulas as F
 from ddlab import kernels
-
-try:
-    from ddlab import _kernels as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None,
-                                    reason="compiled kernels not built")
+from ddlab import lowerbound as LB
 
 
 def random_position_clauses(rng, n, m):
@@ -26,45 +19,98 @@ def random_position_clauses(rng, n, m):
     return out
 
 
+def brute_force_truth_table(n, clauses):
+    """Bit m set iff assignment m satisfies every clause, one m at a time."""
+    table = 0
+    for m in range(1 << n):
+        def true(lit):
+            return ((m >> (n - abs(lit))) & 1) == (lit > 0)
+        if all(any(true(lit) for lit in clause) for clause in clauses):
+            table |= 1 << m
+    return table
+
+
+def bottom_up_size(n, table):
+    """Reduced-OBDD node count by hash-consing (lo, hi) pairs level by level
+    from the 2^n sink cells up; sinks count only if referenced."""
+    ids = [int(bit) for bit in reversed(bin(table)[2:].zfill(1 << n))]
+    next_internal = 2
+    used_sinks = set()
+    internal = 0
+    for _ in range(n):
+        unique = {}
+        nxt = []
+        for i in range(0, len(ids), 2):
+            lo, hi = ids[i], ids[i + 1]
+            if lo == hi:
+                nxt.append(lo)
+                continue
+            node = unique.get((lo, hi))
+            if node is None:
+                node = next_internal
+                next_internal += 1
+                internal += 1
+                unique[(lo, hi)] = node
+                used_sinks.update(x for x in (lo, hi) if x < 2)
+            nxt.append(node)
+        ids = nxt
+    if ids[0] < 2:
+        used_sinks.add(ids[0])
+    return internal + len(used_sinks)
+
+
 def test_pure_pattern_shapes():
-    assert pure._pattern(2, 0) == 0b1100
-    assert pure._pattern(2, 1) == 0b1010
+    assert kernels.pattern(2, 0) == 0b1100
+    assert kernels.pattern(2, 1) == 0b1010
+    assert kernels.pattern(3, 0) == 0b11110000
+    assert kernels.pattern(3, 2) == 0b10101010
+    assert kernels.pattern(1, 0) == 0b10
 
 
 def test_pure_truth_table_basics():
     # single positive literal on the first of two variables
-    assert pure.cnf_truth_table(2, [[1]]) == 0b1100
-    assert pure.cnf_truth_table(0, []) == 1
-    assert pure.cnf_truth_table(2, [[]]) == 0
+    assert kernels.cnf_truth_table(2, [[1]]) == 0b1100
+    assert kernels.cnf_truth_table(0, []) == 1
+    assert kernels.cnf_truth_table(2, [[]]) == 0
 
 
 def test_pure_obdd_sizes():
     # (x1 or x2): nodes x1, x2 and both sinks
-    assert pure.obdd_size_for_order(2, [[1, 2]]) == 4
-    assert pure.obdd_size_for_order(3, []) == 1
-    assert pure.obdd_size_for_order(2, [[]]) == 1
+    assert kernels.obdd_size_for_order(2, [[1, 2]]) == 4
+    assert kernels.obdd_size_for_order(3, []) == 1
+    assert kernels.obdd_size_for_order(2, [[]]) == 1
+    assert kernels.obdd_size_for_order(0, []) == 1
 
 
-@needs_compiled
-def test_backends_agree_on_truth_tables():
+def test_truth_tables_match_brute_force():
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(0, 10)
         clauses = random_position_clauses(rng, max(n, 1), rng.randint(0, 6)) if n else []
-        assert compiled.cnf_truth_table(n, clauses) == pure.cnf_truth_table(n, clauses)
+        assert kernels.cnf_truth_table(n, clauses) == brute_force_truth_table(n, clauses)
 
 
-@needs_compiled
-def test_backends_agree_on_obdd_sizes():
+def test_obdd_sizes_match_bottom_up_oracle():
     rng = random.Random(6)
     for _ in range(300):
         n = rng.randint(1, 10)
         clauses = random_position_clauses(rng, n, rng.randint(0, 8))
-        assert compiled.obdd_size_for_order(n, clauses) == \
-            pure.obdd_size_for_order(n, clauses)
+        assert kernels.obdd_size_for_order(n, clauses) == \
+            bottom_up_size(n, kernels.cnf_truth_table(n, clauses))
+
+
+def test_grid4_junction_sizes_match_constructed_obdds():
+    phi = F.grid_junction_formula(4)
+    names = sorted(phi.vars)
+    assert len(names) == 17
+    rng = random.Random(7)
+    for _ in range(3):
+        order = list(names)
+        rng.shuffle(order)
+        assert LB.obdd_size(phi, order) == LB.obdd_for_order(phi, order).size
 
 
 def test_selected_backend_exposes_contract():
-    assert kernels.BACKEND in ("cython", "python")
+    assert kernels.BACKEND == ddlab.KERNEL_BACKEND == "python"
     assert kernels.cnf_truth_table(1, [[1]]) == 0b10
     assert kernels.count_ones(0b1011) == 3
