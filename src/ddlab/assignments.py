@@ -215,7 +215,8 @@ def breaks(h, y):
     ``h == project_set(h, v1) x project_set(h, v2)``. Only projections need be
     tested as factor candidates: any factoring of a uniform set equals the
     pair of projections onto its variable bipartition. Exhaustive over the
-    2^|universe| bipartitions, so desk scale only.
+    2^(|universe|-1) bipartitions, so desk scale only; each is tested on the
+    members encoded once as integer rows (bit i binds the i-th sorted name).
     """
     if not h.is_uniform:
         raise UniformityError("breaks requires a uniform assignment set")
@@ -227,14 +228,18 @@ def breaks(h, y):
     names = sorted(h.universe)
     n = len(names)
     size = len(h.elements)
+    # a uniform member's sorted items line up with names
+    rows = [sum(bit << i for i, (_, bit) in enumerate(a._items)) for a in h.elements]
+    ybits = sum(1 << i for i, name in enumerate(names) if name in y)
+    full = (1 << n) - 1
     for mask in range(1, 2 ** (n - 1)):  # complement-symmetric, skip empty/full
-        v1 = frozenset(names[i] for i in range(n) if mask >> i & 1)
-        v2 = h.universe - v1
-        if not (y & v1) or not (y & v2):
+        rest = full ^ mask
+        if not (ybits & mask) or not (ybits & rest):
             continue
-        p1 = project_set(h, v1)
-        p2 = project_set(h, v2)
-        # h is always a subset of p1 x p2, so equality is exactly the size test
-        if len(p1) * len(p2) == size:
-            return True, (v1, v2)
+        # h always lies inside the product of its two projections, so
+        # equality is exactly the size test
+        k1 = len({r & mask for r in rows})
+        if size % k1 == 0 and k1 * len({r & rest for r in rows}) == size:
+            v1 = frozenset(names[i] for i in range(n) if mask >> i & 1)
+            return True, (v1, h.universe - v1)
     return False, None

@@ -27,6 +27,14 @@ class StepFailure(DdlabError):
         self.cause = exc
 
 
+class MalformedStep(StepFailure, FormatError):
+    """A step failed on malformed input, so it exits 2 as the CLI would."""
+
+
+# causes that make a step malformed; a missing argument is a KeyError on its args
+_MALFORMED = (FormatError, ValueError, OSError, KeyError)
+
+
 def _resolve(bundle, rel):
     path = os.path.normpath(os.path.join(bundle, rel))
     if not path.startswith(os.path.abspath(bundle) + os.sep):
@@ -244,11 +252,12 @@ def run_experiment(manifest_path, out_dir):
         verb = step.get("verb")
         handler = _STEPS.get(verb)
         if handler is None:
-            raise StepFailure(name, FormatError(f"unknown verb {verb!r}"))
+            raise MalformedStep(name, FormatError(f"unknown verb {verb!r}"))
         try:
             info = handler(step.get("args", {}), bundle)
         except Exception as exc:
-            raise StepFailure(name, exc) from exc
+            failure = MalformedStep if isinstance(exc, _MALFORMED) else StepFailure
+            raise failure(name, exc) from exc
         rows.append({"name": name, "verb": verb, "info": info})
     summary = {
         "build": BUILD_ID,

@@ -12,6 +12,50 @@ def aset(*dicts):
     return AssignmentSet([Assignment(d) for d in dicts])
 
 
+def random_factors(rng):
+    """Two or three random sets over disjoint slices of eight shuffled names."""
+    m = rng.randint(2, 3)
+    pool = [f"v{i}" for i in range(8)]
+    rng.shuffle(pool)
+    at = 0
+    factors = []
+    for _ in range(m):
+        size = rng.randint(1, 3)
+        if at + size > len(pool):
+            size = len(pool) - at
+        names = pool[at:at + size]
+        at += size
+        members = [dict(zip(names, bits))
+                   for bits in itertools.product((0, 1), repeat=size)
+                   if rng.random() < 0.7]
+        if not members:
+            members = [dict(zip(names, (0,) * size))]
+        factors.append(aset(*members))
+    return factors
+
+
+def breaks_by_projection(h, y):
+    """The rectangle test on Assignment projections: the oracle for ``breaks``.
+
+    Same contract and bipartition order as ``breaks``, but every candidate
+    factor pair is built with ``project_set``.
+    """
+    y = frozenset(y)
+    if len(y) < 2 or not h.elements:
+        return False, None
+    names = sorted(h.universe)
+    n = len(names)
+    size = len(h.elements)
+    for mask in range(1, 2 ** (n - 1)):
+        v1 = frozenset(names[i] for i in range(n) if mask >> i & 1)
+        v2 = h.universe - v1
+        if not (y & v1) or not (y & v2):
+            continue
+        if len(project_set(h, v1)) * len(project_set(h, v2)) == size:
+            return True, (v1, v2)
+    return False, None
+
+
 class TestAssignment:
     def test_well_formed(self):
         a = Assignment({"x": 1, "y": 0})
@@ -156,28 +200,60 @@ class TestBreaks:
             breaks(cube(["x"]), {"zz"})
 
 
+class TestBreaksOracle:
+    """``breaks`` gives the projection oracle's verdict and first witness."""
+
+    def test_product_sets(self):
+        rng = random.Random(29)
+        broken = 0
+        for _ in range(200):
+            h = product_all(random_factors(rng))
+            if len(h.universe) < 2:
+                continue
+            universe = sorted(h.universe)
+            y = frozenset(rng.sample(universe, rng.randint(1, len(universe))))
+            got = breaks(h, y)
+            assert got == breaks_by_projection(h, y)
+            broken += got[0]
+        assert broken >= 50
+
+    def test_random_subsets_of_cubes(self):
+        rng = random.Random(31)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            names = rng.sample([f"x{i}" for i in range(10)], n)
+            keep = rng.random()
+            h = AssignmentSet(a for a in cube(names) if rng.random() < keep)
+            if not h.elements:
+                continue
+            y = frozenset(rng.sample(names, rng.randint(2, n)))
+            got = breaks(h, y)
+            assert got == breaks_by_projection(h, y)
+            verdicts.add(got[0])
+        assert verdicts == {False, True}
+
+    def test_restricted_matching_sets(self):
+        from conftest import matching_graph
+        from ddlab import diagrams, lowerbound
+        exp = lowerbound.make_experiment(
+            matching_graph(3), [(f"u{i}", f"w{i}") for i in range(1, 4)], "and-obdd")
+        sats = diagrams.satisfying_set(lowerbound.obdd_for_order(exp.formula(), exp.order))
+        checked = 0
+        for g in lowerbound.fooling_set(exp):
+            _, ub, _ = lowerbound.unbreakable(exp, g)
+            h = restrict_set(sats, g)
+            assert breaks(h, ub) == breaks_by_projection(h, ub) == (False, None)
+            checked += 1
+        assert checked == 3
+
+
 class TestNoBreakProposition:
     def test_unbroken_sets_live_inside_one_factor(self):
         rng = random.Random(23)
         nonvacuous = 0
         for _ in range(150):
-            m = rng.randint(2, 3)
-            pool = [f"v{i}" for i in range(8)]
-            rng.shuffle(pool)
-            at = 0
-            factors = []
-            for _ in range(m):
-                size = rng.randint(1, 3)
-                if at + size > len(pool):
-                    size = len(pool) - at
-                names = pool[at:at + size]
-                at += size
-                members = [dict(zip(names, bits))
-                           for bits in itertools.product((0, 1), repeat=size)
-                           if rng.random() < 0.7]
-                if not members:
-                    members = [dict(zip(names, (0,) * size))]
-                factors.append(aset(*members))
+            factors = random_factors(rng)
             h = product_all(factors)
             if not h.elements or len(h.universe) < 2:
                 continue

@@ -9,6 +9,13 @@ from ddlab import cnf as C
 from ddlab import diagrams as D
 
 
+# a decision node whose two edges reach equal sinks: valid JSON, invalid diagram
+BROKEN_DIAGRAM = {"source": 2, "vars": ["x"],
+                  "nodes": [{"id": 0, "kind": "sink", "value": 1},
+                            {"id": 1, "kind": "sink", "value": 1},
+                            {"id": 2, "kind": "decision", "var": "x", "lo": 0, "hi": 1}]}
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -65,12 +72,8 @@ class TestCompileCountValidate:
         assert out.strip() == "7"
 
     def test_validate_rejects_broken_diagram(self, tmp_path, capsys):
-        doc = {"source": 2, "vars": ["x"],
-               "nodes": [{"id": 0, "kind": "sink", "value": 1},
-                         {"id": 1, "kind": "sink", "value": 1},
-                         {"id": 2, "kind": "decision", "var": "x", "lo": 0, "hi": 1}]}
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(BROKEN_DIAGRAM))
         code, _, err = run(["validate", "--diagram", str(bad)], capsys)
         assert code == 1
         assert json.loads(err.splitlines()[0])["error"] == "DiagramInvariantError"
@@ -202,8 +205,35 @@ class TestRun:
         }))
         code, _, err = run(["run", "--manifest", str(man),
                             "--out-dir", str(tmp_path / "b")], capsys)
-        assert code == 1
+        assert code == 2
         assert "badstep" in json.loads(err.splitlines()[0])["message"]
+
+    def run_step(self, tmp_path, capsys, verb, args):
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps({"name": "one", "steps": [
+            {"name": "only", "verb": verb, "args": args}]}))
+        code, _, err = run(["run", "--manifest", str(man),
+                            "--out-dir", str(tmp_path / "b")], capsys)
+        return code, json.loads(err.splitlines()[0])["message"]
+
+    def test_unknown_verb_is_exit_2(self, tmp_path, capsys):
+        code, message = self.run_step(tmp_path, capsys, "frobnicate", {})
+        assert code == 2 and "unknown verb" in message
+
+    def test_unknown_compile_method_is_exit_2(self, tmp_path, capsys):
+        code, message = self.run_step(tmp_path, capsys, "compile",
+                                      {"method": "magic", "out": "b.json"})
+        assert code == 2 and "unknown compile method" in message
+
+    def test_count_without_diagram_is_exit_2(self, tmp_path, capsys):
+        code, message = self.run_step(tmp_path, capsys, "count", {})
+        assert code == 2 and "KeyError" in message and "diagram" in message
+
+    def test_invalid_diagram_step_stays_exit_1(self, tmp_path, capsys):
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "bad.json").write_text(json.dumps(BROKEN_DIAGRAM))
+        code, message = self.run_step(tmp_path, capsys, "validate", {"diagram": "bad.json"})
+        assert code == 1 and "DiagramInvariantError" in message
 
     def test_reproducible_bundles(self, tmp_path, capsys):
         man = tmp_path / "m.json"
