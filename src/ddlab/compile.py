@@ -93,29 +93,39 @@ def decision_tree(phi):
     No clauses: a lone true leaf. An empty clause: a lone false leaf.
     Otherwise one spine walks the chosen clause's variables towards its
     unique falsification, and each satisfying turn-off recurses on the
-    reduced clause set.
+    reduced clause set. Equal residual clause sets get one shared subtree,
+    built once per call; the tree itself is the one the plain recursion
+    builds.
     """
-    if not phi.clauses:
-        return DTLeaf(True)
-    if frozenset() in phi.clauses:
-        return DTLeaf(False)
-    c = _spine_clause(phi)
-    polarity = dict(c)
-    spine = sorted(polarity)
-    g = {}
-    branches = []
-    for x in spine:
-        side = dict(g)
-        side[x] = polarity[x]
-        branches.append(decision_tree(cnf_reduce(phi, Assignment(side))))
-        g[x] = 1 - polarity[x]
-    node = DTLeaf(False)
-    for x, side in zip(reversed(spine), reversed(branches)):
-        if polarity[x]:
-            node = DTTest(x, lo=node, hi=side)
-        else:
-            node = DTTest(x, lo=side, hi=node)
-    return node
+    memo = {}
+
+    def tree(phi):
+        if not phi.clauses:
+            return DTLeaf(True)
+        if frozenset() in phi.clauses:
+            return DTLeaf(False)
+        if phi in memo:
+            return memo[phi]
+        c = _spine_clause(phi)
+        polarity = dict(c)
+        spine = sorted(polarity)
+        g = {}
+        branches = []
+        for x in spine:
+            side = dict(g)
+            side[x] = polarity[x]
+            branches.append(tree(cnf_reduce(phi, Assignment(side))))
+            g[x] = 1 - polarity[x]
+        node = DTLeaf(False)
+        for x, side in zip(reversed(spine), reversed(branches)):
+            if polarity[x]:
+                node = DTTest(x, lo=node, hi=side)
+            else:
+                node = DTTest(x, lo=side, hi=node)
+        memo[phi] = node
+        return node
+
+    return tree(phi)
 
 
 # ---------------------------------------------------------------------------

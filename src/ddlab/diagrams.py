@@ -26,7 +26,7 @@ from .errors import DiagramInvariantError, FormatError, ScaleError, ScopeError
 from .kernels import pattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     kind: str
     var: str | None = None
@@ -56,6 +56,28 @@ def sink(value):
     return Node("sink", value=int(value))
 
 
+def _toposort(kids):
+    """Children-first order of a node table given each node's children;
+    raises on cycles (not a DAG at all)."""
+    indeg = [0] * len(kids)
+    for children in kids:
+        for c in children:
+            indeg[c] += 1
+    stack = [i for i, d in enumerate(indeg) if d == 0]
+    out = []
+    while stack:
+        i = stack.pop()
+        out.append(i)
+        for c in kids[i]:
+            indeg[c] -= 1
+            if not indeg[c]:
+                stack.append(c)
+    if len(out) != len(kids):
+        raise FormatError("node table contains a cycle")
+    out.reverse()
+    return tuple(out)
+
+
 class Diagram:
     """An immutable node table with a designated source."""
 
@@ -64,52 +86,57 @@ class Diagram:
     def __init__(self, nodes, source, declared_vars=None):
         self.nodes = tuple(nodes)
         self.source = source
+        n = len(self.nodes)
+        kids = []
         for i, node in enumerate(self.nodes):
-            for c in node.children():
-                if not isinstance(c, int) or not 0 <= c < len(self.nodes):
+            children = node.children()
+            for c in children:
+                if not isinstance(c, int) or not 0 <= c < n:
                     raise FormatError(f"node {i} references missing child {c!r}")
             if node.kind not in ("decision", "and", "sink"):
                 raise FormatError(f"node {i} has unknown kind {node.kind!r}")
-        if not isinstance(source, int) or not 0 <= source < len(self.nodes):
+            kids.append(children)
+        if not isinstance(source, int) or not 0 <= source < n:
             raise FormatError(f"source {source!r} is not a node id")
-        self._topo = self._toposort()
-        below = [frozenset()] * len(self.nodes)
-        for i in self._topo:
-            node = self.nodes[i]
-            acc = set()
-            for c in node.children():
-                acc |= below[c]
-            if node.kind == "decision":
-                acc.add(node.var)
-            below[i] = frozenset(acc)
-        self._vars_below = tuple(below)
-        tested = below[source] if self.nodes else frozenset()
+        self._topo = _toposort(kids)
+        self._vars_below = self._tested_below()
+        tested = self._vars_below[source]
         if declared_vars is not None:
             declared_vars = frozenset(declared_vars)
             if not tested <= declared_vars:
                 raise FormatError(
                     f"declared universe misses tested vars {sorted(tested - declared_vars)}")
+            if declared_vars == tested:
+                declared_vars = None  # repeating the tested set declares nothing
         self.declared_vars = declared_vars
 
-    def _toposort(self):
-        """Children-first order; raises on cycles (not a DAG at all)."""
-        indeg = [0] * len(self.nodes)
-        for node in self.nodes:
-            for c in node.children():
-                indeg[c] += 1
-        stack = [i for i, d in enumerate(indeg) if d == 0]
-        out = []
-        while stack:
-            i = stack.pop()
-            out.append(i)
-            for c in self.nodes[i].children():
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    stack.append(c)
-        if len(out) != len(self.nodes):
-            raise FormatError("node table contains a cycle")
-        out.reverse()
-        return tuple(out)
+    def _tested_below(self):
+        """Per node, the variables tested at or below it, in one children-first
+        pass. Equal sets are one shared object: a node's set is looked up by
+        its test and its children's sets, so a union is computed once per
+        distinct combination, however many nodes repeat it."""
+        empty = frozenset()
+        below = [empty] * len(self.nodes)
+        unions = {}  # (var, lo set, hi set) or (left set, right set) -> union
+        shared = {empty: empty}
+        for i in self._topo:
+            node = self.nodes[i]
+            if node.kind == "decision":
+                one, two = below[node.lo], below[node.hi]
+                key = (node.var, one, two)
+            elif node.kind == "and":
+                one, two = below[node.left], below[node.right]
+                key = (one, two)
+            else:
+                continue
+            acc = unions.get(key)
+            if acc is None:
+                acc = one | two
+                if node.kind == "decision":
+                    acc |= {node.var}
+                acc = unions[key] = shared.setdefault(acc, acc)
+            below[i] = acc
+        return tuple(below)
 
     @property
     def size(self):
@@ -191,6 +218,8 @@ class DiagramBuilder:
                 continue
             keep.add(i)
             stack.extend(self._nodes[i].children())
+        if len(keep) == len(self._nodes):
+            return Diagram(self._nodes, source, declared_vars)
         remap = {}
         nodes = []
         for old in sorted(keep):
@@ -473,23 +502,41 @@ def path_assignment(b, node_ids):
 # serialization
 
 
+class _Quoted(dict):
+    """Variable name -> its JSON string literal, quoted once per name."""
+
+    def __missing__(self, name):
+        self[name] = quoted = json.dumps(name)
+        return quoted
+
+
 def to_json(b):
-    nodes = []
+    """The diagram as JSON text, written in one pass.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)`` plus
+    a newline, where doc holds the source, the sorted declared (else tested)
+    variables and one entry per node in id order.
+    """
+    quoted = _Quoted()
+    entries = []
     for i, node in enumerate(b.nodes):
-        entry = {"id": i, "kind": node.kind}
         if node.kind == "decision":
-            entry.update(var=node.var, lo=node.lo, hi=node.hi)
+            entries.append(f'    {{\n      "hi": {node.hi},\n      "id": {i},\n'
+                           f'      "kind": "decision",\n      "lo": {node.lo},\n'
+                           f'      "var": {quoted[node.var]}\n    }}')
         elif node.kind == "and":
-            entry.update(left=node.left, right=node.right)
+            entries.append(f'    {{\n      "id": {i},\n      "kind": "and",\n'
+                           f'      "left": {node.left},\n      "right": {node.right}\n    }}')
         else:
-            entry.update(value=node.value)
-        nodes.append(entry)
-    doc = {
-        "source": b.source,
-        "vars": sorted(b.declared_vars if b.declared_vars is not None else b.vars),
-        "nodes": nodes,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            entries.append(f'    {{\n      "id": {i},\n      "kind": "sink",\n'
+                           f'      "value": {node.value}\n    }}')
+    names = sorted(b.declared_vars if b.declared_vars is not None else b.vars)
+    if names:
+        listed = "[\n" + ",\n".join(f"    {quoted[x]}" for x in names) + "\n  ]"
+    else:
+        listed = "[]"
+    return ('{\n  "nodes": [\n' + ",\n".join(entries)
+            + f'\n  ],\n  "source": {b.source},\n  "vars": {listed}\n}}\n')
 
 
 def from_json(text):
@@ -512,11 +559,7 @@ def from_json(text):
                 nodes.append(sink(e["value"]))
             else:
                 raise FormatError(f"unknown node kind {kind!r}")
-        out = Diagram(nodes, doc["source"], doc.get("vars"))
-        if out.declared_vars is not None and out.declared_vars == out.vars:
-            # a vars list that only repeats the tested set declares nothing
-            return Diagram(nodes, doc["source"], None)
-        return out
+        return Diagram(nodes, doc["source"], doc.get("vars"))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad diagram JSON: {exc}") from exc
 

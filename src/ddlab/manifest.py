@@ -31,8 +31,9 @@ class MalformedStep(StepFailure, FormatError):
     """A step failed on malformed input, so it exits 2 as the CLI would."""
 
 
-# causes that make a step malformed; a missing argument is a KeyError on its args
-_MALFORMED = (FormatError, ValueError, OSError, KeyError)
+# causes that make a step malformed; a missing argument is a KeyError on its
+# args, a wrongly typed one (``"n": null``) a TypeError
+_MALFORMED = (FormatError, ValueError, OSError, KeyError, TypeError)
 
 
 def _resolve(bundle, rel):
@@ -247,26 +248,24 @@ def run_experiment(manifest_path, out_dir):
     with open(os.path.join(bundle, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     rows = []
-    for k, step in enumerate(steps):
-        name = step.get("name", f"step{k}")
-        verb = step.get("verb")
-        handler = _STEPS.get(verb)
-        if handler is None:
-            raise MalformedStep(name, FormatError(f"unknown verb {verb!r}"))
-        try:
-            info = handler(step.get("args", {}), bundle)
-        except Exception as exc:
-            failure = MalformedStep if isinstance(exc, _MALFORMED) else StepFailure
-            raise failure(name, exc) from exc
-        rows.append({"name": name, "verb": verb, "info": info})
-    summary = {
-        "build": BUILD_ID,
-        "name": manifest.get("name", ""),
-        "steps": rows,
-        "artifacts": _hash_tree(bundle),
-    }
-    with open(os.path.join(bundle, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        for k, step in enumerate(steps):
+            name = step.get("name", f"step{k}")
+            verb = step.get("verb")
+            handler = _STEPS.get(verb)
+            if handler is None:
+                raise MalformedStep(name, FormatError(f"unknown verb {verb!r}"))
+            try:
+                info = handler(step.get("args", {}), bundle)
+            except Exception as exc:
+                failure = MalformedStep if isinstance(exc, _MALFORMED) else StepFailure
+                raise failure(name, exc) from exc
+            rows.append({"name": name, "verb": verb, "info": info})
+    except StepFailure as exc:
+        # the bundle so far still gets a summary, naming the step that failed
+        _write_summary(bundle, manifest, rows, {"name": exc.step, "error": str(exc)})
+        raise
+    summary = _write_summary(bundle, manifest, rows)
     lines = [f"bundle: {summary['name']}", ""]
     lines.append(f"{'step':<24} {'verb':<10} info")
     for row in rows:
@@ -274,4 +273,18 @@ def run_experiment(manifest_path, out_dir):
         lines.append(f"{row['name']:<24} {row['verb']:<10} {info}")
     with open(os.path.join(bundle, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    return summary
+
+
+def _write_summary(bundle, manifest, rows, failed=None):
+    summary = {
+        "build": BUILD_ID,
+        "name": manifest.get("name", ""),
+        "steps": rows,
+        "artifacts": _hash_tree(bundle),
+    }
+    if failed is not None:
+        summary["failed"] = failed
+    with open(os.path.join(bundle, "summary.json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

@@ -229,6 +229,28 @@ class TestRun:
         code, message = self.run_step(tmp_path, capsys, "count", {})
         assert code == 2 and "KeyError" in message and "diagram" in message
 
+    def test_wrongly_typed_argument_is_exit_2(self, tmp_path, capsys):
+        code, message = self.run_step(tmp_path, capsys, "compile",
+                                      {"method": "grid-junction", "n": None, "out": "b.json"})
+        assert code == 2 and "TypeError" in message
+
+    def test_failing_step_still_leaves_a_summary(self, tmp_path, capsys):
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps({"name": "half", "steps": [
+            {"name": "first", "verb": "write", "args": {"path": "a.txt", "text": "hi\n"}},
+            {"name": "second", "verb": "count", "args": {"diagram": "missing.json"}},
+            {"name": "third", "verb": "write", "args": {"path": "b.txt", "text": "no\n"}}]}))
+        code, _, err = run(["run", "--manifest", str(man),
+                            "--out-dir", str(tmp_path / "b")], capsys)
+        assert code == 2
+        summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert [row["name"] for row in summary["steps"]] == ["first"]
+        assert summary["failed"]["name"] == "second"
+        assert summary["failed"]["error"] == json.loads(err.splitlines()[0])["message"]
+        assert sorted(summary["artifacts"]) == ["a.txt", "manifest.json"]
+        digest = hashlib.sha256(b"hi\n").hexdigest()
+        assert summary["artifacts"]["a.txt"] == digest
+
     def test_invalid_diagram_step_stays_exit_1(self, tmp_path, capsys):
         (tmp_path / "b").mkdir()
         (tmp_path / "b" / "bad.json").write_text(json.dumps(BROKEN_DIAGRAM))

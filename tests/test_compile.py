@@ -77,6 +77,53 @@ def dt_total_eval(dt, a):
     return CP.dt_evaluate(dt, a)
 
 
+def plain_decision_tree(phi):
+    """The falsifying-spine recursion without shared subtrees: the oracle for
+    the memoised ``decision_tree``."""
+    if not phi.clauses:
+        return CP.DTLeaf(True)
+    if frozenset() in phi.clauses:
+        return CP.DTLeaf(False)
+    c = CP._spine_clause(phi)
+    polarity = dict(c)
+    spine = sorted(polarity)
+    g = {}
+    branches = []
+    for x in spine:
+        side = dict(g)
+        side[x] = polarity[x]
+        branches.append(plain_decision_tree(C.reduce(phi, Assignment(side))))
+        g[x] = 1 - polarity[x]
+    node = CP.DTLeaf(False)
+    for x, side in zip(reversed(spine), reversed(branches)):
+        if polarity[x]:
+            node = CP.DTTest(x, lo=node, hi=side)
+        else:
+            node = CP.DTTest(x, lo=side, hi=node)
+    return node
+
+
+class TestDecisionTreeOracle:
+    def test_random_cnfs_match_plain_recursion(self):
+        rng = random.Random(80)
+        for _ in range(200):
+            phi = random_cnf(rng, rng.randint(1, 7), rng.randint(0, 8))
+            assert CP.decision_tree(phi) == plain_decision_tree(phi)
+
+    def test_vc_grid4_matches_plain_recursion(self):
+        phi = F.vc_formula(G.grid(4).graph)
+        dt = CP.decision_tree(phi)
+        assert dt == plain_decision_tree(phi)
+        assert CP.dt_size(dt) == 3177
+
+    def test_vc_grid5_tree_size_and_json_roundtrip(self):
+        d = CP.dt_to_diagram(CP.decision_tree(F.vc_formula(G.grid(5).graph)))
+        assert d.size == 71186
+        back = D.from_json(D.to_json(d))
+        assert back == d
+        assert D.count_models(back) == D.count_models(d)
+
+
 class TestVtree:
     def test_roundtrip(self):
         vt = CP.Vtree(("a", (("b", "c"), "d")))

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -253,6 +254,79 @@ class TestSerialization:
         d = b.finalize(b.decision("x", t, t), declared_vars={"x", "y"})
         back = D.from_json(D.to_json(d))
         assert back.declared_vars == {"x", "y"}
+
+    def test_declaring_only_the_tested_vars_declares_nothing(self):
+        b = D.DiagramBuilder()
+        d = b.finalize(b.decision("x", b.sink(0), b.sink(1)), declared_vars={"x"})
+        assert d.declared_vars is None
+        assert D.from_json(D.to_json(d)).declared_vars is None
+
+
+def to_json_by_dumps(b):
+    """The document-then-``json.dumps`` writer: the oracle for the one-pass
+    ``to_json``."""
+    nodes = []
+    for i, node in enumerate(b.nodes):
+        entry = {"id": i, "kind": node.kind}
+        if node.kind == "decision":
+            entry.update(var=node.var, lo=node.lo, hi=node.hi)
+        elif node.kind == "and":
+            entry.update(left=node.left, right=node.right)
+        else:
+            entry.update(value=node.value)
+        nodes.append(entry)
+    doc = {
+        "source": b.source,
+        "vars": sorted(b.declared_vars if b.declared_vars is not None else b.vars),
+        "nodes": nodes,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestWriterOracle:
+    @pytest.mark.parametrize("p_and", [0.0, 0.35])
+    def test_random_diagrams(self, p_and):
+        rng = random.Random(91)
+        for _ in range(150):
+            names = [f"x{i}" for i in range(rng.randint(1, 7))]
+            d, _ = random_and_obdd(rng, names, p_and=p_and)
+            assert D.to_json(d) == to_json_by_dumps(d)
+
+    def test_single_sink(self):
+        for value in (0, 1):
+            b = D.DiagramBuilder()
+            d = b.finalize(b.sink(value))
+            assert D.to_json(d) == to_json_by_dumps(d)
+            assert '"vars": []' in D.to_json(d)
+
+    def test_declared_vars_wider_than_tested(self):
+        b = D.DiagramBuilder()
+        d = b.finalize(b.decision("x", b.sink(0), b.sink(1)), declared_vars={"w", "x", "z"})
+        assert D.to_json(d) == to_json_by_dumps(d)
+
+    def test_unreachable_nodes(self):
+        d = D.Diagram([D.sink(1), D.decision("y", 0, 0)], 0)
+        assert D.to_json(d) == to_json_by_dumps(d)
+
+    def test_names_that_need_escaping(self):
+        b = D.DiagramBuilder()
+        t = b.sink(1)
+        f = b.sink(0)
+        inner = b.decision('q"uote', f, t)
+        mid = b.decision("back\\slash", inner, t)
+        top = b.decision("é\u2227\U0001d54f", mid, f)
+        d = b.finalize(top, declared_vars={'q"uote', "back\\slash", "é\u2227\U0001d54f", "ünused"})
+        text = D.to_json(d)
+        assert text == to_json_by_dumps(d)
+        assert D.from_json(text) == d
+
+
+def test_equal_variable_sets_are_shared():
+    rng = random.Random(92)
+    for _ in range(50):
+        d, _ = random_and_obdd(rng, [f"x{i}" for i in range(6)])
+        sets = [d.vars_below(i) for i in range(d.size)]
+        assert len({id(s) for s in sets}) == len(set(sets))
 
 
 def test_graft_shares_sinks_and_prunes():
