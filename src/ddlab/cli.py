@@ -8,12 +8,12 @@ malformed input. Every randomized verb takes an explicit seed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
+import time
 
-from . import cnf as cnf_mod
-from . import compile as compile_mod
-from . import diagrams, formulas, graphs, lowerbound
+from . import diagrams, graphs, verbs
 from .assignments import Assignment
 from .errors import DdlabError, FormatError
 from .version import BUILD_ID
@@ -25,98 +25,14 @@ def _fail(exc, code):
     return code
 
 
-def _graph_arg(args):
-    if getattr(args, "grid", None) is not None:
-        return graphs.grid(args.grid)
-    if getattr(args, "graph", None) is not None:
-        return graphs.read_graph(args.graph)
-    raise FormatError("need --grid N or --graph FILE")
+class _Args(dict):
+    """A verb's arguments from the command line; a missing one is malformed
+    input, named by its flag."""
 
+    what = ""
 
-def cmd_gen(args):
-    family = args.family
-    partition = None
-    if family in ("vc-junction", "psi-junction"):
-        if args.grid is None:
-            raise FormatError("junction families need --grid N")
-        gg = graphs.grid(args.grid)
-        phi = formulas.junction_formula(gg.graph, gg.hor, gg.vert,
-                                         "vc" if family == "vc-junction" else "psi")
-        graph = gg.graph
-        partition = {"e1": sorted(sorted(e) for e in gg.hor),
-                     "e2": sorted(sorted(e) for e in gg.vert)}
-    else:
-        source = _graph_arg(args)
-        graph = source.graph if isinstance(source, graphs.GridGraph) else source
-        maker = {"vc": formulas.vc_formula, "psi": formulas.psi_formula,
-                 "star": formulas.star_formula}[family]
-        phi = maker(graph)
-    text = cnf_mod.write_dimacs(phi, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {args.out}: {len(phi.vars)} variables, {len(phi)} clauses")
-    if args.meta:
-        import hashlib
-        meta = {
-            "build": BUILD_ID,
-            "family": family,
-            "graph_sha256": hashlib.sha256(graphs.write_graph(graph).encode()).hexdigest(),
-            "partition": partition,
-            "variables": len(phi.vars),
-            "clauses": len(phi),
-        }
-        path = (args.out or "formula.cnf") + ".meta.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return 0
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise FormatError(f"--method {args.method} needs --{name.replace('_', '-')}")
-
-
-def cmd_compile(args):
-    method = args.method
-    vtree = None
-    if method == "dtree":
-        _require(args, "cnf")
-        phi = cnf_mod.read_dimacs(args.cnf)
-        diagram = compile_mod.dt_to_diagram(compile_mod.decision_tree(phi))
-    elif method == "primal":
-        _require(args, "cnf", "decomp")
-        phi = cnf_mod.read_dimacs(args.cnf)
-        d = graphs.read_decomposition(args.decomp)
-        diagram, vtree = compile_mod.compile_primal(phi, d)
-    elif method == "split":
-        _require(args, "cnf", "decomp")
-        phi = cnf_mod.read_dimacs(args.cnf)
-        d = graphs.read_decomposition(args.decomp)
-        labels = cnf_mod.clause_labels(phi)
-        wanted = set((args.long or "").split(",")) - {""}
-        chosen = [c for name, c in labels if name in wanted]
-        if len(chosen) != len(wanted):
-            raise FormatError(f"unknown clause ids in --long {args.long!r}")
-        diagram = compile_mod.compile_split(phi, chosen, d)
-        vtree = compile_mod.split_vtree(phi, chosen, d)
-    elif method == "grid-junction":
-        _require(args, "n")
-        diagram = compile_mod.grid_junction_diagram(args.n)
-    elif method == "psi-layer":
-        _require(args, "n")
-        if args.junction:
-            diagram = compile_mod.psi_grid_junction_fbdd(args.n)
-        else:
-            diagram = compile_mod.psi_layer_obdd(args.n, args.orientation)
-    else:
-        raise FormatError(f"unknown method {method!r}")
-    diagrams.save(diagram, args.out)
-    if vtree is not None and args.vtree_out:
-        compile_mod.write_vtree(vtree, args.vtree_out)
-    print(f"wrote {args.out}: {diagram.size} nodes")
-    return 0
+    def __missing__(self, key):
+        raise FormatError(f"{self.what} needs --{key.replace('_', '-')}")
 
 
 def _split_names(text):
@@ -137,30 +53,84 @@ def _split_names(text):
     return [n for n in out if n]
 
 
-def cmd_count(args):
-    diagram = diagrams.load(args.diagram)
-    universe = (frozenset(_split_names(args.universe)) if args.universe
-                else (diagram.declared_vars or diagram.vars))
-    print(diagrams.count_models(diagram, universe))
-    return 0
+def _read_matching(path):
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"bad matching line {raw!r}")
+            pairs.append((parts[0], parts[1]))
+    return pairs
 
 
-def cmd_eval(args):
-    diagram = diagrams.load(args.diagram)
-    a = Assignment.parse(args.assignment)
-    print(diagrams.evaluate(diagram, a))
-    return 0
+def _verb_args(ns):
+    """The arguments as a bundle step holds them: the lists that the command
+    line takes as text (comma lists, a matching file) become lists."""
+    args = _Args((k, v) for k, v in vars(ns).items()
+                 if v is not None and k not in ("func", "verb", "lbverb"))
+    args.what = f"--method {ns.method}" if ns.verb == "compile" else f"ddlab {ns.verb}"
+    if "universe" in args:
+        args["universe"] = _split_names(args["universe"])
+    if "long" in args:
+        args["long"] = [name for name in args["long"].split(",") if name]
+    if "matching" in args:
+        args["matching"] = _read_matching(args["matching"])
+    return args
 
 
-def cmd_validate(args):
-    diagram = diagrams.load(args.diagram)
-    order = graphs.read_order(args.order) if args.order else None
-    cls = diagrams.validate(diagram, order.names if order else None)
-    doc = {"and_fbdd": cls.is_and_fbdd, "fbdd": cls.is_fbdd,
-           "obdd": cls.is_obdd, "and_obdd": cls.is_and_obdd,
-           "order": list(cls.order) if cls.order else None}
-    print(json.dumps(doc, sort_keys=True))
-    return 0
+def _as_given(path):
+    return path
+
+
+# per shared verb: the info field printed first, and the line printed when
+# the text went to --out instead of stdout; by default the text alone
+_SHOW = {
+    "gen": (None, "wrote {out}: {variables} variables, {clauses} clauses"),
+    "compile": (None, "wrote {out}: {size} nodes"),
+    "count": ("count", None),
+    "eval": ("value", None),
+    "minobdd": ("size", None),
+    "width": ("width", None),
+    "certify": (None, "bound {bound} (|F|={fooling_size}, diagram size {diagram_size}); "
+                      "wrote {out}"),
+}
+
+
+def cmd_verb(ns):
+    """Run a verb shared with bundles and print what it returns."""
+    verb = ns.lbverb if ns.verb == "lb" else ns.verb
+    args = _verb_args(ns)
+    start = time.perf_counter()
+    info, text = verbs.run(verb, args, _as_given)
+    elapsed = (time.perf_counter() - start) * 1000.0
+    field, wrote = _SHOW.get(verb, (None, None))
+    if field is not None:
+        print(info[field])
+    if "out" in args:
+        print(wrote.format(out=args["out"], **info))
+    elif text is not None:
+        sys.stdout.write(text)
+    if verb == "gen" and args["meta"]:
+        _write_meta(args, info)
+    if verb == "certify":
+        print(json.dumps({"wall_clock_ms": elapsed}, sort_keys=True), file=sys.stderr)
+
+
+def _write_meta(args, info):
+    """The provenance of a generated formula, next to it."""
+    _, source = verbs.formula(args, _as_given)
+    grid = isinstance(source, graphs.GridGraph)
+    graph = source.graph if grid else source
+    meta = dict(info, build=BUILD_ID, family=args["family"],
+                graph_sha256=hashlib.sha256(graphs.write_graph(graph).encode()).hexdigest(),
+                partition={"e1": sorted(sorted(e) for e in source.hor),
+                           "e2": sorted(sorted(e) for e in source.vert)} if grid else None)
+    with open(args.get("out", "formula.cnf") + ".meta.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_align(args):
@@ -183,7 +153,6 @@ def cmd_align(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def cmd_restrict(args):
@@ -193,80 +162,6 @@ def cmd_restrict(args):
                            check_essential=not args.no_essential_check)
     diagrams.save(out, args.out)
     print(f"wrote {args.out}: {out.size} nodes")
-    return 0
-
-
-def cmd_width(args):
-    g = _plain_graph(_graph_arg(args))
-    if args.sample is not None:
-        width, order = graphs.width_min(g, args.mode, search="sampled",
-                                        count=args.sample, seed=args.seed)
-    else:
-        width, order = graphs.width_min(g, args.mode, cap=args.order_cap)
-    print(width)
-    sys.stdout.write(graphs.write_order(order))
-    return 0
-
-
-def _plain_graph(g):
-    return g.graph if isinstance(g, graphs.GridGraph) else g
-
-
-def _read_matching(path):
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"bad matching line {raw!r}")
-            pairs.append((parts[0], parts[1]))
-    return pairs
-
-
-def _experiment(args):
-    g = graphs.read_graph(args.graph)
-    pairs = _read_matching(args.matching)
-    order = graphs.read_order(args.order) if args.order else None
-    return lowerbound.make_experiment(g, pairs, args.engine, order)
-
-
-def cmd_lb_fool(args):
-    exp = _experiment(args)
-    fs = lowerbound.fooling_set(exp)
-    sys.stdout.write(fs.render())
-    return 0
-
-
-def cmd_lb_certify(args):
-    exp = _experiment(args)
-    diagram = diagrams.load(args.diagram)
-    cert = lowerbound.certify(diagram, exp.order, exp)
-    text = cert.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"bound {cert.bound} (|F|={cert.fooling_size}, diagram size "
-              f"{cert.diagram_size}); wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    print(json.dumps({"wall_clock_ms": cert.wall_clock_ms}, sort_keys=True),
-          file=sys.stderr)
-    return 0
-
-
-def cmd_minobdd(args):
-    phi = cnf_mod.read_dimacs(args.cnf)
-    if args.sample is not None:
-        size, order = lowerbound.min_obdd(phi, search="sampled", count=args.sample,
-                                          seed=args.seed, verify=args.verify)
-    else:
-        size, order = lowerbound.min_obdd(phi, cap=args.order_cap, verify=args.verify)
-    print(size)
-    sys.stdout.write(graphs.write_order(order))
-    return 0
 
 
 def cmd_export_dot(args):
@@ -277,20 +172,29 @@ def cmd_export_dot(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def cmd_run(args):
     from .manifest import run_experiment
     summary = run_experiment(args.manifest, args.out_dir)
     print(f"bundle {args.out_dir}: {len(summary['steps'])} steps")
-    return 0
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="ddlab", description=__doc__)
     parser.add_argument("--version", action="version", version=BUILD_ID)
     sub = parser.add_subparsers(dest="verb", required=True)
+    # flag groups that two verbs share
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--sample", type=int)
+    search.add_argument("--seed", type=int)
+    search.add_argument("--order-cap", type=int,
+                        help="exhaustive-search vertex cap (default 8)")
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--graph", required=True)
+    experiment.add_argument("--matching", required=True)
+    experiment.add_argument("--order")
+    experiment.add_argument("--engine", required=True, choices=["and-obdd", "obdd"])
 
     p = sub.add_parser("gen", help="generate a formula family as DIMACS")
     p.add_argument("--family", required=True,
@@ -299,7 +203,7 @@ def build_parser():
     p.add_argument("--graph")
     p.add_argument("--out")
     p.add_argument("--meta", action="store_true")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("compile", help="compile a diagram")
     p.add_argument("--method", required=True,
@@ -312,22 +216,22 @@ def build_parser():
     p.add_argument("--junction", action="store_true")
     p.add_argument("--vtree-out")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compile)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("count", help="count satisfying assignments of a diagram")
     p.add_argument("--diagram", required=True)
     p.add_argument("--universe")
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("eval", help="evaluate a diagram on a total assignment")
     p.add_argument("--diagram", required=True)
     p.add_argument("--assignment", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("validate", help="check diagram invariants and class")
     p.add_argument("--diagram", required=True)
     p.add_argument("--order")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("align", help="alignment or frontier report")
     p.add_argument("--diagram", required=True)
@@ -344,47 +248,25 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_restrict)
 
-    p = sub.add_parser("width", help="minimum crossing width over orders")
+    p = sub.add_parser("width", parents=[search], help="minimum crossing width over orders")
     p.add_argument("--graph")
     p.add_argument("--grid", type=int)
     p.add_argument("--mode", choices=["lsim", "lmm"], default="lsim")
-    p.add_argument("--sample", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--order-cap", type=int, default=None,
-                   help="exhaustive-search vertex cap (default 8)")
-    p.set_defaults(func=cmd_width)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("lb", help="lower-bound experiments")
     lbsub = p.add_subparsers(dest="lbverb", required=True)
-    q = lbsub.add_parser("fool", help="print the fooling set")
-    q.add_argument("--graph", required=True)
-    q.add_argument("--matching", required=True)
-    q.add_argument("--order")
-    q.add_argument("--engine", required=True, choices=["and-obdd", "obdd"])
-    q.set_defaults(func=cmd_lb_fool)
-    q = lbsub.add_parser("certify", help="injectivity certificate")
+    q = lbsub.add_parser("fool", parents=[experiment], help="print the fooling set")
+    q.set_defaults(func=cmd_verb)
+    q = lbsub.add_parser("certify", parents=[experiment], help="injectivity certificate")
     q.add_argument("--diagram", required=True)
-    q.add_argument("--graph", required=True)
-    q.add_argument("--matching", required=True)
-    q.add_argument("--order")
-    q.add_argument("--engine", required=True, choices=["and-obdd", "obdd"])
     q.add_argument("--out")
-    q.set_defaults(func=cmd_lb_certify)
-    q = lbsub.add_parser("minobdd", help="minimal OBDD size oracle")
-    q.add_argument("--cnf", required=True)
-    q.add_argument("--sample", type=int)
-    q.add_argument("--seed", type=int)
-    q.add_argument("--order-cap", type=int, default=None)
-    q.add_argument("--verify", action="store_true")
-    q.set_defaults(func=cmd_minobdd)
+    q.set_defaults(func=cmd_verb)
 
-    p = sub.add_parser("minobdd", help="minimal OBDD size oracle")
+    p = sub.add_parser("minobdd", parents=[search], help="minimal OBDD size oracle")
     p.add_argument("--cnf", required=True)
-    p.add_argument("--sample", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--order-cap", type=int, default=None)
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_minobdd)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("export-dot", help="Graphviz export")
     p.add_argument("--diagram", required=True)
@@ -404,11 +286,12 @@ def main(argv=None):
     if getattr(args, "sample", None) is not None and getattr(args, "seed", None) is None:
         return _fail(FormatError("sampled search requires --seed"), 2)
     try:
-        return args.func(args)
+        args.func(args)
     except (FormatError, ValueError, OSError) as exc:
         return _fail(exc, 2)
     except DdlabError as exc:
         return _fail(exc, 1)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,0 +1,197 @@
+"""The verbs that the ``ddlab`` command and experiment bundles share.
+
+Each verb takes ``(args, path)``. ``args`` is a dict of JSON values: numbers,
+strings, and lists where a verb takes several names. ``path`` maps a path
+argument to the file it names: as given on the command line, inside the
+bundle directory for a bundle step. A missing argument is a ``KeyError`` on
+``args``.
+
+Each verb returns ``(info, text)``: ``info`` is what a bundle summary records
+for the step, ``text`` the verb's main artifact, or None when it has none.
+``run`` writes ``text`` to ``args["out"]`` when that key is given.
+"""
+
+from __future__ import annotations
+
+import json
+
+from . import cnf as cnf_mod
+from . import compile as compile_mod
+from . import config, diagrams, formulas, graphs, lowerbound
+from .assignments import Assignment
+from .errors import FormatError
+
+
+def _listed(value, key):
+    """A list argument; a string here would be read one character at a time."""
+    if isinstance(value, str):
+        raise FormatError(f"{key} must be a JSON list, not the string {value!r}")
+    return value
+
+
+def _graph(args, path):
+    if "grid" in args:
+        return graphs.grid(int(args["grid"])).graph
+    return graphs.read_graph(path(args["graph"]))
+
+
+def _experiment(args, path):
+    graph = _graph(args, path)
+    pairs = [tuple(_listed(p, "matching")) for p in _listed(args["matching"], "matching")]
+    order = graphs.read_order(path(args["order"])) if args.get("order") else None
+    return lowerbound.make_experiment(graph, pairs, args["engine"], order)
+
+
+def _search(args):
+    """Keyword arguments for the order search that ``args`` asks for, and the
+    fields a summary records about it."""
+    if "sample" in args:
+        info = {"sample": int(args["sample"]), "seed": int(args["seed"])}
+        return {"search": "sampled", "count": info["sample"], "seed": info["seed"]}, info
+    cap = args.get("order_cap")
+    return {"cap": cap}, {"order_cap": config.EXHAUSTIVE_ORDER_CAP if cap is None else cap}
+
+
+def formula(args, path):
+    """The formula ``gen`` builds and the graph it is built on: the
+    ``GridGraph`` for the junction families, the plain graph otherwise."""
+    family = args["family"]
+    if family in ("vc-junction", "psi-junction"):
+        gg = graphs.grid(int(args["grid"]))
+        kind = "vc" if family == "vc-junction" else "psi"
+        return formulas.junction_formula(gg.graph, gg.hor, gg.vert, kind), gg
+    graph = _graph(args, path)
+    makers = {"vc": formulas.vc_formula, "psi": formulas.psi_formula,
+              "star": formulas.star_formula}
+    return makers[family](graph), graph
+
+
+def write(args, path):
+    """Write ``text`` to the file ``path`` names."""
+    text = args["text"]
+    with open(path(args["path"]), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return {}, None
+
+
+def gen(args, path):
+    """A formula family as DIMACS."""
+    phi, _ = formula(args, path)
+    return {"variables": len(phi.vars), "clauses": len(phi)}, cnf_mod.write_dimacs(phi)
+
+
+def compile(args, path):
+    """A diagram by one of the compile methods, as JSON; the ``primal`` and
+    ``split`` methods also write their vtree to ``vtree_out`` when given."""
+    method = args["method"]
+    vtree = None
+    if method == "grid-junction":
+        diagram = compile_mod.grid_junction_diagram(int(args["n"]))
+    elif method == "psi-layer" and args.get("junction"):
+        diagram = compile_mod.psi_grid_junction_fbdd(int(args["n"]))
+    elif method == "psi-layer":
+        diagram = compile_mod.psi_layer_obdd(int(args["n"]), args.get("orientation", "hor"))
+    elif method == "dtree":
+        phi = cnf_mod.read_dimacs(path(args["cnf"]))
+        diagram = compile_mod.dt_to_diagram(compile_mod.decision_tree(phi))
+    elif method == "primal":
+        phi = cnf_mod.read_dimacs(path(args["cnf"]))
+        d = graphs.read_decomposition(path(args["decomp"]))
+        diagram, vtree = compile_mod.compile_primal(phi, d)
+    elif method == "split":
+        wanted = set(_listed(args.get("long", []), "long"))
+        phi = cnf_mod.read_dimacs(path(args["cnf"]))
+        d = graphs.read_decomposition(path(args["decomp"]))
+        labels = dict(cnf_mod.clause_labels(phi))
+        if wanted - labels.keys():
+            raise FormatError(f"unknown clause ids {sorted(wanted - labels.keys())}")
+        chosen = [c for name, c in labels.items() if name in wanted]
+        diagram = compile_mod.compile_split(phi, chosen, d)
+        vtree = compile_mod.split_vtree(phi, chosen, d)
+    else:
+        raise FormatError(f"unknown compile method {method!r}")
+    if vtree is not None and args.get("vtree_out"):
+        compile_mod.write_vtree(vtree, path(args["vtree_out"]))
+    return {"size": diagram.size}, diagrams.to_json(diagram)
+
+
+def obdd(args, path):
+    """The reduced OBDD for an explicit order, or for an experiment's bad order."""
+    if "cnf" in args:
+        phi = cnf_mod.read_dimacs(path(args["cnf"]))
+        order = graphs.read_order(path(args["order"]))
+    else:
+        exp = _experiment(args, path)
+        phi, order = exp.formula(), exp.order
+    diagram = lowerbound.obdd_for_order(phi, order)
+    return {"size": diagram.size}, diagrams.to_json(diagram)
+
+
+def count(args, path):
+    """The model count over ``universe``, by default the declared variables."""
+    diagram = diagrams.load(path(args["diagram"]))
+    universe = (frozenset(_listed(args["universe"], "universe")) if "universe" in args
+                else (diagram.declared_vars or diagram.vars))
+    return {"count": diagrams.count_models(diagram, universe)}, None
+
+
+def eval(args, path):
+    """The diagram's value on a total assignment."""
+    diagram = diagrams.load(path(args["diagram"]))
+    return {"value": diagrams.evaluate(diagram, Assignment.parse(args["assignment"]))}, None
+
+
+def validate(args, path):
+    """The diagram's class, as a one-line JSON report."""
+    diagram = diagrams.load(path(args["diagram"]))
+    order = graphs.read_order(path(args["order"])).names if args.get("order") else None
+    cls = diagrams.validate(diagram, order)
+    info = {"fbdd": cls.is_fbdd, "obdd": cls.is_obdd, "and_obdd": cls.is_and_obdd}
+    report = dict(info, and_fbdd=cls.is_and_fbdd,
+                  order=list(cls.order) if cls.order else None)
+    return info, json.dumps(report, sort_keys=True) + "\n"
+
+
+def minobdd(args, path):
+    """The minimal (or sampled-minimal) OBDD size; the text is its order."""
+    phi = cnf_mod.read_dimacs(path(args["cnf"]))
+    search, info = _search(args)
+    info["size"], order = lowerbound.min_obdd(phi, verify=bool(args.get("verify")),
+                                              **search)
+    return info, graphs.write_order(order)
+
+
+def width(args, path):
+    """The minimum crossing width over orders; the text is its order."""
+    graph = _graph(args, path)
+    search, info = _search(args)
+    info["width"], order = graphs.width_min(graph, args.get("mode", "lsim"), **search)
+    return info, graphs.write_order(order)
+
+
+def fool(args, path):
+    """The experiment's fooling set, one assignment per line."""
+    fs = lowerbound.fooling_set(_experiment(args, path))
+    return {"size": len(fs)}, fs.render()
+
+
+def certify(args, path):
+    """The injectivity certificate, as JSON without its timing."""
+    exp = _experiment(args, path)
+    diagram = diagrams.load(path(args["diagram"]))
+    cert = lowerbound.certify(diagram, exp.order, exp)
+    return ({"bound": cert.bound, "fooling_size": cert.fooling_size,
+             "diagram_size": cert.diagram_size}, cert.to_json())
+
+
+VERBS = {fn.__name__: fn for fn in (write, gen, compile, obdd, count, eval, validate,
+                                     minobdd, width, fool, certify)}
+
+
+def run(verb, args, path):
+    """Run one verb, writing its text to ``args["out"]`` when that key is given."""
+    info, text = VERBS[verb](args, path)
+    if text is not None and "out" in args:
+        with open(path(args["out"]), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return info, text

@@ -15,6 +15,13 @@ BROKEN_DIAGRAM = {"source": 2, "vars": ["x"],
                             {"id": 1, "kind": "sink", "value": 1},
                             {"id": 2, "kind": "decision", "var": "x", "lo": 0, "hi": 1}]}
 
+# a AND b over the two variables a and b
+A_AND_B = {"source": 3, "vars": ["a", "b"],
+           "nodes": [{"id": 0, "kind": "sink", "value": 0},
+                     {"id": 1, "kind": "sink", "value": 1},
+                     {"id": 2, "kind": "decision", "var": "b", "lo": 0, "hi": 1},
+                     {"id": 3, "kind": "decision", "var": "a", "lo": 0, "hi": 2}]}
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -251,6 +258,39 @@ class TestRun:
         digest = hashlib.sha256(b"hi\n").hexdigest()
         assert summary["artifacts"]["a.txt"] == digest
 
+    def run_manifest(self, tmp_path, capsys, doc):
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps(doc))
+        code, _, err = run(["run", "--manifest", str(man),
+                            "--out-dir", str(tmp_path / "b")], capsys)
+        return code, json.loads(err.splitlines()[0])
+
+    def test_step_that_is_not_an_object_is_exit_2(self, tmp_path, capsys):
+        code, error = self.run_manifest(tmp_path, capsys, {"name": "x", "steps": ["oops"]})
+        assert code == 2 and "step0" in error["message"]
+        summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert summary["steps"] == [] and summary["failed"]["name"] == "step0"
+
+    def test_manifest_that_is_a_list_is_exit_2(self, tmp_path, capsys):
+        code, error = self.run_manifest(tmp_path, capsys, [{"verb": "count"}])
+        assert code == 2 and error["error"] == "FormatError"
+
+    def test_steps_that_are_not_a_list_are_exit_2(self, tmp_path, capsys):
+        code, error = self.run_manifest(tmp_path, capsys, {"name": "x", "steps": 5})
+        assert code == 2 and error["error"] == "FormatError"
+
+    @pytest.mark.parametrize("verb,args", [
+        ("count", {"diagram": "ab.json", "universe": "a,b"}),
+        ("compile", {"method": "split", "cnf": "f.cnf", "decomp": "d.txt",
+                     "long": "c8,c9", "out": "s.json"}),
+        ("fool", {"grid": 2, "engine": "obdd", "matching": ["(1,1) (1,2)"]}),
+    ])
+    def test_string_for_a_list_of_names_is_exit_2(self, tmp_path, capsys, verb, args):
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "ab.json").write_text(json.dumps(A_AND_B))
+        code, message = self.run_step(tmp_path, capsys, verb, args)
+        assert code == 2 and "must be a JSON list" in message
+
     def test_invalid_diagram_step_stays_exit_1(self, tmp_path, capsys):
         (tmp_path / "b").mkdir()
         (tmp_path / "b" / "bad.json").write_text(json.dumps(BROKEN_DIAGRAM))
@@ -326,3 +366,116 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "ddlab" in capsys.readouterr().out
+
+
+# One shared verb through the command line and through a one-step bundle on
+# the same inputs: (CLI arguments, step verb, step arguments, the CLI's stdout
+# given the step's info). The CLI writes cli.*, the step b.*; where the CLI
+# prints the verb's text, the step writes it to text.out.
+MATCHING = [["u1", "w1"], ["u2", "w2"], ["u3", "w3"]]
+PARITY = [
+    ("gen --family vc --grid 3 --out cli.cnf", "gen",
+     {"family": "vc", "grid": 3, "out": "b.cnf"},
+     "wrote cli.cnf: {variables} variables, {clauses} clauses\n"),
+    ("gen --family psi --grid 2 --out cli.cnf", "gen",
+     {"family": "psi", "grid": 2, "out": "b.cnf"},
+     "wrote cli.cnf: {variables} variables, {clauses} clauses\n"),
+    ("gen --family star --graph g.txt --out cli.cnf", "gen",
+     {"family": "star", "graph": "g.txt", "out": "b.cnf"},
+     "wrote cli.cnf: {variables} variables, {clauses} clauses\n"),
+    ("gen --family vc-junction --grid 3 --out cli.cnf", "gen",
+     {"family": "vc-junction", "grid": 3, "out": "b.cnf"},
+     "wrote cli.cnf: {variables} variables, {clauses} clauses\n"),
+    ("gen --family psi-junction --grid 2 --out cli.cnf", "gen",
+     {"family": "psi-junction", "grid": 2, "out": "b.cnf"},
+     "wrote cli.cnf: {variables} variables, {clauses} clauses\n"),
+    ("compile --method dtree --cnf vc2.cnf --out cli.json", "compile",
+     {"method": "dtree", "cnf": "vc2.cnf", "out": "b.json"},
+     "wrote cli.json: {size} nodes\n"),
+    ("compile --method primal --cnf vc2.cnf --decomp d.txt --out cli.json "
+     "--vtree-out cli.vtree", "compile",
+     {"method": "primal", "cnf": "vc2.cnf", "decomp": "d.txt", "out": "b.json",
+      "vtree_out": "b.vtree"},
+     "wrote cli.json: {size} nodes\n"),
+    ("compile --method split --cnf psi2.cnf --decomp ds.txt --long c8,c9 --out cli.json "
+     "--vtree-out cli.vtree", "compile",
+     {"method": "split", "cnf": "psi2.cnf", "decomp": "ds.txt", "long": ["c8", "c9"],
+      "out": "b.json", "vtree_out": "b.vtree"},
+     "wrote cli.json: {size} nodes\n"),
+    ("compile --method grid-junction --n 3 --out cli.json", "compile",
+     {"method": "grid-junction", "n": 3, "out": "b.json"},
+     "wrote cli.json: {size} nodes\n"),
+    ("compile --method psi-layer --n 2 --orientation vert --out cli.json", "compile",
+     {"method": "psi-layer", "n": 2, "orientation": "vert", "out": "b.json"},
+     "wrote cli.json: {size} nodes\n"),
+    ("compile --method psi-layer --n 2 --junction --out cli.json", "compile",
+     {"method": "psi-layer", "n": 2, "junction": True, "out": "b.json"},
+     "wrote cli.json: {size} nodes\n"),
+    ("count --diagram gj.json --universe (1,1),(1,2),(2,1),(2,2),jn,x", "count",
+     {"diagram": "gj.json", "universe": ["(1,1)", "(1,2)", "(2,1)", "(2,2)", "jn", "x"]},
+     "{count}\n"),
+    ("eval --diagram gj.json --assignment jn=1,(1,1)=1,(1,2)=0,(2,1)=1,(2,2)=1", "eval",
+     {"diagram": "gj.json", "assignment": "jn=1,(1,1)=1,(1,2)=0,(2,1)=1,(2,2)=1"},
+     "{value}\n"),
+    ("validate --diagram gj.json", "validate",
+     {"diagram": "gj.json", "out": "text.out"}, "{text}"),
+    ("minobdd --cnf vc2.cnf", "minobdd",
+     {"cnf": "vc2.cnf", "out": "text.out"}, "{size}\n{text}"),
+    ("minobdd --cnf junction3.cnf --sample 40 --seed 5", "minobdd",
+     {"cnf": "junction3.cnf", "sample": 40, "seed": 5, "out": "text.out"}, "{size}\n{text}"),
+    ("width --grid 3 --sample 40 --seed 2", "width",
+     {"grid": 3, "sample": 40, "seed": 2, "out": "text.out"}, "{width}\n{text}"),
+    ("width --graph g.txt --mode lmm", "width",
+     {"graph": "g.txt", "mode": "lmm", "out": "text.out"}, "{width}\n{text}"),
+    ("lb fool --graph g.txt --matching m.txt --engine and-obdd", "fool",
+     {"graph": "g.txt", "matching": MATCHING, "engine": "and-obdd", "out": "text.out"},
+     "{text}"),
+    ("lb certify --diagram bad3.json --graph g.txt --matching m.txt --engine obdd "
+     "--out cli.cert", "certify",
+     {"diagram": "bad3.json", "graph": "g.txt", "matching": MATCHING, "engine": "obdd",
+      "out": "b.cert"},
+     "bound {bound} (|F|={fooling_size}, diagram size {diagram_size}); wrote cli.cert\n"),
+]
+
+
+@pytest.mark.parametrize("argv,verb,args,stdout", PARITY, ids=[c[0].split(" --out")[0]
+                                                            for c in PARITY])
+def test_cli_and_bundle_step_agree(tmp_path, capsys, monkeypatch, argv, verb, args, stdout):
+    from ddlab import formulas as F
+    from ddlab import graphs as G
+    from ddlab import lowerbound as LB
+    from ddlab.compile import grid_junction_diagram
+    from conftest import exact_decomposition, matching_graph
+    bundle = tmp_path / "b"
+    bundle.mkdir()
+    monkeypatch.chdir(bundle)
+    G.write_graph(matching_graph(3), "g.txt")
+    (bundle / "m.txt").write_text("".join(f"{u} {w}\n" for u, w in MATCHING))
+    vc2 = F.vc_formula(G.grid(2).graph)
+    C.write_dimacs(vc2, "vc2.cnf")
+    G.write_decomposition(exact_decomposition(C.graphs_of(vc2)[0]), "d.txt")
+    gg3 = G.grid(3)
+    C.write_dimacs(F.junction_formula(gg3.graph, gg3.hor, gg3.vert, "vc"), "junction3.cnf")
+    psi2 = F.psi_formula(G.grid(2).graph)
+    C.write_dimacs(psi2, "psi2.cnf")
+    assert [name for name, c in C.clause_labels(psi2) if len(c) > 2] == ["c8", "c9"]
+    rest = C.Cnf(c for c in psi2.clauses if len(c) <= 2)
+    G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0]), "ds.txt")
+    D.save(grid_junction_diagram(2), "gj.json")
+    exp = LB.make_experiment(matching_graph(3), [tuple(p) for p in MATCHING], "obdd")
+    D.save(LB.obdd_for_order(exp.formula(), exp.order), "bad3.json")
+
+    code, out, _ = run(argv.split(), capsys)
+    assert code == 0
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps({"name": "parity", "steps": [
+        {"name": "step", "verb": verb, "args": args}]}))
+    code, _, _ = run(["run", "--manifest", str(man), "--out-dir", str(bundle)], capsys)
+    assert code == 0
+    info = json.loads((bundle / "summary.json").read_text())["steps"][0]["info"]
+    written = sorted(p.suffix for p in bundle.glob("cli.*"))
+    assert written == sorted(p.suffix for p in bundle.glob("b.*"))
+    for suffix in written:
+        assert (bundle / f"cli{suffix}").read_bytes() == (bundle / f"b{suffix}").read_bytes()
+    text = (bundle / "text.out").read_text() if "{text}" in stdout else None
+    assert out == stdout.format(text=text, **info)
