@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from . import config
 from .assignments import cube, product_all, restrict_set
-from .diagrams import DiagramBuilder, validate
-from .errors import (EssentialityError, PreconditionError, ScaleError,
-                     SoundnessError)
+from .diagrams import (DiagramBuilder, copy_nodes, satisfying_set, truth_table,
+                       validate)
+from .errors import EssentialityError, PreconditionError, SoundnessError
 from .kernels import pattern
 
 
@@ -176,45 +176,19 @@ def subdiagram(b, root):
 
 def subdiagram_with_map(b, root):
     """Subdiagram plus the old-id to new-id correspondence."""
-    wanted = _descendants(b, root)
     builder = DiagramBuilder()
-    remap = {}
-    for i in b.topo():
-        if i not in wanted:
-            continue
-        node = b.node(i)
-        if node.kind == "sink":
-            remap[i] = builder.sink(node.value)
-        elif node.kind == "decision":
-            remap[i] = builder.decision(node.var, remap[node.lo], remap[node.hi])
-        else:
-            remap[i] = builder.conj(remap[node.left], remap[node.right])
+    remap = copy_nodes(builder, b, root)
     return builder.finalize(remap[root], prune=False), remap
 
 
-def _descendants(b, root):
-    seen = set()
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        stack.extend(b.node(i).children())
-    return seen
-
-
-def check_model_decomposition(b, pi, g, cap=None):
+def check_model_decomposition(b, pi, g):
     """Brute-force both sides of the restricted-model factorization.
 
     Left: the diagram's satisfying set restricted by g. Right: the cube over
     the free variables times the product of the frontier subdiagrams'
     satisfying sets. Exact set equality decides.
     """
-    from .diagrams import satisfying_set
-    cap = config.resolve(cap, config.BRUTE_FORCE_VAR_CAP)
-    if len(b.vars) > cap:
-        raise ScaleError(f"{len(b.vars)} variables exceed the cap {cap}")
+    config.check_scale(len(b.vars), config.BRUTE_FORCE_VAR_CAP, "variables")
     fr = frontier(b, pi, g)
     left = restrict_set(satisfying_set(b), g)
     if not left.elements:
@@ -226,7 +200,7 @@ def check_model_decomposition(b, pi, g, cap=None):
     return left == right
 
 
-def restrict_diagram(b, x, i, check_essential=True, cap=None):
+def restrict_diagram(b, x, i, check_essential=True):
     """Fix one variable by edge surgery: drop the refuted branch of every
     x-node, contract the confirmed branch, prune.
 
@@ -237,7 +211,7 @@ def restrict_diagram(b, x, i, check_essential=True, cap=None):
     """
     i = int(i)
     if check_essential:
-        _check_essentials(b, x, i, cap)
+        _check_essentials(b, x, i)
     if x not in b.vars:
         return b
     redirect = {}
@@ -245,27 +219,12 @@ def restrict_diagram(b, x, i, check_essential=True, cap=None):
         if node.kind == "decision" and node.var == x:
             redirect[idx] = node.hi if i else node.lo
     builder = DiagramBuilder()
-    remap = {}
-    for idx in b.topo():
-        node = b.node(idx)
-        if idx in redirect:
-            remap[idx] = remap[redirect[idx]]
-        elif node.kind == "sink":
-            remap[idx] = builder.sink(node.value)
-        elif node.kind == "decision":
-            remap[idx] = builder.decision(node.var, remap[node.lo], remap[node.hi])
-        else:
-            remap[idx] = builder.conj(remap[node.left], remap[node.right])
-    return builder.finalize(remap[b.source])
+    return builder.finalize(copy_nodes(builder, b, b.source, redirect)[b.source])
 
 
-def _check_essentials(b, x, i, cap):
-    from .diagrams import truth_table
-    cap = config.resolve(cap, config.BRUTE_FORCE_VAR_CAP)
-    if len(b.vars) > cap:
-        raise ScaleError(
-            f"{len(b.vars)} variables exceed the essentiality cap {cap}; "
-            "pass check_essential=False to waive")
+def _check_essentials(b, x, i):
+    config.check_scale(len(b.vars), config.BRUTE_FORCE_VAR_CAP, "variables",
+                       "; pass check_essential=False to waive")
     rest = sorted(b.vars - {x})
     if x in b.vars:
         order = [x] + rest

@@ -171,6 +171,22 @@ def cube(names):
                          for bits in itertools.product((0, 1), repeat=len(names)))
 
 
+def decode_table(order, table):
+    """The uniform set a truth table encodes: bit m of ``table`` set means a
+    member binding ``order[p]`` to bit ``len(order) - 1 - p`` of m."""
+    n = len(order)
+    raw = table.to_bytes(((1 << n) + 7) // 8, "little")
+    out = []
+    for byte_index, byte in enumerate(raw):
+        while byte:
+            bit = byte & -byte
+            m = byte_index * 8 + bit.bit_length() - 1
+            out.append(Assignment((name, (m >> (n - 1 - p)) & 1)
+                                  for p, name in enumerate(order)))
+            byte ^= bit
+    return AssignmentSet(out)
+
+
 def product(h1, h2):
     """Cartesian product of assignment sets over disjoint universes."""
     if h1.universe & h2.universe:

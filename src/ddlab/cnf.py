@@ -14,8 +14,8 @@ the truth-table kernels and is capped accordingly.
 from __future__ import annotations
 
 from . import config, kernels
-from .assignments import Assignment, AssignmentSet
-from .errors import FormatError, ScaleError, ScopeError
+from .assignments import decode_table
+from .errors import FormatError, ScopeError
 from .graphs import Graph
 from .sources import read_text
 
@@ -96,40 +96,21 @@ def truth_table(phi, order):
     return kernels.cnf_truth_table(len(order), encode(phi, order))
 
 
-def assignment_from_index(order, m):
-    n = len(order)
-    return Assignment((name, (m >> (n - 1 - p)) & 1) for p, name in enumerate(order))
-
-
-def models(phi, universe, cap=None):
+def models(phi, universe):
     """The uniform set of all satisfying assignments over ``universe``."""
     universe = frozenset(universe)
     if not phi.vars <= universe:
         raise ScopeError(f"universe misses {sorted(phi.vars - universe)}")
-    cap = config.resolve(cap, config.BRUTE_FORCE_VAR_CAP)
-    if len(universe) > cap:
-        raise ScaleError(f"{len(universe)} variables exceed the brute-force cap {cap}")
+    config.check_scale(len(universe), config.BRUTE_FORCE_VAR_CAP, "variables")
     order = sorted(universe)
-    table = truth_table(phi, order)
-    nbytes = ((1 << len(order)) + 7) // 8 if order else 1
-    raw = table.to_bytes(nbytes, "little")
-    out = []
-    for byte_index, byte in enumerate(raw):
-        while byte:
-            bit = byte & -byte
-            m = byte_index * 8 + bit.bit_length() - 1
-            out.append(assignment_from_index(order, m))
-            byte ^= bit
-    return AssignmentSet(out)
+    return decode_table(order, truth_table(phi, order))
 
 
-def count_models(phi, universe, cap=None):
+def count_models(phi, universe):
     universe = frozenset(universe)
     if not phi.vars <= universe:
         raise ScopeError(f"universe misses {sorted(phi.vars - universe)}")
-    cap = config.resolve(cap, config.BRUTE_FORCE_VAR_CAP)
-    if len(universe) > cap:
-        raise ScaleError(f"{len(universe)} variables exceed the brute-force cap {cap}")
+    config.check_scale(len(universe), config.BRUTE_FORCE_VAR_CAP, "variables")
     return kernels.count_ones(truth_table(phi, sorted(universe)))
 
 

@@ -1,9 +1,12 @@
-"""Runtime caps for the brute-force oracles.
+"""Caps for the brute-force oracles.
 
 Every enumeration in this package is desk scale on purpose; the caps make the
-scale explicit and overridable per call. A ``None`` cap argument means "use the
-default below".
+scale explicit. They are constants, not per-call options: only the exhaustive
+order searches (``lowerbound.min_obdd`` and ``graphs.width_min``) take a cap
+argument, which ``--order-cap`` and the bundle argument ``order_cap`` set.
 """
+
+from .errors import ScaleError
 
 # Largest universe (in variables) the 2^n enumerations accept.
 BRUTE_FORCE_VAR_CAP = 22
@@ -14,6 +17,13 @@ EXHAUSTIVE_ORDER_CAP = 8
 # Largest vertex count for the exact treewidth/pathwidth subset DP.
 TREEWIDTH_CAP = 10
 
+# Largest variable count for reduced-OBDD sizing of one order.
+OBDD_SIZING_CAP = 20
 
-def resolve(cap, default):
-    return default if cap is None else cap
+
+def check_scale(count, cap, what, hint=""):
+    """The one scale guard: a ScaleError naming the count and the cap when
+    ``count`` exceeds ``cap``. ``what`` names the counted things and the work,
+    ``hint`` is appended to the message."""
+    if count > cap:
+        raise ScaleError(f"{count} {what} exceed the cap {cap}{hint}")

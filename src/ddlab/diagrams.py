@@ -21,8 +21,8 @@ import json
 from dataclasses import dataclass
 
 from . import config
-from .assignments import Assignment, AssignmentSet, product
-from .errors import DiagramInvariantError, FormatError, ScaleError, ScopeError
+from .assignments import Assignment, AssignmentSet, decode_table, product
+from .errors import DiagramInvariantError, FormatError, ScopeError
 from .kernels import pattern
 
 
@@ -236,19 +236,36 @@ class DiagramBuilder:
         return Diagram(renumbered, remap[source], declared_vars)
 
 
-def graft(builder, diagram):
-    """Copy a diagram's nodes into a builder (sinks shared); returns the
-    copied source id."""
+def copy_nodes(builder, b, root, redirect=None):
+    """Copy the nodes at or below ``root`` into a builder, children first
+    and sinks shared; returns the old-id to new-id map. A node that
+    ``redirect`` maps to one of its descendants is not copied: it maps to
+    that descendant's copy."""
+    redirect = redirect or {}
+    below = {root}
+    for i in reversed(b.topo()):  # parents first
+        if i in below:
+            below.update(b.node(i).children())
     remap = {}
-    for i in diagram.topo():
-        node = diagram.node(i)
-        if node.kind == "sink":
+    for i in b.topo():
+        if i not in below:
+            continue
+        node = b.node(i)
+        if i in redirect:
+            remap[i] = remap[redirect[i]]
+        elif node.kind == "sink":
             remap[i] = builder.sink(node.value)
         elif node.kind == "decision":
             remap[i] = builder.decision(node.var, remap[node.lo], remap[node.hi])
         else:
             remap[i] = builder.conj(remap[node.left], remap[node.right])
-    return remap[diagram.source]
+    return remap
+
+
+def graft(builder, diagram):
+    """Copy a diagram's nodes into a builder (sinks shared); returns the
+    copied source id."""
+    return copy_nodes(builder, diagram, diagram.source)[diagram.source]
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +386,9 @@ def _infer_order(b):
 # semantics
 
 
-def accepted(b, cap=None):
+def accepted(b):
     """The accepted-set recursion, bottom-up; members may be partial."""
-    cap = config.resolve(cap, config.BRUTE_FORCE_VAR_CAP)
-    if len(b.vars) > cap:
-        raise ScaleError(f"{len(b.vars)} variables exceed the cap {cap}")
+    config.check_scale(len(b.vars), config.BRUTE_FORCE_VAR_CAP, "variables")
     sets = {}
     for i in b.topo():
         node = b.node(i)
@@ -404,26 +419,14 @@ def evaluate(b, a):
     return val[b.source]
 
 
-def satisfying_set(b, universe=None, cap=None):
+def satisfying_set(b, universe=None):
     """All total assignments over the universe satisfying the diagram."""
     universe = frozenset(universe) if universe is not None else b.vars
     if not b.vars <= universe:
         raise ScopeError(f"universe misses {sorted(b.vars - universe)}")
-    cap = config.resolve(cap, config.BRUTE_FORCE_VAR_CAP)
-    if len(universe) > cap:
-        raise ScaleError(f"{len(universe)} variables exceed the cap {cap}")
+    config.check_scale(len(universe), config.BRUTE_FORCE_VAR_CAP, "variables")
     order = sorted(universe)
-    table = truth_table(b, order)
-    from .cnf import assignment_from_index  # local import to avoid cycle
-    out = []
-    nbytes = ((1 << len(order)) + 7) // 8 if order else 1
-    raw = table.to_bytes(nbytes, "little")
-    for byte_index, byte in enumerate(raw):
-        while byte:
-            bit = byte & -byte
-            out.append(assignment_from_index(order, byte_index * 8 + bit.bit_length() - 1))
-            byte ^= bit
-    return AssignmentSet(out)
+    return decode_table(order, truth_table(b, order))
 
 
 def truth_table(b, order):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .cnf import Cnf, clause_labels
 from .errors import PreconditionError
-from .graphs import Decomposition, double, grid, grid_order, tag
+from .graphs import Decomposition, check_edge_partition, double, grid, grid_order, tag
 
 JUNCTION = "jn"
 
@@ -46,18 +46,6 @@ def star_formula(g):
     return Cnf(clauses)
 
 
-def _check_partition(g, e1, e2):
-    e1 = frozenset(frozenset(e) for e in e1)
-    e2 = frozenset(frozenset(e) for e in e2)
-    if e1 & e2 or (e1 | e2) != g.edges:
-        raise PreconditionError("edge sets must partition the graph's edges")
-    for name, part in (("first", e1), ("second", e2)):
-        spanned = frozenset().union(*part) if part else frozenset()
-        if spanned != g.vertices:
-            raise PreconditionError(f"the {name} edge set does not span the vertex set")
-    return e1, e2
-
-
 def junction_formula(g, e1, e2, kind="vc"):
     """Selector-guarded union of the two side formulas.
 
@@ -65,7 +53,7 @@ def junction_formula(g, e1, e2, kind="vc"):
     under jn=0 to the second side's; guarding clause by clause keeps the
     result a CNF for either kind.
     """
-    e1, e2 = _check_partition(g, e1, e2)
+    e1, e2 = check_edge_partition(g, e1, e2)
     if kind == "vc":
         side1 = [[(v, 1) for v in sorted(e)] for e in e1]
         side2 = [[(v, 1) for v in sorted(e)] for e in e2]

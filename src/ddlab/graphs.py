@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import config
-from .errors import (DecompositionError, PreconditionError, ScaleError,
-                     ScopeError, SoundnessError)
+from .errors import DecompositionError, PreconditionError, ScopeError, SoundnessError
 from .sources import read_text
 
 
@@ -244,12 +243,7 @@ def double(g):
     if bad:
         raise PreconditionError(f"isolated vertices {sorted(bad)} admit no doubling")
     vertices = {tag(v, 1) for v in g.vertices} | {tag(v, 2) for v in g.vertices}
-    edges = set()
-    for e in g.edges:
-        u, v = sorted(e)
-        edges.add(edge(tag(u, 1), tag(v, 2)))
-        edges.add(edge(tag(v, 1), tag(u, 2)))
-    return Graph(vertices, edges)
+    return Graph(vertices, lift_edges(g.edges))
 
 
 def lift_edges(edges):
@@ -371,7 +365,7 @@ def _conflicts(g, cands):
             ne.update(g.neighbors(v))
         ne.update(e)
         for f in cl[i + 1:]:
-            if f & ne != frozenset() or any(w in ne for w in f):
+            if f & ne:
                 conflict[e].add(f)
                 conflict[f].add(e)
     return {e: frozenset(s) for e, s in conflict.items()}
@@ -438,7 +432,8 @@ def _cut_value(g, subset, mode, cache):
     return cache[key]
 
 
-def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None, cap=None):
+def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None,
+              cap=config.EXHAUSTIVE_ORDER_CAP):
     """Minimum crossing width over vertex orders.
 
     ``mode`` selects induced (lsim) or plain (lmm) matchings. Exhaustive
@@ -453,9 +448,7 @@ def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None, cap=No
         return 0, LinearOrder(())
     cache = {}
     if search == "exhaustive":
-        cap = config.resolve(cap, config.EXHAUSTIVE_ORDER_CAP)
-        if n > cap:
-            raise ScaleError(f"{n} vertices exceed the exhaustive order cap {cap}")
+        config.check_scale(n, cap, "vertices for exhaustive order search")
         full = frozenset(verts)
         memo = {}
 
@@ -555,8 +548,9 @@ def extract_neat(g, pi_star):
     return result
 
 
-def split_neat(g, e1, e2, pi_star):
-    """Majority side of the extracted neat matching across an edge bipartition."""
+def check_edge_partition(g, e1, e2):
+    """The two edge sets as frozensets, checked to partition the graph's
+    edges with each set spanning the vertex set."""
     e1 = frozenset(frozenset(e) for e in e1)
     e2 = frozenset(frozenset(e) for e in e2)
     if e1 & e2 or (e1 | e2) != g.edges:
@@ -565,6 +559,12 @@ def split_neat(g, e1, e2, pi_star):
         spanned = frozenset().union(*part) if part else frozenset()
         if spanned != g.vertices:
             raise PreconditionError(f"the {name} edge set does not span the vertex set")
+    return e1, e2
+
+
+def split_neat(g, e1, e2, pi_star):
+    """Majority side of the extracted neat matching across an edge bipartition."""
+    e1, e2 = check_edge_partition(g, e1, e2)
     whole = extract_neat(g, pi_star)
     parts = {1: whole.edges & lift_edges(e1), 2: whole.edges & lift_edges(e2)}
 
@@ -618,29 +618,14 @@ def _fill_neighbors(adj, v, eliminated):
     return reach
 
 
-def treewidth_exact(g, cap=None):
+def treewidth_exact(g):
     """Exact treewidth by elimination-order search with subset memoization."""
-    cap = config.resolve(cap, config.TREEWIDTH_CAP)
-    n = len(g.vertices)
-    if n > cap:
-        raise ScaleError(f"{n} vertices exceed the treewidth cap {cap}")
-    if n == 0:
-        return -1
-    width, _ = _elimination_dp(g)
-    return width
+    return exact_elimination_order(g)[0]
 
 
-def exact_elimination_order(g, cap=None):
+def exact_elimination_order(g):
     """Treewidth together with an optimal elimination order."""
-    cap = config.resolve(cap, config.TREEWIDTH_CAP)
-    if len(g.vertices) > cap:
-        raise ScaleError(f"{len(g.vertices)} vertices exceed the treewidth cap {cap}")
-    if not g.vertices:
-        return -1, ()
-    return _elimination_dp(g)
-
-
-def _elimination_dp(g):
+    config.check_scale(len(g.vertices), config.TREEWIDTH_CAP, "vertices")
     verts, adj = _as_masks(g)
     n = len(verts)
     full = (1 << n) - 1
@@ -666,12 +651,10 @@ def _elimination_dp(g):
     return best(0)
 
 
-def pathwidth_exact(g, cap=None):
+def pathwidth_exact(g):
     """Exact pathwidth via the vertex-separation subset DP."""
-    cap = config.resolve(cap, config.TREEWIDTH_CAP)
     n = len(g.vertices)
-    if n > cap:
-        raise ScaleError(f"{n} vertices exceed the pathwidth cap {cap}")
+    config.check_scale(n, config.TREEWIDTH_CAP, "vertices")
     if n == 0:
         return -1
     verts, adj = _as_masks(g)

@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import json
 import random
-import time
 from dataclasses import dataclass
 
 from . import config, kernels
@@ -25,9 +24,9 @@ from .assignments import Assignment, AssignmentSet
 from .cnf import encode, evaluate as cnf_evaluate, truth_table as cnf_truth_table
 from .diagrams import (DiagramBuilder, to_json,
                        truth_table as diagram_truth_table, validate)
-from .errors import PreconditionError, ScaleError, SoundnessError
+from .errors import PreconditionError, SoundnessError
 from .formulas import psi_formula, vc_formula
-from .graphs import LinearOrder, double, is_induced_matching, tag
+from .graphs import LinearOrder, double, is_induced_matching, neatly_crosses, tag
 from .version import BUILD_ID
 
 
@@ -110,7 +109,6 @@ def make_experiment(graph, pairs, engine, order=None):
         lifted = frozenset(frozenset((tag(u, 1), tag(w, 2))) for u, w in pairs)
         if not is_induced_matching(space, lifted):
             raise PreconditionError("lifted matching is not induced in the doubled graph")
-        from .graphs import neatly_crosses
         if neatly_crosses(order, lifted) is None:
             raise PreconditionError("matching does not neatly cross the order")
     return exp
@@ -232,9 +230,8 @@ class Certificate:
     u_map: tuple  # ((rendered assignment, node id), ...) in assignment order
     injective: bool
     bound: int
-    wall_clock_ms: float | None
 
-    def to_json(self, include_timing=False):
+    def to_json(self):
         doc = {
             "build": BUILD_ID,
             "experiment": self.experiment,
@@ -244,7 +241,7 @@ class Certificate:
             "u_map": [list(pair) for pair in self.u_map],
             "injective": self.injective,
             "bound": self.bound,
-            "wall_clock_ms": self.wall_clock_ms if include_timing else None,
+            "wall_clock_ms": None,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -255,7 +252,6 @@ def certify(b, pi, exp):
     Injectivity is a theorem for valid inputs, so a collision raises rather
     than producing a failed certificate.
     """
-    start = time.perf_counter()
     cls = validate(b, pi)
     if exp.engine == "and-obdd" and not cls.is_and_obdd:
         raise SoundnessError("diagram is not an ordered and-decomposable diagram")
@@ -276,7 +272,6 @@ def certify(b, pi, exp):
     if b.size < bound:
         raise SoundnessError(
             f"diagram of size {b.size} beats the certified bound {bound}")
-    elapsed = (time.perf_counter() - start) * 1000.0
     return Certificate(
         experiment=exp.describe(),
         diagram_sha256=hashlib.sha256(to_json(b).encode()).hexdigest(),
@@ -285,7 +280,6 @@ def certify(b, pi, exp):
         u_map=tuple(u_map),
         injective=True,
         bound=bound,
-        wall_clock_ms=elapsed,
     )
 
 
@@ -298,8 +292,7 @@ def obdd_size(phi, order):
     names = list(order.names if isinstance(order, LinearOrder) else order)
     if set(names) != set(phi.vars):
         raise PreconditionError("order must cover exactly the formula's variables")
-    if len(names) > 20:
-        raise ScaleError("per-order OBDD sizing caps at 20 variables")
+    config.check_scale(len(names), config.OBDD_SIZING_CAP, "variables for OBDD sizing")
     return kernels.obdd_size_for_order(len(names), encode(phi, names))
 
 
@@ -338,19 +331,17 @@ def obdd_for_order(phi, order, universe=None):
     return builder.finalize(node_for(0, table))
 
 
-def min_obdd(phi, search="exhaustive", count=None, seed=None, cap=None, verify=False):
+def min_obdd(phi, search="exhaustive", count=None, seed=None,
+             cap=config.EXHAUSTIVE_ORDER_CAP, verify=False):
     """Minimal (or sampled-minimal) OBDD size with a realizing order."""
     names = sorted(phi.vars)
     n = len(names)
     if n == 0:
         return 1, LinearOrder(())
-    if n > 20:
-        raise ScaleError("per-order OBDD sizing caps at 20 variables")
+    config.check_scale(n, config.OBDD_SIZING_CAP, "variables for OBDD sizing")
     best = None
     if search == "exhaustive":
-        cap = config.resolve(cap, config.EXHAUSTIVE_ORDER_CAP)
-        if n > cap:
-            raise ScaleError(f"{n} variables exceed the exhaustive order cap {cap}")
+        config.check_scale(n, cap, "variables for exhaustive order search")
         candidates = itertools.permutations(names)
     elif search == "sampled":
         if count is None or seed is None:

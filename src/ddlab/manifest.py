@@ -38,7 +38,6 @@ def _resolve(bundle, rel):
     path = os.path.normpath(os.path.join(bundle, rel))
     if not path.startswith(os.path.abspath(bundle) + os.sep):
         raise FormatError(f"path {rel!r} escapes the bundle")
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     return path
 
 
@@ -85,6 +84,9 @@ def run_experiment(manifest_path, out_dir):
                     raise FormatError("a step's name is a string and its args a JSON object")
                 if not isinstance(verb, str) or verb not in verbs.VERBS:
                     raise FormatError(f"unknown verb {verb!r}")
+                for key in verbs.OUTPUTS:  # only files written get directories
+                    if args.get(key):
+                        os.makedirs(os.path.dirname(path(args[key])), exist_ok=True)
                 info, _ = verbs.run(verb, args, path)
             except Exception as exc:
                 failure = MalformedStep if isinstance(exc, _MALFORMED) else StepFailure

@@ -49,7 +49,8 @@ def _search(args):
         info = {"sample": int(args["sample"]), "seed": int(args["seed"])}
         return {"search": "sampled", "count": info["sample"], "seed": info["seed"]}, info
     cap = args.get("order_cap")
-    return {"cap": cap}, {"order_cap": config.EXHAUSTIVE_ORDER_CAP if cap is None else cap}
+    cap = config.EXHAUSTIVE_ORDER_CAP if cap is None else cap
+    return {"cap": cap}, {"order_cap": cap}
 
 
 def formula(args, path):
@@ -183,6 +184,9 @@ def certify(args, path):
     return ({"bound": cert.bound, "fooling_size": cert.fooling_size,
              "diagram_size": cert.diagram_size}, cert.to_json())
 
+
+# the arguments that name a file a verb writes
+OUTPUTS = ("out", "path", "vtree_out")
 
 VERBS = {fn.__name__: fn for fn in (write, gen, compile, obdd, count, eval, validate,
                                      minobdd, width, fool, certify)}

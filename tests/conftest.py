@@ -79,6 +79,16 @@ def doubled_window_decomposition(n, width=None):
     return Decomposition(bags, tree)
 
 
+def chain_diagram(size):
+    """The conjunction of ``size`` positive literals v00, v01, ... as a
+    decision chain, one node per variable."""
+    builder = DiagramBuilder()
+    false, node = builder.sink(0), builder.sink(1)
+    for i in reversed(range(size)):
+        node = builder.decision(f"v{i:02d}", false, node)
+    return builder.finalize(node)
+
+
 def brute_force_vertex_covers(g):
     """Independent enumerator: subsets touching every edge."""
     verts = sorted(g.vertices)

@@ -255,6 +255,7 @@ class TestRun:
         assert summary["failed"]["name"] == "second"
         assert summary["failed"]["error"] == json.loads(err.splitlines()[0])["message"]
         assert sorted(summary["artifacts"]) == ["a.txt", "manifest.json"]
+
         digest = hashlib.sha256(b"hi\n").hexdigest()
         assert summary["artifacts"]["a.txt"] == digest
 
@@ -264,6 +265,17 @@ class TestRun:
         code, _, err = run(["run", "--manifest", str(man),
                             "--out-dir", str(tmp_path / "b")], capsys)
         return code, json.loads(err.splitlines()[0])
+
+    def test_only_written_files_get_directories(self, tmp_path, capsys):
+        code, error = self.run_manifest(tmp_path, capsys, {"name": "dirs", "steps": [
+            {"name": "w", "verb": "write", "args": {"path": "in/g.txt", "text": "a b\n"}},
+            {"name": "c", "verb": "compile",
+             "args": {"method": "grid-junction", "n": 2, "out": "out/d.json"}},
+            {"name": "x", "verb": "count", "args": {"diagram": "sub/dir/missing.json"}}]})
+        assert code == 2 and "'x' failed" in error["message"]
+        assert (tmp_path / "b" / "in" / "g.txt").exists()
+        assert (tmp_path / "b" / "out" / "d.json").exists()
+        assert not (tmp_path / "b" / "sub").exists()
 
     def test_step_that_is_not_an_object_is_exit_2(self, tmp_path, capsys):
         code, error = self.run_manifest(tmp_path, capsys, {"name": "x", "steps": ["oops"]})

@@ -7,7 +7,7 @@ from ddlab import diagrams as D
 from ddlab.assignments import Assignment, AssignmentSet, cube
 from ddlab.errors import DiagramInvariantError, FormatError, ScaleError, ScopeError
 
-from conftest import random_and_obdd
+from conftest import chain_diagram, random_and_obdd
 
 
 def figure_diagram():
@@ -118,9 +118,10 @@ class TestAccepted:
         assert len(acc) == 4
 
     def test_cap(self):
-        diagram, _ = random_and_obdd(random.Random(0), [f"v{i}" for i in range(6)])
-        with pytest.raises(ScaleError):
-            D.accepted(diagram, cap=2)
+        assert D.accepted(chain_diagram(22)) == AssignmentSet(
+            [Assignment((f"v{i:02d}", 1) for i in range(22))])
+        with pytest.raises(ScaleError, match="^23 variables exceed the cap 22$"):
+            D.accepted(chain_diagram(23))
 
 
 class TestEvaluate:
