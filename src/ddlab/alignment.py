@@ -40,34 +40,33 @@ class AlignedDiagram:
 
 def align(b, g):
     """Alignment of the diagram by an assignment (any assignment; prefix-ness
-    matters only to the lemma checkers downstream)."""
-    edges = []
-    for i, node in enumerate(b.nodes):
-        if node.kind == "decision":
-            bit = g.get(node.var)
-            if bit is None or bit == 0:
-                edges.append((i, "lo", node.lo))
-            if bit is None or bit == 1:
-                edges.append((i, "hi", node.hi))
-        elif node.kind == "and":
-            edges.append((i, "left", node.left))
-            edges.append((i, "right", node.right))
-    out = {}
-    for parent, slot, child in edges:
-        out.setdefault(parent, []).append((slot, child))
+    matters only to the lemma checkers downstream). Only the nodes the source
+    reaches along edges consistent with g are visited; a kept decision node
+    whose variable g sets keeps one out-edge and is incomplete."""
     keep = set()
+    kept_edges = []
+    incomplete = []
     stack = [b.source]
     while stack:
         i = stack.pop()
         if i in keep:
             continue
         keep.add(i)
-        stack.extend(child for _, child in out.get(i, ()))
-    kept_edges = frozenset((p, s, c) for p, s, c in edges if p in keep)
-    incomplete = frozenset(
-        i for i in keep
-        if b.node(i).kind == "decision" and len([e for e in kept_edges if e[0] == i]) == 1)
-    return AlignedDiagram(b, g, frozenset(keep), kept_edges, incomplete)
+        node = b.nodes[i]
+        if node.kind == "decision":
+            bit = g.get(node.var)
+            if bit is None:
+                out = ((i, "lo", node.lo), (i, "hi", node.hi))
+            else:
+                incomplete.append(i)
+                out = ((i, "hi", node.hi) if bit else (i, "lo", node.lo),)
+        elif node.kind == "and":
+            out = ((i, "left", node.left), (i, "right", node.right))
+        else:
+            continue
+        kept_edges.extend(out)
+        stack.extend(edge[2] for edge in out)
+    return AlignedDiagram(b, g, frozenset(keep), frozenset(kept_edges), frozenset(incomplete))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .assignments import Assignment
 from .cnf import Cnf, clause_key, graphs_of, reduce as cnf_reduce
 from .diagrams import DiagramBuilder, graft, validate
 from .errors import FormatError, PreconditionError, ScopeError, SoundnessError
-from .graphs import LinearOrder, grid, grid_name, grid_order, tag, validate_decomposition
+from .graphs import LinearOrder, grid_name, grid_order, tag, validate_decomposition
 from .formulas import JUNCTION
 from .sources import read_text
 

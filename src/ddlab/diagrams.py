@@ -81,7 +81,7 @@ def _toposort(kids):
 class Diagram:
     """An immutable node table with a designated source."""
 
-    __slots__ = ("nodes", "source", "declared_vars", "_topo", "_vars_below")
+    __slots__ = ("nodes", "source", "declared_vars", "_topo", "_vars_below", "_classes")
 
     def __init__(self, nodes, source, declared_vars=None):
         self.nodes = tuple(nodes)
@@ -109,6 +109,7 @@ class Diagram:
             if declared_vars == tested:
                 declared_vars = None  # repeating the tested set declares nothing
         self.declared_vars = declared_vars
+        self._classes = {}  # validate's verdicts, keyed by None or the order's names
 
     def _tested_below(self):
         """Per node, the variables tested at or below it, in one children-first
@@ -287,7 +288,12 @@ def validate(b, order=None):
     With an order (over a superset of the tested variables) the decision
     variables must strictly ascend along every path. Without one, an order is
     inferred from the tested-before relation when that relation is acyclic.
+    The diagram is immutable, so a verdict is computed once per order and
+    kept on it; a failed check raises again on every call.
     """
+    names = None if order is None else tuple(getattr(order, "names", order))
+    if names in b._classes:
+        return b._classes[names]
     n = len(b.nodes)
     indeg = [0] * n
     for node in b.nodes:
@@ -323,8 +329,7 @@ def validate(b, order=None):
                         "read-once", i,
                         f"variable {node.var!r} tested again below node {i}")
     has_and = any(node.kind == "and" for node in b.nodes)
-    if order is not None:
-        names = tuple(order.names if hasattr(order, "names") else order)
+    if names is not None:
         pos = {x: k for k, x in enumerate(names)}
         missing = b.vars - set(pos)
         if missing:
@@ -343,13 +348,13 @@ def validate(b, order=None):
     else:
         ordered = _infer_order(b)
     is_ordered = ordered is not None
-    return DiagramClass(
+    return b._classes.setdefault(names, DiagramClass(
         is_and_fbdd=True,
         is_fbdd=not has_and,
         is_obdd=is_ordered and not has_and,
         is_and_obdd=is_ordered,
         order=tuple(ordered) if is_ordered else None,
-    )
+    ))
 
 
 def _infer_order(b):

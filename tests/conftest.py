@@ -1,7 +1,6 @@
 """Shared corpus graphs, decomposition helpers, and random generators."""
 
 import itertools
-import random
 
 import pytest
 

@@ -5,11 +5,12 @@ import pytest
 from ddlab import alignment as AL
 from ddlab import cnf as C
 from ddlab import diagrams as D
+from ddlab import lowerbound as LB
 from ddlab.assignments import Assignment, cube, product, product_all, restrict_set
 from ddlab.errors import EssentialityError, PreconditionError
 from ddlab.graphs import LinearOrder
 
-from conftest import exact_decomposition, random_and_obdd
+from conftest import exact_decomposition, matching_graph, random_and_obdd
 from test_diagrams import FIGURE_ORDER, figure_diagram
 
 
@@ -50,6 +51,66 @@ class TestAlign:
         before = D.to_json(d)
         AL.align(d, Assignment({"x2": 0}))
         assert D.to_json(d) == before
+
+
+def align_by_all_edges(b, g):
+    """The definition of alignment, edge by edge: list every node's out-edges
+    that g does not contradict, keep what the source reaches along them, and
+    call a kept decision node incomplete when it keeps exactly one out-edge."""
+    edges = []
+    for i, node in enumerate(b.nodes):
+        if node.kind == "decision":
+            bit = g.get(node.var)
+            if bit is None or bit == 0:
+                edges.append((i, "lo", node.lo))
+            if bit is None or bit == 1:
+                edges.append((i, "hi", node.hi))
+        elif node.kind == "and":
+            edges.append((i, "left", node.left))
+            edges.append((i, "right", node.right))
+    keep = set()
+    stack = [b.source]
+    while stack:
+        i = stack.pop()
+        if i not in keep:
+            keep.add(i)
+            stack.extend(c for p, _, c in edges if p == i)
+    kept_edges = frozenset(e for e in edges if e[0] in keep)
+    incomplete = frozenset(
+        i for i in keep
+        if b.node(i).kind == "decision" and sum(e[0] == i for e in kept_edges) == 1)
+    return frozenset(keep), kept_edges, incomplete
+
+
+def assert_aligns_as_defined(b, g):
+    al = AL.align(b, g)
+    assert (al.kept_nodes, al.kept_edges, al.incomplete) == align_by_all_edges(b, g)
+
+
+class TestAlignOracle:
+    def test_every_fooling_assignment_of_plain_experiments(self):
+        checked = 0
+        for q in range(1, 6):
+            exp = LB.make_experiment(
+                matching_graph(q), [(f"u{i}", f"w{i}") for i in range(1, q + 1)], "obdd")
+            b = LB.obdd_for_order(exp.formula(), exp.order)
+            for g in LB.fooling_set(exp):
+                assert_aligns_as_defined(b, g)
+                checked += 1
+        assert checked == sum(2 ** q - 1 for q in range(1, 6))
+
+    def test_random_partial_assignments_on_random_and_diagrams(self):
+        rng = random.Random(29)
+        names = [f"v{i}" for i in range(7)]
+        conjunctions = 0
+        for _ in range(60):
+            b, _ = random_and_obdd(rng, names)
+            conjunctions += sum(node.kind == "and" for node in b.nodes)
+            for _ in range(8):
+                # any subset of the names, not only a prefix, plus a foreign name
+                chosen = [v for v in names + ["zz"] if rng.random() < 0.5]
+                assert_aligns_as_defined(b, Assignment({v: rng.randint(0, 1) for v in chosen}))
+        assert conjunctions > 50
 
 
 class TestFrontier:

@@ -6,6 +6,7 @@ import pytest
 from ddlab import diagrams as D
 from ddlab.assignments import Assignment, AssignmentSet, cube
 from ddlab.errors import DiagramInvariantError, FormatError, ScaleError, ScopeError
+from ddlab.graphs import LinearOrder
 
 from conftest import chain_diagram, random_and_obdd
 
@@ -97,6 +98,50 @@ class TestValidate:
         nodes = [D.decision("x", 1, 1), D.decision("y", 0, 0)]
         with pytest.raises(FormatError):
             D.Diagram(nodes, 0)
+
+
+class TestValidateMemo:
+    """A diagram is immutable, so ``validate`` classifies it once per order."""
+
+    @pytest.mark.parametrize("first", [FIGURE_ORDER, LinearOrder(FIGURE_ORDER)],
+                             ids=["tuple", "linear-order"])
+    def test_repeat_returns_the_same_class(self, first):
+        d = figure_diagram()
+        cls = D.validate(d, first)
+        for again in (FIGURE_ORDER, LinearOrder(FIGURE_ORDER), list(FIGURE_ORDER)):
+            assert D.validate(d, again) is cls
+
+    def test_bad_order_raises_every_time(self):
+        d = figure_diagram()
+        for _ in range(3):
+            with pytest.raises(ScopeError):
+                D.validate(d, ("x2", "x1"))
+            with pytest.raises(DiagramInvariantError) as exc:
+                D.validate(d, tuple(reversed(FIGURE_ORDER)))
+            assert exc.value.rule == "order"
+        assert D.validate(d, FIGURE_ORDER).is_and_obdd
+
+    def test_broken_diagram_raises_every_time(self):
+        b = D.DiagramBuilder()
+        t = b.sink(1)
+        f = b.sink(0)
+        inner = b.decision("x", f, t)
+        outer = b.decision("x", b.decision("y", inner, t), f)
+        bad = b.finalize(outer)
+        for order in (None, ("x", "y"), None, ("x", "y")):
+            with pytest.raises(DiagramInvariantError) as exc:
+                D.validate(bad, order)
+            assert exc.value.rule == "read-once"
+
+    def test_inferred_and_given_orders_are_kept_apart(self):
+        d = figure_diagram()
+        wide = ("x0",) + FIGURE_ORDER + ("x9",)
+        given = D.validate(d, wide)
+        inferred = D.validate(d)
+        assert given.order == wide
+        assert inferred is not given and inferred.order != wide
+        assert D.validate(d) is inferred
+        assert D.validate(d, wide) is given
 
 
 class TestAccepted:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -12,7 +13,7 @@ from ddlab.errors import PreconditionError, SoundnessError
 from ddlab.formulas import psi_formula, vc_formula
 from ddlab.graphs import Graph, LinearOrder
 
-from conftest import matching_graph
+from conftest import component_and_obdd, matching_graph
 
 
 def worked_example_experiment():
@@ -144,7 +145,6 @@ class TestLocateAndCertify:
     def test_certify_conjunction_bearing_diagram(self):
         # a component-splitting trace gives a true and-decomposable ordered
         # diagram; the locator must pick the owner among its frontier nodes
-        from conftest import component_and_obdd
         exp = LB.make_experiment(matching_graph(3),
                                  [(f"u{i}", f"w{i}") for i in range(1, 4)],
                                  "and-obdd")
@@ -153,6 +153,23 @@ class TestLocateAndCertify:
         assert cls.is_and_obdd and not cls.is_fbdd
         cert = LB.certify(diagram, exp.order, exp)
         assert cert.bound == 3 and cert.injective
+
+    @pytest.mark.parametrize("q, engine, build, sha256", [
+        (6, "obdd", LB.obdd_for_order,
+         "fb02094c780e9c5450921f84e0c4219f45acde3a37a357c8bf1a3a22afe25cd6"),
+        (3, "and-obdd", LB.obdd_for_order,
+         "11891ea2392b700536fcc8d3e006307f98bdb5fba523ef8bdda1b38133638184"),
+        (3, "and-obdd", component_and_obdd,
+         "3183ac1334b67c5d1f8a3f60c45bb04db0f957c55fbad18b54f46c78da4317cf"),
+    ], ids=["plain-q6", "and-q3-obdd", "and-q3-conjunctions"])
+    def test_certificate_bytes_pinned(self, q, engine, build, sha256):
+        # the q = 6 plain matching certificate and criterion 5's and-obdd
+        # certificates, byte for byte: u_map, bound and every other field
+        exp = LB.make_experiment(matching_graph(q),
+                                 [(f"u{i}", f"w{i}") for i in range(1, q + 1)], engine)
+        diagram = build(exp.formula(), exp.order)
+        text = LB.certify(diagram, exp.order, exp).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
     def test_locate_returns_owning_frontier_node(self):
         exp = worked_example_experiment()
