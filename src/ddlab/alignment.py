@@ -13,12 +13,12 @@ checker here verifies that equation by brute force on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import config
 from .assignments import cube, product_all, restrict_set
-from .diagrams import (DiagramBuilder, copy_nodes, satisfying_set, truth_table,
-                       validate)
+from .diagrams import (AND, DECISION, Diagram, DiagramBuilder, copy_nodes, satisfying_set,
+                       truth_table, validate)
 from .errors import EssentialityError, PreconditionError, SoundnessError
 from .kernels import pattern
 
@@ -32,19 +32,22 @@ class AlignedDiagram:
     kept_nodes: frozenset
     kept_edges: frozenset  # (parent, slot, child) with slot in lo/hi/left/right
     incomplete: frozenset  # kept decision nodes with a single out-edge
+    edges_out: dict = field(repr=False, compare=False)  # kept node -> its sorted out-edges
 
     def out_edges(self, node_id):
-        return sorted((slot, child) for parent, slot, child in self.kept_edges
-                      if parent == node_id)
+        """The node's kept out-edges as sorted (slot, child) pairs."""
+        return list(self.edges_out.get(node_id, ()))
 
 
 def align(b, g):
     """Alignment of the diagram by an assignment (any assignment; prefix-ness
     matters only to the lemma checkers downstream). Only the nodes the source
     reaches along edges consistent with g are visited; a kept decision node
-    whose variable g sets keeps one out-edge and is incomplete."""
+    whose variable g sets keeps one out-edge and is incomplete. Each kept
+    node's out-edges are listed once, sorted by slot."""
+    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
     keep = set()
-    kept_edges = []
+    edges_out = {}
     incomplete = []
     stack = [b.source]
     while stack:
@@ -52,21 +55,24 @@ def align(b, g):
         if i in keep:
             continue
         keep.add(i)
-        node = b.nodes[i]
-        if node.kind == "decision":
-            bit = g.get(node.var)
+        k = kind[i]
+        if k == DECISION:
+            bit = g.get(var[i])
             if bit is None:
-                out = ((i, "lo", node.lo), (i, "hi", node.hi))
+                out = (("hi", hi[i]), ("lo", lo[i]))
             else:
                 incomplete.append(i)
-                out = ((i, "hi", node.hi) if bit else (i, "lo", node.lo),)
-        elif node.kind == "and":
-            out = ((i, "left", node.left), (i, "right", node.right))
+                out = (("hi", hi[i]),) if bit else (("lo", lo[i]),)
+        elif k == AND:
+            out = (("left", lo[i]), ("right", hi[i]))
         else:
             continue
-        kept_edges.extend(out)
-        stack.extend(edge[2] for edge in out)
-    return AlignedDiagram(b, g, frozenset(keep), frozenset(kept_edges), frozenset(incomplete))
+        edges_out[i] = out
+        stack.extend(child for _, child in out)
+    kept_edges = frozenset((i, slot, child) for i, out in edges_out.items()
+                           for slot, child in out)
+    return AlignedDiagram(b, g, frozenset(keep), kept_edges, frozenset(incomplete),
+                          edges_out)
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,7 @@ def frontier(b, pi, g):
         if i in visited:
             continue
         visited.add(i)
-        node = b.node(i)
-        if node.kind == "decision" and i not in aligned.incomplete:
+        if b.kind[i] == DECISION and i not in aligned.incomplete:
             l_nodes.add(i)
             continue
         for _, child in aligned.out_edges(i):
@@ -112,15 +117,18 @@ def frontier(b, pi, g):
             stack.append(child)
     # T(g): the part of the walk on paths that end at frontier nodes. Paths
     # ending at sinks are discarded; those may legally remeet at a shared
-    # sink, the L-bound union may not.
+    # sink, the L-bound union may not. The nodes on such paths are those
+    # reached from L(g) backwards along the taken edges.
+    parents = {}
+    for parent_id, child in taken:
+        parents.setdefault(child, []).append(parent_id)
     reaches = set(l_nodes)
-    changed = True
-    while changed:
-        changed = False
-        for parent_id, child in taken:
-            if child in reaches and parent_id not in reaches:
+    stack = list(l_nodes)
+    while stack:
+        for parent_id in parents.get(stack.pop(), ()):
+            if parent_id not in reaches:
                 reaches.add(parent_id)
-                changed = True
+                stack.append(parent_id)
     tree_parent = {}
     if l_nodes:
         tree_parent[b.source] = None
@@ -133,8 +141,7 @@ def frontier(b, pi, g):
     # completeness below the frontier (first statement of the path lemma)
     for u in l_nodes:
         for i in _reachable_in_aligned(aligned, u):
-            node = b.node(i)
-            if node.kind == "decision" and i in aligned.incomplete:
+            if i in aligned.incomplete:
                 raise SoundnessError(
                     f"incomplete decision node {i} below frontier node {u}")
     seen = {}
@@ -213,10 +220,9 @@ def restrict_diagram(b, x, i, check_essential=True):
         _check_essentials(b, x, i)
     if x not in b.vars:
         return b
-    redirect = {}
-    for idx, node in enumerate(b.nodes):
-        if node.kind == "decision" and node.var == x:
-            redirect[idx] = node.hi if i else node.lo
+    confirmed = b.hi if i else b.lo
+    redirect = {u: confirmed[u] for u, k in enumerate(b.kind)
+                if k == DECISION and b.var[u] == x}
     builder = DiagramBuilder()
     return builder.finalize(copy_nodes(builder, b, b.source, redirect)[b.source])
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .assignments import Assignment
 from .cnf import Cnf, clause_key, graphs_of, reduce as cnf_reduce
-from .diagrams import DiagramBuilder, graft, validate
+from .diagrams import AND, DECISION, DiagramBuilder, graft, validate
 from .errors import FormatError, PreconditionError, ScopeError, SoundnessError
 from .graphs import LinearOrder, grid_name, grid_order, tag, validate_decomposition
 from .formulas import JUNCTION
@@ -71,11 +71,12 @@ def dt_paths(t, prefix=()):
 def dt_to_diagram(t):
     """The tree as a conjunction-free diagram with shared sinks."""
     builder = DiagramBuilder()
+    sink, decision = builder.sink, builder.decision
 
     def build(node):
-        if isinstance(node, DTLeaf):
-            return builder.sink(1 if node.value else 0)
-        return builder.decision(node.var, build(node.lo), build(node.hi))
+        if type(node) is DTLeaf:
+            return sink(1 if node.value else 0)
+        return decision(node.var, build(node.lo), build(node.hi))
 
     return builder.finalize(build(t))
 
@@ -644,17 +645,15 @@ def respects(b, vt, mode="conjunction-only"):
         return False
 
     for i in b.topo():
-        node = b.node(i)
-        if node.kind == "and":
-            if not split_exists(b.vars_below(node.left), b.vars_below(node.right)):
+        if b.kind[i] == AND:
+            if not split_exists(b.vars_below(b.lo[i]), b.vars_below(b.hi[i])):
                 return False, i
     if mode == "decision-dnnf":
         for i in b.topo():
-            node = b.node(i)
-            if node.kind != "decision":
+            if b.kind[i] != DECISION:
                 continue
-            x = frozenset((node.var,))
-            for c in (node.lo, node.hi):
+            x = frozenset((b.var[i],))
+            for c in b.children(i):
                 below = b.vars_below(c)
                 if below and not split_exists(x, below):
                     return False, i

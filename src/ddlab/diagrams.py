@@ -26,8 +26,15 @@ from .errors import DiagramInvariantError, FormatError, ScopeError
 from .kernels import pattern
 
 
+# The codes of the ``kind`` column; ``Node.kind`` spells them out.
+SINK, DECISION, AND = 0, 1, 2
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
+    """One node as a record: what ``Diagram.node`` and ``Diagram.nodes``
+    hand out and what ``Diagram(nodes, source)`` takes in."""
+
     kind: str
     var: str | None = None
     lo: int | None = None
@@ -56,53 +63,115 @@ def sink(value):
     return Node("sink", value=int(value))
 
 
-def _toposort(kids):
-    """Children-first order of a node table given each node's children;
+def _columns(records):
+    """The kind, var, lo and hi columns of a node table given as records in
+    id order: JSON objects, or Nodes read through their fields."""
+    kind, var, lo, hi = [], [], [], []
+    for i, e in enumerate(records):
+        k = e["kind"]
+        if k == "decision":
+            kind.append(DECISION)
+            var.append(e["var"])
+            lo.append(e["lo"])
+            hi.append(e["hi"])
+        elif k == "and":
+            kind.append(AND)
+            var.append(None)
+            lo.append(e["left"])
+            hi.append(e["right"])
+        elif k == "sink":
+            kind.append(SINK)
+            var.append(None)
+            lo.append(e["value"])
+            hi.append(None)
+        else:
+            raise FormatError(f"node {i} has unknown kind {k!r}")
+    return kind, var, lo, hi
+
+
+def _toposort(kind, lo, hi):
+    """Children-first order of a node table (Kahn's algorithm on a stack);
     raises on cycles (not a DAG at all)."""
-    indeg = [0] * len(kids)
-    for children in kids:
-        for c in children:
-            indeg[c] += 1
+    n = len(kind)
+    indeg = [0] * n
+    for k, a, b in zip(kind, lo, hi):
+        if k:
+            indeg[a] += 1
+            indeg[b] += 1
     stack = [i for i, d in enumerate(indeg) if d == 0]
     out = []
     while stack:
         i = stack.pop()
         out.append(i)
-        for c in kids[i]:
-            indeg[c] -= 1
-            if not indeg[c]:
-                stack.append(c)
-    if len(out) != len(kids):
+        if kind[i]:
+            for c in (lo[i], hi[i]):
+                indeg[c] -= 1
+                if not indeg[c]:
+                    stack.append(c)
+    if len(out) != n:
         raise FormatError("node table contains a cycle")
     out.reverse()
     return tuple(out)
 
 
 class Diagram:
-    """An immutable node table with a designated source."""
+    """An immutable node table with a designated source, kept as parallel
+    columns indexed by node id.
 
-    __slots__ = ("nodes", "source", "declared_vars", "_topo", "_vars_below", "_classes")
+    ``kind[i]`` is ``SINK``, ``DECISION`` or ``AND``. A decision node tests
+    ``var[i]`` and has the 0-child ``lo[i]`` and the 1-child ``hi[i]``; a
+    conjunction has the children ``lo[i]`` (left) and ``hi[i]`` (right); a
+    sink's value, 0 or 1, is ``lo[i]``. ``var`` is None off decision nodes
+    and ``hi`` is None on sinks. ``node(i)`` and ``nodes`` give the same
+    table as ``Node`` records.
+    """
+
+    __slots__ = ("kind", "var", "lo", "hi", "source", "declared_vars",
+                 "_up", "_topo", "_vars_below", "_classes")
 
     def __init__(self, nodes, source, declared_vars=None):
-        self.nodes = tuple(nodes)
-        self.source = source
-        n = len(self.nodes)
-        kids = []
-        for i, node in enumerate(self.nodes):
-            children = node.children()
-            for c in children:
-                if not isinstance(c, int) or not 0 <= c < n:
-                    raise FormatError(f"node {i} references missing child {c!r}")
-            if node.kind not in ("decision", "and", "sink"):
-                raise FormatError(f"node {i} has unknown kind {node.kind!r}")
-            kids.append(children)
-        if not isinstance(source, int) or not 0 <= source < n:
+        """From ``Node`` records in id order."""
+        fields = ("kind", "var", "lo", "hi", "left", "right", "value")
+        records = [{f: getattr(node, f) for f in fields} for node in nodes]
+        self._freeze(*_columns(records), source, declared_vars)
+
+    @classmethod
+    def from_columns(cls, kind, var, lo, hi, source, declared_vars=None):
+        """A diagram from its four columns, checked as ``Diagram()`` checks."""
+        self = cls.__new__(cls)
+        self._freeze(kind, var, lo, hi, source, declared_vars)
+        return self
+
+    def _freeze(self, kind, var, lo, hi, source, declared_vars):
+        self.kind, self.var, self.lo, self.hi = kind, var, lo, hi = (
+            tuple(kind), tuple(var), tuple(lo), tuple(hi))
+        n = len(kind)
+        ascending = True  # every child id below its parent's: id order is children-first
+        for i, k, x, a, b in zip(range(n), kind, var, lo, hi):
+            if k:
+                if not (type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i):
+                    for c in (a, b):
+                        if type(c) is not int or not 0 <= c < n:
+                            raise FormatError(f"node {i} references missing child {c!r}")
+                    ascending = False
+                if k == DECISION and not isinstance(x, str):
+                    raise FormatError(f"node {i} tests {x!r}; variable names are strings")
+            elif type(a) is not int or a not in (0, 1):
+                raise FormatError(f"sink {i} has value {a!r}; a sink is 0 or 1")
+        if type(source) is not int or not 0 <= source < n:
             raise FormatError(f"source {source!r} is not a node id")
-        self._topo = _toposort(kids)
+        self.source = source
+        # ``topo()`` is computed when first asked for, unless the cycle check
+        # needs it now; the passes below only need some children-first order
+        self._topo = None if ascending else _toposort(kind, lo, hi)
+        self._up = range(n) if ascending else self._topo
         self._vars_below = self._tested_below()
         tested = self._vars_below[source]
         if declared_vars is not None:
             declared_vars = frozenset(declared_vars)
+            odd = [x for x in declared_vars if not isinstance(x, str)]
+            if odd:
+                raise FormatError(f"declared variables {odd!r} are not strings")
             if not tested <= declared_vars:
                 raise FormatError(
                     f"declared universe misses tested vars {sorted(tested - declared_vars)}")
@@ -116,25 +185,21 @@ class Diagram:
         pass. Equal sets are one shared object: a node's set is looked up by
         its test and its children's sets, so a union is computed once per
         distinct combination, however many nodes repeat it."""
+        kind, var, lo, hi = self.kind, self.var, self.lo, self.hi
         empty = frozenset()
-        below = [empty] * len(self.nodes)
-        unions = {}  # (var, lo set, hi set) or (left set, right set) -> union
+        below = [empty] * len(kind)
+        unions = {}  # (var, lo set, hi set) or (None, left set, right set) -> union
         shared = {empty: empty}
-        for i in self._topo:
-            node = self.nodes[i]
-            if node.kind == "decision":
-                one, two = below[node.lo], below[node.hi]
-                key = (node.var, one, two)
-            elif node.kind == "and":
-                one, two = below[node.left], below[node.right]
-                key = (one, two)
-            else:
+        for i in self._up:
+            if not kind[i]:
                 continue
+            x, one, two = var[i], below[lo[i]], below[hi[i]]
+            key = (x, one, two)
             acc = unions.get(key)
             if acc is None:
                 acc = one | two
-                if node.kind == "decision":
-                    acc |= {node.var}
+                if x is not None:
+                    acc |= {x}
                 acc = unions[key] = shared.setdefault(acc, acc)
             below[i] = acc
         return tuple(below)
@@ -142,7 +207,7 @@ class Diagram:
     @property
     def size(self):
         """The size measure |B|: the number of nodes."""
-        return len(self.nodes)
+        return len(self.kind)
 
     @property
     def vars(self):
@@ -152,89 +217,99 @@ class Diagram:
         return self._vars_below[node_id]
 
     def topo(self):
+        """Children-first node order; ``copy_nodes`` numbers copies in it."""
+        if self._topo is None:
+            self._topo = _toposort(self.kind, self.lo, self.hi)
         return self._topo
 
+    def children(self, node_id):
+        return (self.lo[node_id], self.hi[node_id]) if self.kind[node_id] else ()
+
     def node(self, node_id):
-        return self.nodes[node_id]
+        k, a, b = self.kind[node_id], self.lo[node_id], self.hi[node_id]
+        if k == DECISION:
+            return Node("decision", var=self.var[node_id], lo=a, hi=b)
+        if k == AND:
+            return Node("and", left=a, right=b)
+        return Node("sink", value=a)
+
+    @property
+    def nodes(self):
+        return tuple(map(self.node, range(len(self.kind))))
 
     def __eq__(self, other):
-        return (isinstance(other, Diagram) and self.nodes == other.nodes
-                and self.source == other.source
+        return (isinstance(other, Diagram) and self.source == other.source
+                and self.kind == other.kind and self.var == other.var
+                and self.lo == other.lo and self.hi == other.hi
                 and self.declared_vars == other.declared_vars)
 
     def __hash__(self):
-        return hash((self.nodes, self.source))
+        return hash((self.kind, self.var, self.lo, self.hi, self.source))
 
     def __repr__(self):
-        return f"Diagram(<{len(self.nodes)} nodes, source {self.source}>)"
+        return f"Diagram(<{len(self.kind)} nodes, source {self.source}>)"
 
 
 class DiagramBuilder:
     """Single-owner accumulator; produces an immutable Diagram on finalize.
 
-    Sinks are canonical: at most one per label, shared by all parents.
+    Sinks are canonical: at most one per label, shared by all parents. A
+    child must exist before its parent, so every child id is below its
+    parent's.
     """
 
     def __init__(self):
-        self._nodes = []
+        self._kind, self._var, self._lo, self._hi = [], [], [], []
         self._sinks = {}
 
-    def _add(self, node):
-        self._nodes.append(node)
-        return len(self._nodes) - 1
+    def _add(self, kind, var, lo, hi):
+        n = len(self._kind)
+        if kind and not (type(lo) is int and type(hi) is int and 0 <= lo < n and 0 <= hi < n):
+            bad = hi if type(lo) is int and 0 <= lo < n else lo
+            raise ValueError(f"child id {bad!r} does not exist yet")
+        self._kind.append(kind)
+        self._var.append(var)
+        self._lo.append(lo)
+        self._hi.append(hi)
+        return n
 
     def sink(self, value):
         value = int(value)
-        if value not in self._sinks:
-            self._sinks[value] = self._add(sink(value))
-        return self._sinks[value]
+        i = self._sinks.get(value)
+        if i is None:
+            i = self._sinks[value] = self._add(SINK, None, value, None)
+        return i
 
     def decision(self, var, lo, hi):
-        self._check(lo)
-        self._check(hi)
-        return self._add(decision(var, lo, hi))
+        return self._add(DECISION, var, lo, hi)
 
     def conj(self, left, right):
-        self._check(left)
-        self._check(right)
-        return self._add(conj(left, right))
-
-    def _check(self, child):
-        if not isinstance(child, int) or not 0 <= child < len(self._nodes):
-            raise ValueError(f"child id {child!r} does not exist yet")
+        return self._add(AND, None, left, right)
 
     def __len__(self):
-        return len(self._nodes)
+        return len(self._kind)
 
     def finalize(self, source, declared_vars=None, prune=True):
         """Freeze into a Diagram, by default dropping unreachable nodes and
         renumbering densely in old-id order."""
-        if not prune:
-            return Diagram(self._nodes, source, declared_vars)
-        keep = set()
-        stack = [source]
-        while stack:
-            i = stack.pop()
-            if i in keep:
-                continue
-            keep.add(i)
-            stack.extend(self._nodes[i].children())
-        if len(keep) == len(self._nodes):
-            return Diagram(self._nodes, source, declared_vars)
-        remap = {}
-        nodes = []
-        for old in sorted(keep):
-            remap[old] = len(nodes)
-            nodes.append(self._nodes[old])
-        renumbered = []
-        for node in nodes:
-            if node.kind == "decision":
-                renumbered.append(decision(node.var, remap[node.lo], remap[node.hi]))
-            elif node.kind == "and":
-                renumbered.append(conj(remap[node.left], remap[node.right]))
-            else:
-                renumbered.append(node)
-        return Diagram(renumbered, remap[source], declared_vars)
+        kind, var, lo, hi = self._kind, self._var, self._lo, self._hi
+        n = len(kind)
+        if not prune or type(source) is not int or not 0 <= source < n:
+            return Diagram.from_columns(kind, var, lo, hi, source, declared_vars)
+        reached = [False] * n
+        reached[source] = True
+        for i in range(source, -1, -1):  # parents before children
+            if reached[i] and kind[i]:
+                reached[lo[i]] = reached[hi[i]] = True
+        keep = [i for i in range(n) if reached[i]]
+        if len(keep) == n:
+            return Diagram.from_columns(kind, var, lo, hi, source, declared_vars)
+        remap = dict(zip(keep, range(len(keep))))
+        return Diagram.from_columns(
+            [kind[i] for i in keep], [var[i] for i in keep],
+            [remap[lo[i]] if kind[i] else lo[i] for i in keep],
+            [remap[hi[i]] if kind[i] else None for i in keep],
+            remap[source], declared_vars)
 
 
 def copy_nodes(builder, b, root, redirect=None):
@@ -243,23 +318,24 @@ def copy_nodes(builder, b, root, redirect=None):
     ``redirect`` maps to one of its descendants is not copied: it maps to
     that descendant's copy."""
     redirect = redirect or {}
+    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
     below = {root}
     for i in reversed(b.topo()):  # parents first
         if i in below:
-            below.update(b.node(i).children())
+            below.update(b.children(i))
     remap = {}
     for i in b.topo():
         if i not in below:
             continue
-        node = b.node(i)
+        k = kind[i]
         if i in redirect:
             remap[i] = remap[redirect[i]]
-        elif node.kind == "sink":
-            remap[i] = builder.sink(node.value)
-        elif node.kind == "decision":
-            remap[i] = builder.decision(node.var, remap[node.lo], remap[node.hi])
+        elif k == SINK:
+            remap[i] = builder.sink(lo[i])
+        elif k == DECISION:
+            remap[i] = builder.decision(var[i], remap[lo[i]], remap[hi[i]])
         else:
-            remap[i] = builder.conj(remap[node.left], remap[node.right])
+            remap[i] = builder.conj(remap[lo[i]], remap[hi[i]])
     return remap
 
 
@@ -294,59 +370,52 @@ def validate(b, order=None):
     names = None if order is None else tuple(getattr(order, "names", order))
     if names in b._classes:
         return b._classes[names]
-    n = len(b.nodes)
-    indeg = [0] * n
-    for node in b.nodes:
-        for c in node.children():
-            indeg[c] += 1
-    sources = [i for i in range(n) if indeg[i] == 0]
+    kind, var, lo, hi, below = b.kind, b.var, b.lo, b.hi, b._vars_below
+    inner = [i for i, k in enumerate(kind) if k]
+    decisions = [i for i in inner if kind[i] == DECISION]
+    has_parent = {lo[i] for i in inner}
+    has_parent.update(hi[i] for i in inner)
+    sources = [i for i in range(len(kind)) if i not in has_parent]
     if sources != [b.source]:
         raise DiagramInvariantError(
             "single-source", tuple(sources),
             f"expected the single source {b.source}, found {sources}")
     by_value = {}
-    for i, node in enumerate(b.nodes):
-        if node.kind == "sink":
-            by_value.setdefault(node.value, []).append(i)
-        elif node.kind == "decision" and (node.lo is None or node.hi is None):
-            raise DiagramInvariantError("decision-edges", i, f"node {i} lacks an out-edge")
+    for i, k in enumerate(kind):
+        if k == SINK:
+            by_value.setdefault(lo[i], []).append(i)
     for value, ids in by_value.items():
         if len(ids) > 1:
             raise DiagramInvariantError(
                 "sink-form", tuple(ids), f"multiple sinks labelled {value}: {ids}")
-    for i, node in enumerate(b.nodes):
-        if node.kind == "and":
-            shared = b.vars_below(node.left) & b.vars_below(node.right)
+    for i in inner:
+        if kind[i] == AND:
+            shared = below[lo[i]] & below[hi[i]]
             if shared:
                 raise DiagramInvariantError(
                     "decomposability", i,
                     f"conjunction {i} children share {sorted(shared)}")
-    for i, node in enumerate(b.nodes):
-        if node.kind == "decision":
-            for c in (node.lo, node.hi):
-                if node.var in b.vars_below(c):
-                    raise DiagramInvariantError(
-                        "read-once", i,
-                        f"variable {node.var!r} tested again below node {i}")
-    has_and = any(node.kind == "and" for node in b.nodes)
+    for i in decisions:
+        if var[i] in below[lo[i]] or var[i] in below[hi[i]]:
+            raise DiagramInvariantError(
+                "read-once", i, f"variable {var[i]!r} tested again below node {i}")
+    has_and = AND in kind
     if names is not None:
         pos = {x: k for k, x in enumerate(names)}
         missing = b.vars - set(pos)
         if missing:
             raise ScopeError(f"order misses tested variables {sorted(missing)}")
-        for i, node in enumerate(b.nodes):
-            if node.kind != "decision":
-                continue
-            for c in (node.lo, node.hi):
-                late = [y for y in b.vars_below(c) if pos[y] <= pos[node.var]]
+        for i in decisions:
+            for c in (lo[i], hi[i]):
+                late = [y for y in below[c] if pos[y] <= pos[var[i]]]
                 if late:
                     raise DiagramInvariantError(
                         "order", i,
-                        f"{sorted(late)} tested below the {node.var!r} node {i} "
+                        f"{sorted(late)} tested below the {var[i]!r} node {i} "
                         f"but not after it in the order")
         ordered = names
     else:
-        ordered = _infer_order(b)
+        ordered = _infer_order(b, decisions)
     is_ordered = ordered is not None
     return b._classes.setdefault(names, DiagramClass(
         is_and_fbdd=True,
@@ -357,16 +426,15 @@ def validate(b, order=None):
     ))
 
 
-def _infer_order(b):
+def _infer_order(b, decisions):
     """A linear order all paths obey, if the tested-before digraph is acyclic."""
     succ = {x: set() for x in b.vars}
-    for node in b.nodes:
-        if node.kind != "decision":
-            continue
-        for c in node.children():
-            for y in b.vars_below(c):
-                if y != node.var:
-                    succ[node.var].add(y)
+    for i in decisions:
+        later = succ[b.var[i]]
+        later |= b.vars_below(b.lo[i])
+        later |= b.vars_below(b.hi[i])
+    for x, ys in succ.items():
+        ys.discard(x)
     indeg = {x: 0 for x in succ}
     for x, ys in succ.items():
         for y in ys:
@@ -394,17 +462,17 @@ def _infer_order(b):
 def accepted(b):
     """The accepted-set recursion, bottom-up; members may be partial."""
     config.check_scale(len(b.vars), config.BRUTE_FORCE_VAR_CAP, "variables")
+    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
     sets = {}
-    for i in b.topo():
-        node = b.node(i)
-        if node.kind == "sink":
-            sets[i] = AssignmentSet([Assignment()]) if node.value else AssignmentSet()
-        elif node.kind == "decision":
-            lo = product(sets[node.lo], AssignmentSet([Assignment({node.var: 0})]))
-            hi = product(sets[node.hi], AssignmentSet([Assignment({node.var: 1})]))
-            sets[i] = lo | hi
+    for i in b._up:
+        if kind[i] == SINK:
+            sets[i] = AssignmentSet([Assignment()]) if lo[i] else AssignmentSet()
+        elif kind[i] == DECISION:
+            zero = product(sets[lo[i]], AssignmentSet([Assignment({var[i]: 0})]))
+            one = product(sets[hi[i]], AssignmentSet([Assignment({var[i]: 1})]))
+            sets[i] = zero | one
         else:
-            sets[i] = product(sets[node.left], sets[node.right])
+            sets[i] = product(sets[lo[i]], sets[hi[i]])
     return sets[b.source]
 
 
@@ -412,15 +480,16 @@ def evaluate(b, a):
     """One pass over the DAG; requires a total assignment over vars(b)."""
     if not b.vars <= a.vars:
         raise ScopeError(f"assignment leaves {sorted(b.vars - a.vars)} unset")
-    val = {}
-    for i in b.topo():
-        node = b.node(i)
-        if node.kind == "sink":
-            val[i] = node.value
-        elif node.kind == "decision":
-            val[i] = val[node.hi] if a[node.var] else val[node.lo]
+    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
+    val = [0] * len(kind)
+    for i in b._up:
+        k = kind[i]
+        if k == SINK:
+            val[i] = lo[i]
+        elif k == DECISION:
+            val[i] = val[hi[i]] if a[var[i]] else val[lo[i]]
         else:
-            val[i] = val[node.left] & val[node.right]
+            val[i] = val[lo[i]] & val[hi[i]]
     return val[b.source]
 
 
@@ -447,16 +516,17 @@ def truth_table(b, order):
     size = 1 << n
     full = (1 << size) - 1
     pats = {name: pattern(n, p) for p, name in enumerate(order)}
-    tt = {}
-    for i in b.topo():
-        node = b.node(i)
-        if node.kind == "sink":
-            tt[i] = full if node.value else 0
-        elif node.kind == "decision":
-            pat = pats[node.var]
-            tt[i] = (pat & tt[node.hi]) | ((full ^ pat) & tt[node.lo])
+    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
+    tt = [0] * len(kind)
+    for i in b._up:
+        k = kind[i]
+        if k == SINK:
+            tt[i] = full if lo[i] else 0
+        elif k == DECISION:
+            pat = pats[var[i]]
+            tt[i] = (pat & tt[hi[i]]) | ((full ^ pat) & tt[lo[i]])
         else:
-            tt[i] = tt[node.left] & tt[node.right]
+            tt[i] = tt[lo[i]] & tt[hi[i]]
     return tt[b.source]
 
 
@@ -465,24 +535,29 @@ def count_models(b, universe=None):
 
     Per node the count is over vars(B_u): each decision branch scales by the
     free variables it skips, a conjunction multiplies its children, and the
-    source count lifts to the universe by the untested variables.
+    source count lifts to the universe by the untested variables. A child's
+    tested set lies inside its parent's, so a branch skips |vars(B_u)| minus
+    the child's count of variables, less one for the tested variable unless
+    the child tests it again; a conjunction's set is exactly the union of its
+    children's, so it skips none.
     """
     universe = frozenset(universe) if universe is not None else b.vars
     if not b.vars <= universe:
         raise ScopeError(f"universe misses {sorted(b.vars - universe)}")
-    counts = {}
-    for i in b.topo():
-        node = b.node(i)
-        if node.kind == "sink":
-            counts[i] = node.value
-        elif node.kind == "decision":
-            mine = b.vars_below(i) - {node.var}
-            lo_free = len(mine - b.vars_below(node.lo))
-            hi_free = len(mine - b.vars_below(node.hi))
-            counts[i] = (counts[node.lo] << lo_free) + (counts[node.hi] << hi_free)
+    kind, var, lo, hi, below = b.kind, b.var, b.lo, b.hi, b._vars_below
+    counts = [0] * len(kind)
+    for i in b._up:
+        k = kind[i]
+        if k == SINK:
+            counts[i] = lo[i]
+        elif k == DECISION:
+            x, zero, one = var[i], lo[i], hi[i]
+            mine = len(below[i])
+            lo_free = mine - len(below[zero]) - (x not in below[zero])
+            hi_free = mine - len(below[one]) - (x not in below[one])
+            counts[i] = (counts[zero] << lo_free) + (counts[one] << hi_free)
         else:
-            free = len(b.vars_below(i) - b.vars_below(node.left) - b.vars_below(node.right))
-            counts[i] = (counts[node.left] * counts[node.right]) << free
+            counts[i] = counts[lo[i]] * counts[hi[i]]
     return counts[b.source] << (len(universe) - len(b.vars))
 
 
@@ -496,13 +571,12 @@ def path_assignment(b, node_ids):
     node_ids = list(node_ids)
     pairs = []
     for u, v in zip(node_ids, node_ids[1:]):
-        node = b.node(u)
-        if v not in node.children():
+        if v not in b.children(u):
             raise ValueError(f"({u},{v}) is not an edge")
-        if node.kind == "decision":
-            if node.lo == node.hi:
+        if b.kind[u] == DECISION:
+            if b.lo[u] == b.hi[u]:
                 raise ValueError(f"node {u} has parallel out-edges; bit is ambiguous")
-            pairs.append((node.var, 1 if v == node.hi else 0))
+            pairs.append((b.var[u], 1 if v == b.hi[u] else 0))
     return Assignment(pairs)
 
 
@@ -527,17 +601,17 @@ def to_json(b):
     """
     quoted = _Quoted()
     entries = []
-    for i, node in enumerate(b.nodes):
-        if node.kind == "decision":
-            entries.append(f'    {{\n      "hi": {node.hi},\n      "id": {i},\n'
-                           f'      "kind": "decision",\n      "lo": {node.lo},\n'
-                           f'      "var": {quoted[node.var]}\n    }}')
-        elif node.kind == "and":
+    for i, k, x, a, c in zip(range(len(b.kind)), b.kind, b.var, b.lo, b.hi):
+        if k == DECISION:
+            entries.append(f'    {{\n      "hi": {c},\n      "id": {i},\n'
+                           f'      "kind": "decision",\n      "lo": {a},\n'
+                           f'      "var": {quoted[x]}\n    }}')
+        elif k == AND:
             entries.append(f'    {{\n      "id": {i},\n      "kind": "and",\n'
-                           f'      "left": {node.left},\n      "right": {node.right}\n    }}')
+                           f'      "left": {a},\n      "right": {c}\n    }}')
         else:
             entries.append(f'    {{\n      "id": {i},\n      "kind": "sink",\n'
-                           f'      "value": {node.value}\n    }}')
+                           f'      "value": {a}\n    }}')
     names = sorted(b.declared_vars if b.declared_vars is not None else b.vars)
     if names:
         listed = "[\n" + ",\n".join(f"    {quoted[x]}" for x in names) + "\n  ]"
@@ -548,26 +622,21 @@ def to_json(b):
 
 
 def from_json(text):
+    """A diagram from JSON text. Beyond the shape, node ids are dense, child
+    ids and the source are integers naming nodes, a sink's value is 0 or 1,
+    and every variable name is a string; anything else is a FormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad diagram JSON: {exc}") from exc
     try:
-        entries = sorted(doc["nodes"], key=lambda e: e["id"])
-        if [e["id"] for e in entries] != list(range(len(entries))):
-            raise FormatError("node ids must be dense 0..n-1")
-        nodes = []
-        for e in entries:
-            kind = e["kind"]
-            if kind == "decision":
-                nodes.append(decision(e["var"], e["lo"], e["hi"]))
-            elif kind == "and":
-                nodes.append(conj(e["left"], e["right"]))
-            elif kind == "sink":
-                nodes.append(sink(e["value"]))
-            else:
-                raise FormatError(f"unknown node kind {kind!r}")
-        return Diagram(nodes, doc["source"], doc.get("vars"))
+        entries = doc["nodes"]
+        dense = list(range(len(entries)))
+        if [e["id"] for e in entries] != dense:
+            entries = sorted(entries, key=lambda e: e["id"])
+            if [e["id"] for e in entries] != dense:
+                raise FormatError("node ids must be dense 0..n-1")
+        return Diagram.from_columns(*_columns(entries), doc["source"], doc.get("vars"))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad diagram JSON: {exc}") from exc
 
@@ -585,20 +654,20 @@ def load(path):
 def to_dot(b):
     """Graphviz source; dashed 0-edges, conjunction nodes shown as wedges."""
     lines = ["digraph diagram {"]
-    for i, node in enumerate(b.nodes):
-        if node.kind == "decision":
-            lines.append(f'  n{i} [label="{node.var}", shape=circle];')
-        elif node.kind == "and":
+    for i, k in enumerate(b.kind):
+        if k == DECISION:
+            lines.append(f'  n{i} [label="{b.var[i]}", shape=circle];')
+        elif k == AND:
             lines.append(f'  n{i} [label="∧", shape=circle];')
         else:
-            label = "T" if node.value else "F"
+            label = "T" if b.lo[i] else "F"
             lines.append(f'  n{i} [label="{label}", shape=box];')
-    for i, node in enumerate(b.nodes):
-        if node.kind == "decision":
-            lines.append(f"  n{i} -> n{node.lo} [style=dashed, label=0];")
-            lines.append(f"  n{i} -> n{node.hi} [label=1];")
-        elif node.kind == "and":
-            lines.append(f"  n{i} -> n{node.left};")
-            lines.append(f"  n{i} -> n{node.right};")
+    for i, k in enumerate(b.kind):
+        if k == DECISION:
+            lines.append(f"  n{i} -> n{b.lo[i]} [style=dashed, label=0];")
+            lines.append(f"  n{i} -> n{b.hi[i]} [label=1];")
+        elif k == AND:
+            lines.append(f"  n{i} -> n{b.lo[i]};")
+            lines.append(f"  n{i} -> n{b.hi[i]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

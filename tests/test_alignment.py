@@ -1,4 +1,5 @@
 import random
+import typing
 
 import pytest
 
@@ -7,7 +8,7 @@ from ddlab import cnf as C
 from ddlab import diagrams as D
 from ddlab import lowerbound as LB
 from ddlab.assignments import Assignment, cube, product, product_all, restrict_set
-from ddlab.errors import EssentialityError, PreconditionError
+from ddlab.errors import EssentialityError, PreconditionError, SoundnessError
 from ddlab.graphs import LinearOrder
 
 from conftest import exact_decomposition, matching_graph, random_and_obdd
@@ -111,6 +112,79 @@ class TestAlignOracle:
                 chosen = [v for v in names + ["zz"] if rng.random() < 0.5]
                 assert_aligns_as_defined(b, Assignment({v: rng.randint(0, 1) for v in chosen}))
         assert conjunctions > 50
+
+
+def frontier_by_fixpoint(b, names, g):
+    """L(g) and T(g) as first defined: out-edges found by scanning every kept
+    edge, and the nodes on L-bound paths grown to a fixpoint."""
+    al = AL.align(b, g)
+
+    def out(i):
+        return sorted((slot, c) for p, slot, c in al.kept_edges if p == i)
+
+    l_nodes, visited, taken = set(), set(), set()
+    stack = [b.source]
+    while stack:
+        i = stack.pop()
+        if i in visited:
+            continue
+        visited.add(i)
+        if b.node(i).kind == "decision" and i not in al.incomplete:
+            l_nodes.add(i)
+            continue
+        for _, child in out(i):
+            taken.add((i, child))
+            stack.append(child)
+    reaches = set(l_nodes)
+    changed = True
+    while changed:
+        changed = False
+        for parent, child in taken:
+            if child in reaches and parent not in reaches:
+                reaches.add(parent)
+                changed = True
+    tree_parent = {b.source: None} if l_nodes else {}
+    for parent, child in sorted(taken):
+        if parent in reaches and child in reaches:
+            if child in tree_parent:
+                return frozenset(l_nodes), None  # not a tree
+            tree_parent[child] = parent
+    return frozenset(l_nodes), tree_parent
+
+
+class TestAlignedEdgeIndex:
+    def test_out_edges_match_a_scan_of_kept_edges(self):
+        rng = random.Random(31)
+        names = [f"v{i}" for i in range(7)]
+        for _ in range(40):
+            b, _ = random_and_obdd(rng, names)
+            for _ in range(5):
+                g = Assignment({v: rng.randint(0, 1) for v in names if rng.random() < 0.5})
+                al = AL.align(b, g)
+                for i in range(b.size):
+                    assert al.out_edges(i) == sorted(
+                        (slot, c) for p, slot, c in al.kept_edges if p == i)
+
+    def test_frontier_matches_the_fixpoint_definition(self):
+        rng = random.Random(32)
+        names = [f"v{i}" for i in range(7)]
+        checked = 0
+        for _ in range(40):
+            b, order = random_and_obdd(rng, names)
+            for k in range(len(order) + 1):
+                g = Assignment({v: rng.randint(0, 1) for v in order[:k]})
+                l_nodes, tree_parent = frontier_by_fixpoint(b, order, g)
+                if tree_parent is None:
+                    with pytest.raises(SoundnessError, match="not a tree"):
+                        AL.frontier(b, order, g)
+                    continue
+                fr = AL.frontier(b, order, g)
+                assert (fr.l_nodes, fr.tree_parent) == (l_nodes, tree_parent)
+                checked += 1
+        assert checked > 200
+
+    def test_type_hints_resolve(self):
+        assert typing.get_type_hints(AL.AlignedDiagram)["base"] is D.Diagram
 
 
 class TestFrontier:

@@ -92,6 +92,19 @@ class TestCompileCountValidate:
         assert code == 2
         assert json.loads(err.splitlines()[0])["error"] == "FormatError"
 
+    @pytest.mark.parametrize("node, field, value", [
+        (1, "value", 2), (1, "value", "1"), (3, "lo", False), (2, "var", 7)],
+        ids=["sink-value-2", "sink-value-string", "boolean-child", "numeric-var"])
+    def test_loader_rejections_are_exit_2(self, tmp_path, capsys, node, field, value):
+        doc = json.loads(json.dumps(A_AND_B))
+        del doc["vars"]  # no declared universe, so the one bad field is the only fault
+        doc["nodes"][node][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["count", "--diagram", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[0])["error"] == "FormatError"
+
     def test_missing_input_file_is_exit_2(self, tmp_path, capsys):
         code, _, err = run(["compile", "--method", "dtree", "--cnf", str(tmp_path / "f.cnf"),
                             "--out", str(tmp_path / "x.json")], capsys)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -29,6 +30,12 @@ def figure_diagram():
 
 
 FIGURE_ORDER = ("x2", "x1", "x3", "x5", "x4", "x6")
+
+
+def a_and_b():
+    b = D.DiagramBuilder()
+    f = b.sink(0)
+    return b.finalize(b.decision("a", f, b.decision("b", f, b.sink(1))))
 
 
 class TestValidate:
@@ -307,6 +314,50 @@ class TestSerialization:
         assert d.declared_vars is None
         assert D.from_json(D.to_json(d)).declared_vars is None
 
+    @staticmethod
+    def load_with(node, **fields):
+        """The a-and-b diagram with one node's fields replaced, through the loader."""
+        doc = json.loads(D.to_json(a_and_b()))
+        doc["nodes"][node].update(fields)
+        return D.from_json(json.dumps(doc))
+
+    def test_unchanged_document_loads(self):
+        assert self.load_with(3) == a_and_b()
+
+    @pytest.mark.parametrize("value", [2, -1, "1", True, None, 1.0])
+    def test_sink_value_must_be_0_or_1(self, value):
+        with pytest.raises(FormatError, match="sink 1 has value"):
+            self.load_with(1, value=value)
+
+    @pytest.mark.parametrize("field, value", [("lo", False), ("hi", True), ("lo", 0.0)])
+    def test_child_id_must_be_an_integer(self, field, value):
+        with pytest.raises(FormatError, match="missing child"):
+            self.load_with(3, **{field: value})
+
+    @pytest.mark.parametrize("value", [7, None, ["a"]])
+    def test_variable_name_must_be_a_string(self, value):
+        with pytest.raises(FormatError, match="variable names are strings"):
+            self.load_with(2, var=value)
+
+    def test_declared_names_must_be_strings(self):
+        doc = json.loads(D.to_json(a_and_b()))
+        doc["vars"].append(7)
+        with pytest.raises(FormatError, match="not strings"):
+            D.from_json(json.dumps(doc))
+
+    def test_boolean_source_rejected(self):
+        doc = json.loads(D.to_json(a_and_b()))
+        doc["source"] = True
+        with pytest.raises(FormatError, match="source"):
+            D.from_json(json.dumps(doc))
+
+    def test_builder_sink_takes_a_boolean(self):
+        b = D.DiagramBuilder()
+        assert b.sink(True) == b.sink(1) == 0
+        d = b.finalize(b.decision("x", b.sink(False), 0))
+        assert d.node(0) == D.sink(1) and d.node(1) == D.sink(0)
+        assert D.from_json(D.to_json(d)) == d
+
 
 def to_json_by_dumps(b):
     """The document-then-``json.dumps`` writer: the oracle for the one-pass
@@ -384,3 +435,157 @@ def test_graft_shares_sinks_and_prunes():
     assert merged.size == d.size  # prune drops the unused copy, sinks stay shared
     order = sorted(d.vars)
     assert D.truth_table(merged, order) == D.truth_table(d, order)
+
+
+# ---------------------------------------------------------------------------
+# the columnar core against the node-record passes it replaced
+
+
+def toposort_by_nodes(nodes):
+    """Kahn's algorithm on a stack over each Node's children."""
+    kids = [node.children() for node in nodes]
+    indeg = [0] * len(kids)
+    for children in kids:
+        for c in children:
+            indeg[c] += 1
+    stack = [i for i, d in enumerate(indeg) if d == 0]
+    out = []
+    while stack:
+        i = stack.pop()
+        out.append(i)
+        for c in kids[i]:
+            indeg[c] -= 1
+            if not indeg[c]:
+                stack.append(c)
+    assert len(out) == len(kids)
+    out.reverse()
+    return tuple(out)
+
+
+def vars_below_by_nodes(nodes, topo):
+    """Per node, the variables tested at or below it, children first."""
+    below = [frozenset()] * len(nodes)
+    for i in topo:
+        node = nodes[i]
+        if node.kind == "decision":
+            below[i] = below[node.lo] | below[node.hi] | {node.var}
+        elif node.kind == "and":
+            below[i] = below[node.left] | below[node.right]
+    return tuple(below)
+
+
+def count_models_by_nodes(nodes, source, topo, below, universe):
+    """The one-pass count with each branch's free variables found by set
+    difference."""
+    counts = {}
+    for i in topo:
+        node = nodes[i]
+        if node.kind == "sink":
+            counts[i] = node.value
+        elif node.kind == "decision":
+            mine = below[i] - {node.var}
+            lo_free = len(mine - below[node.lo])
+            hi_free = len(mine - below[node.hi])
+            counts[i] = (counts[node.lo] << lo_free) + (counts[node.hi] << hi_free)
+        else:
+            free = len(below[i] - below[node.left] - below[node.right])
+            counts[i] = (counts[node.left] * counts[node.right]) << free
+    return counts[source] << (len(universe) - len(below[source]))
+
+
+def renumbered(b, rng):
+    """The same diagram under a random relabelling of its node ids, so that
+    children need not have smaller ids than their parents."""
+    perm = list(range(b.size))
+    rng.shuffle(perm)
+    nodes = [None] * b.size
+    for i, node in enumerate(b.nodes):
+        if node.kind == "decision":
+            node = D.decision(node.var, perm[node.lo], perm[node.hi])
+        elif node.kind == "and":
+            node = D.conj(perm[node.left], perm[node.right])
+        nodes[perm[i]] = node
+    return D.Diagram(nodes, perm[b.source], b.declared_vars)
+
+
+def assert_matches_node_passes(b, nodes, universe):
+    topo = toposort_by_nodes(nodes)
+    below = vars_below_by_nodes(nodes, topo)
+    assert b.topo() == topo
+    assert tuple(map(b.vars_below, range(b.size))) == below
+    assert D.count_models(b, universe) == count_models_by_nodes(
+        nodes, b.source, topo, below, universe)
+
+
+def assert_equal_and_hashed_alike(b, nodes):
+    again = D.Diagram(nodes, b.source, b.declared_vars)
+    assert again == b and hash(again) == hash(b)
+    back = D.from_json(D.to_json(b))
+    assert back == b and hash(back) == hash(b)
+
+
+def assert_node_records_agree(b, nodes):
+    assert nodes == tuple(map(b.node, range(b.size)))
+    for i, node in enumerate(nodes):
+        kind = ("sink", "decision", "and")[b.kind[i]]
+        assert node.kind == kind and node.children() == b.children(i)
+        assert node == (D.sink(b.lo[i]) if kind == "sink" else
+                        D.decision(b.var[i], b.lo[i], b.hi[i]) if kind == "decision" else
+                        D.conj(b.lo[i], b.hi[i]))
+
+
+@pytest.fixture(scope="module")
+def vc5_tree():
+    from ddlab.compile import decision_tree, dt_to_diagram
+    from ddlab.formulas import vc_formula
+    from ddlab.graphs import grid
+    return dt_to_diagram(decision_tree(vc_formula(grid(5).graph)))
+
+
+class TestColumnarCore:
+    @pytest.mark.parametrize("p_and", [0.0, 0.35])
+    def test_random_diagrams(self, p_and):
+        rng = random.Random(93)
+        for _ in range(80):
+            names = [f"x{i}" for i in range(rng.randint(1, 7))]
+            d, _ = random_and_obdd(rng, names, p_and=p_and)
+            universe = set(names) | {"z"}
+            for b in (d, renumbered(d, rng)):
+                nodes = b.nodes
+                assert_matches_node_passes(b, nodes, universe)
+                assert_node_records_agree(b, nodes)
+                assert_equal_and_hashed_alike(b, nodes)
+                assert D.to_json(b) == to_json_by_dumps(b)
+
+    def test_renumbered_diagram_keeps_its_semantics(self):
+        rng = random.Random(94)
+        for _ in range(20):
+            d, names = random_and_obdd(rng, [f"x{i}" for i in range(6)])
+            r = renumbered(d, rng)
+            assert D.truth_table(r, names) == D.truth_table(d, names)
+            assert D.validate(r) == D.validate(d)
+            for a in cube(names):
+                assert D.evaluate(r, a) == D.evaluate(d, a)
+
+    def test_vc_grid5_tree(self, vc5_tree):
+        b = vc5_tree
+        nodes = b.nodes
+        assert len(nodes) == 71186
+        assert_matches_node_passes(b, nodes, b.vars)
+        assert_equal_and_hashed_alike(b, nodes)
+
+    def test_vc_grid5_tree_bytes_pinned(self, vc5_tree):
+        text = D.to_json(vc5_tree)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0cdb6c28af92f787117eb8a5fda27fa4fec0361f8c7ed83bf491a19efe48368c")
+        assert D.count_models(D.from_json(text)) == 55447
+
+    def test_unequal_diagrams_compare_unequal(self):
+        d = figure_diagram()
+        nodes = list(d.nodes)
+        nodes[0], nodes[1] = nodes[1], nodes[0]  # swap the two sinks' labels
+        other = D.Diagram(nodes, d.source)
+        assert other != d and D.count_models(other) != D.count_models(d)
+        b = D.DiagramBuilder()
+        wider = b.finalize(D.graft(b, d), declared_vars=set(d.vars) | {"x9"})
+        assert wider != d and D.to_json(wider) != D.to_json(d)
