@@ -184,7 +184,7 @@ def subdiagram_with_map(b, root):
     """Subdiagram plus the old-id to new-id correspondence."""
     builder = DiagramBuilder()
     remap = copy_nodes(builder, b, root)
-    return builder.finalize(remap[root], prune=False), remap
+    return builder.finalize(remap[root]), remap
 
 
 def check_model_decomposition(b, pi, g):

@@ -93,6 +93,7 @@ def encode(phi, order):
 
 def truth_table(phi, order):
     """Model indicator bitset of phi over the ordered universe ``order``."""
+    config.check_scale(len(order), config.BRUTE_FORCE_VAR_CAP, "variables")
     return kernels.cnf_truth_table(len(order), encode(phi, order))
 
 
@@ -101,7 +102,6 @@ def models(phi, universe):
     universe = frozenset(universe)
     if not phi.vars <= universe:
         raise ScopeError(f"universe misses {sorted(phi.vars - universe)}")
-    config.check_scale(len(universe), config.BRUTE_FORCE_VAR_CAP, "variables")
     order = sorted(universe)
     return decode_table(order, truth_table(phi, order))
 
@@ -110,7 +110,6 @@ def count_models(phi, universe):
     universe = frozenset(universe)
     if not phi.vars <= universe:
         raise ScopeError(f"universe misses {sorted(phi.vars - universe)}")
-    config.check_scale(len(universe), config.BRUTE_FORCE_VAR_CAP, "variables")
     return kernels.count_ones(truth_table(phi, sorted(universe)))
 
 

@@ -350,13 +350,15 @@ def compile_primal(phi, d):
     """
     primal, _ = graphs_of(phi)
     validate_decomposition(primal, d)
-    return _compile_rooted(phi, _Rooted(d))
+    rooted = _Rooted(d)
+    builder = DiagramBuilder()
+    diagram = builder.finalize(_compile_rooted(phi, rooted, builder))
+    return diagram, vtree_from_decomposition_rooted(rooted)
 
 
-def _compile_rooted(phi, rooted, builder=None, standalone=True):
-    own_builder = builder is None
-    if own_builder:
-        builder = DiagramBuilder()
+def _compile_rooted(phi, rooted, builder):
+    """The source id of the decomposition-guided diagram, built into
+    ``builder``."""
     clauses_at = {}
     for c in phi.clauses:
         cv = frozenset(n for n, _ in c)
@@ -400,12 +402,7 @@ def _compile_rooted(phi, rooted, builder=None, standalone=True):
             memo[key] = ladder(b, dict(iface), todo)
         return memo[key]
 
-    source = entry(rooted.root, {})
-    if not standalone:
-        return source
-    diagram = builder.finalize(source)
-    vtree = vtree_from_decomposition_rooted(rooted)
-    return diagram, vtree
+    return entry(rooted.root, {})
 
 
 def vtree_from_decomposition_rooted(rooted, extra_vars=()):
@@ -441,7 +438,7 @@ def compile_split(phi, long_clauses, d):
             if not t.value:
                 return builder.sink(0)
             residual = cnf_reduce(rest, Assignment(g))
-            return _compile_rooted(residual, rooted, builder, standalone=False)
+            return _compile_rooted(residual, rooted, builder)
         lo = walk(t.lo, {**g, t.var: 0})
         hi = walk(t.hi, {**g, t.var: 1})
         if lo == hi:

@@ -11,7 +11,7 @@ from .errors import ScaleError
 # Largest universe (in variables) the 2^n enumerations accept.
 BRUTE_FORCE_VAR_CAP = 22
 
-# Largest vertex count for exhaustive linear-order search (n! orders).
+# Largest vertex count for exhaustive linear-order search (a 2^n·n subset DP).
 EXHAUSTIVE_ORDER_CAP = 8
 
 # Largest vertex count for the exact treewidth/pathwidth subset DP.

@@ -289,12 +289,12 @@ class DiagramBuilder:
     def __len__(self):
         return len(self._kind)
 
-    def finalize(self, source, declared_vars=None, prune=True):
-        """Freeze into a Diagram, by default dropping unreachable nodes and
-        renumbering densely in old-id order."""
+    def finalize(self, source, declared_vars=None):
+        """Freeze into a Diagram, dropping unreachable nodes and renumbering
+        densely in old-id order."""
         kind, var, lo, hi = self._kind, self._var, self._lo, self._hi
         n = len(kind)
-        if not prune or type(source) is not int or not 0 <= source < n:
+        if type(source) is not int or not 0 <= source < n:
             return Diagram.from_columns(kind, var, lo, hi, source, declared_vars)
         reached = [False] * n
         reached[source] = True
@@ -498,7 +498,6 @@ def satisfying_set(b, universe=None):
     universe = frozenset(universe) if universe is not None else b.vars
     if not b.vars <= universe:
         raise ScopeError(f"universe misses {sorted(b.vars - universe)}")
-    config.check_scale(len(universe), config.BRUTE_FORCE_VAR_CAP, "variables")
     order = sorted(universe)
     return decode_table(order, truth_table(b, order))
 
@@ -512,6 +511,7 @@ def truth_table(b, order):
     order = list(order)
     if not b.vars <= set(order):
         raise ScopeError("order must cover the tested variables")
+    config.check_scale(len(order), config.BRUTE_FORCE_VAR_CAP, "variables")
     n = len(order)
     size = 1 << n
     full = (1 << size) - 1
@@ -632,10 +632,12 @@ def from_json(text):
     try:
         entries = doc["nodes"]
         dense = list(range(len(entries)))
-        if [e["id"] for e in entries] != dense:
+        ids = [e["id"] for e in entries]
+        if ids != dense:
             entries = sorted(entries, key=lambda e: e["id"])
-            if [e["id"] for e in entries] != dense:
-                raise FormatError("node ids must be dense 0..n-1")
+            ids = [e["id"] for e in entries]
+        if ids != dense or set(map(type, ids)) - {int}:
+            raise FormatError("node ids must be dense 0..n-1")
         return Diagram.from_columns(*_columns(entries), doc["source"], doc.get("vars"))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad diagram JSON: {exc}") from exc

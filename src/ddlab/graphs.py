@@ -432,12 +432,46 @@ def _cut_value(g, subset, mode, cache):
     return cache[key]
 
 
+def best_order(n, cost, combine):
+    """The best order of the indices 0..n-1 (n >= 1) by a subset DP.
+
+    Placing v after the bitmask ``placed`` costs ``cost(placed, v)``, called
+    before the DP recurses into ``placed | 1 << v``; ``combine`` (``max`` or
+    ``+``) folds the step costs from the last step back. Each placed set
+    keeps its first strict minimum over v in increasing order. Returns
+    ``(value, index tuple)``.
+    """
+    full = (1 << n) - 1
+    memo = {}
+
+    def best(placed):
+        if placed in memo:
+            return memo[placed]
+        out = None
+        for v in range(n):
+            bit = 1 << v
+            if placed & bit:
+                continue
+            here = cost(placed, v)
+            if placed | bit == full:
+                cand = here, (v,)
+            else:
+                rest, tail = best(placed | bit)
+                cand = combine(here, rest), (v,) + tail
+            if out is None or cand[0] < out[0]:
+                out = cand
+        memo[placed] = out
+        return out
+
+    return best(0)
+
+
 def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None,
               cap=config.EXHAUSTIVE_ORDER_CAP):
     """Minimum crossing width over vertex orders.
 
     ``mode`` selects induced (lsim) or plain (lmm) matchings. Exhaustive
-    search runs a subset DP equivalent to trying every order (cut values
+    search runs ``best_order``, equivalent to trying every order (cut values
     depend only on the prefix set); sampling shuffles with a seeded RNG.
     Returns ``(width, LinearOrder)``.
     """
@@ -449,29 +483,14 @@ def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None,
     cache = {}
     if search == "exhaustive":
         config.check_scale(n, cap, "vertices for exhaustive order search")
-        full = frozenset(verts)
-        memo = {}
 
-        def dp(state):
-            if len(state) == n:
-                return 0, ()
-            if state in memo:
-                return memo[state]
-            best = None
-            for v in verts:
-                if v in state:
-                    continue
-                nxt = state | {v}
-                here = _cut_value(g, nxt, inner, cache) if len(nxt) < n else 0
-                rest, tail = dp(frozenset(nxt))
-                cand = (max(here, rest), (v,) + tail)
-                if best is None or cand[0] < best[0]:
-                    best = cand
-            memo[state] = best
-            return best
+        def cut(placed, v):
+            placed |= 1 << v
+            prefix = frozenset(verts[i] for i in range(n) if placed >> i & 1)
+            return _cut_value(g, prefix, inner, cache)
 
-        width, names = dp(frozenset())
-        return width, LinearOrder(names)
+        width, index = best_order(n, cut, max)
+        return width, LinearOrder(verts[i] for i in index)
     if search == "sampled":
         if count is None or seed is None:
             raise ValueError("sampled search needs count and seed")
@@ -619,7 +638,7 @@ def _fill_neighbors(adj, v, eliminated):
 
 
 def treewidth_exact(g):
-    """Exact treewidth by elimination-order search with subset memoization."""
+    """Exact treewidth by elimination-order search over ``best_order``."""
     return exact_elimination_order(g)[0]
 
 
@@ -627,68 +646,29 @@ def exact_elimination_order(g):
     """Treewidth together with an optimal elimination order."""
     config.check_scale(len(g.vertices), config.TREEWIDTH_CAP, "vertices")
     verts, adj = _as_masks(g)
-    n = len(verts)
-    full = (1 << n) - 1
-    memo = {}
+    if not verts:
+        return -1, ()
 
-    def best(eliminated):
-        if eliminated == full:
-            return -1, ()
-        if eliminated in memo:
-            return memo[eliminated]
-        out = None
-        for v in range(n):
-            if (1 << v) & eliminated:
-                continue
-            deg = _fill_neighbors(adj, v, eliminated).bit_count()
-            rest, tail = best(eliminated | (1 << v))
-            cand = (max(deg, rest), (verts[v],) + tail)
-            if out is None or cand[0] < out[0]:
-                out = cand
-        memo[eliminated] = out
-        return out
+    def degree(eliminated, v):
+        return _fill_neighbors(adj, v, eliminated).bit_count()
 
-    return best(0)
+    width, index = best_order(len(verts), degree, max)
+    return width, tuple(verts[v] for v in index)
 
 
 def pathwidth_exact(g):
-    """Exact pathwidth via the vertex-separation subset DP."""
+    """Exact pathwidth: the vertex separation number over ``best_order``."""
     n = len(g.vertices)
     config.check_scale(n, config.TREEWIDTH_CAP, "vertices")
     if n == 0:
         return -1
-    verts, adj = _as_masks(g)
-    full = (1 << n) - 1
-    memo = {}
+    _, adj = _as_masks(g)
 
-    def boundary(placed):
-        count = 0
-        rest = placed
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if adj[v] & ~placed:
-                count += 1
-        return count
+    def boundary(placed, v):
+        placed |= 1 << v
+        return sum(1 for u in range(n) if placed >> u & 1 and adj[u] & ~placed)
 
-    def best(placed):
-        if placed == full:
-            return 0
-        if placed in memo:
-            return memo[placed]
-        out = None
-        for v in range(n):
-            if (1 << v) & placed:
-                continue
-            nxt = placed | (1 << v)
-            cand = max(boundary(nxt), best(nxt))
-            if out is None or cand < out:
-                out = cand
-        memo[placed] = out
-        return out
-
-    return best(0)
+    return best_order(n, boundary, max)[0]
 
 
 def decomposition_from_elimination(g, order):
@@ -741,23 +721,9 @@ def validate_decomposition(g, d):
         if not any(e <= bag for bag in d.bags.values()):
             raise DecompositionError("containment", tuple(sorted(e)),
                                      f"edge {sorted(e)} inside no bag")
-    adj = {b: set() for b in ids}
-    for e in d.tree:
-        a, b = sorted(e)
-        adj[a].add(b)
-        adj[b].add(a)
     for v in sorted(g.vertices):
         holding = {b for b, bag in d.bags.items() if v in bag}
-        start = next(iter(sorted(holding)))
-        seen = set()
-        stack = [start]
-        while stack:
-            b = stack.pop()
-            if b in seen:
-                continue
-            seen.add(b)
-            stack.extend(u for u in adj[b] if u in holding and u not in seen)
-        if seen != holding:
+        if not _tree_connected(holding, [e for e in d.tree if e <= holding]):
             raise DecompositionError("connectivity", v,
                                      f"bags holding {v!r} are disconnected")
     return d.width

@@ -1,5 +1,5 @@
 """Fooling-set experiments, frontier location, injectivity certificates, and
-the brute-force minimal-OBDD oracle.
+the minimal-OBDD order search.
 
 An experiment fixes a graph, an induced matching listed as (u_i, w_i) pairs,
 an engine, and a variable order whose prefix ends at the last u-side
@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .diagrams import (DiagramBuilder, to_json,
                        truth_table as diagram_truth_table, validate)
 from .errors import PreconditionError, SoundnessError
 from .formulas import psi_formula, vc_formula
-from .graphs import LinearOrder, double, is_induced_matching, neatly_crosses, tag
+from .graphs import LinearOrder, best_order, double, is_induced_matching, neatly_crosses, tag
 from .version import BUILD_ID
 
 
@@ -333,44 +334,74 @@ def obdd_for_order(phi, order, universe=None):
 
 def min_obdd(phi, search="exhaustive", count=None, seed=None,
              cap=config.EXHAUSTIVE_ORDER_CAP, verify=False):
-    """Minimal (or sampled-minimal) OBDD size with a realizing order."""
+    """Minimal (or sampled-minimal) OBDD size with a realizing order.
+
+    The exhaustive search is the Friedman-Supowit subset DP, ``best_order``
+    summing ``_level_nodes``; of the optimal orders it returns the
+    lexicographically first, the one a scan of all n! orders keeps.
+    """
     names = sorted(phi.vars)
     n = len(names)
     if n == 0:
         return 1, LinearOrder(())
     config.check_scale(n, config.OBDD_SIZING_CAP, "variables for OBDD sizing")
-    best = None
     if search == "exhaustive":
         config.check_scale(n, cap, "variables for exhaustive order search")
-        candidates = itertools.permutations(names)
+        cost = _level_nodes(n, cnf_truth_table(phi, names))
+        size, index = best_order(n, cost, operator.add)
+        order = [names[v] for v in index]
     elif search == "sampled":
         if count is None or seed is None:
             raise ValueError("sampled search needs count and seed")
         rng = random.Random(seed)
-
-        def shuffled():
-            for _ in range(count):
-                order = list(names)
-                rng.shuffle(order)
-                yield tuple(order)
-
-        candidates = shuffled()
+        # encode once over the sorted names; each order only relabels positions
+        base = encode(phi, names)
+        rank = {name: i + 1 for i, name in enumerate(names)}
+        best = None
+        for _ in range(count):
+            shuffled = list(names)
+            rng.shuffle(shuffled)
+            pos = {rank[name]: p for p, name in enumerate(shuffled, 1)}
+            clauses = [[pos[lit] if lit > 0 else -pos[-lit] for lit in c] for c in base]
+            size = kernels.obdd_size_for_order(n, clauses)
+            if best is None or size < best[0]:
+                best = (size, shuffled)
+        size, order = best
     else:
         raise ValueError(f"unknown search {search!r}")
-    # encode once over the sorted names; each order only relabels positions
-    base = encode(phi, names)
-    rank = {name: i + 1 for i, name in enumerate(names)}
-    for order in candidates:
-        pos = {rank[name]: p for p, name in enumerate(order, 1)}
-        clauses = [[pos[lit] if lit > 0 else -pos[-lit] for lit in c] for c in base]
-        size = kernels.obdd_size_for_order(n, clauses)
-        if best is None or size < best[0]:
-            best = (size, order)
-    size, order = best
     if verify:
         built = obdd_for_order(phi, order)
         if built.size != size:
-            raise SoundnessError("kernel size disagrees with the constructed OBDD")
+            raise SoundnessError("searched size disagrees with the constructed OBDD")
         if diagram_truth_table(built, names) != cnf_truth_table(phi, names):
             raise SoundnessError("constructed OBDD does not compute the formula")
     return size, LinearOrder(order)
+
+
+def _level_nodes(n, table):
+    """The ``best_order`` step cost of the reduced OBDD of a truth table.
+
+    Placing v after the placed set S costs one node per distinct subfunction
+    left by fixing S that depends on v; the last step adds the sinks. The
+    subfunctions are full-width tables, keyed by S, cofactored on v with
+    ``kernels.pattern`` and widened back to full width.
+    """
+    last = (1 << n) - 1
+    subs = {0: (table,)}
+
+    def cost(placed, v):
+        pat = kernels.pattern(n, v)
+        shift = 1 << (n - 1 - v)
+        nodes = 0
+        below = set()
+        for sub in subs[placed]:
+            lo = sub & ~pat
+            hi = (sub & pat) >> shift
+            nodes += lo != hi
+            below.add(lo | lo << shift)
+            below.add(hi | hi << shift)
+        placed |= 1 << v
+        subs[placed] = below
+        return nodes + len(below) if placed == last else nodes
+
+    return cost

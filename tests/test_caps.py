@@ -25,6 +25,10 @@ def units(size):
 ONE_PAST = {
     # oracle: (call one past the cap, count, cap)
     "satisfying_set": (lambda: D.satisfying_set(chain_diagram(23)), 23, 22),
+    "diagrams.truth_table": (
+        lambda: D.truth_table(chain_diagram(23), sorted(chain_diagram(23).vars)), 23, 22),
+    "cnf.truth_table": (lambda: C.truth_table(units(23), sorted(units(23).vars)), 23, 22),
+    "obdd_for_order": (lambda: LB.obdd_for_order(units(23), sorted(units(23).vars)), 23, 22),
     "cnf.models": (lambda: C.models(units(23), units(23).vars), 23, 22),
     "cnf.count_models": (lambda: C.count_models(units(23), units(23).vars), 23, 22),
     "check_model_decomposition": (

@@ -324,6 +324,11 @@ class TestSerialization:
     def test_unchanged_document_loads(self):
         assert self.load_with(3) == a_and_b()
 
+    @pytest.mark.parametrize("node, value", [(0, False), (1, True), (1, 1.0), (3, 3.0)])
+    def test_node_id_must_be_an_integer(self, node, value):
+        with pytest.raises(FormatError, match="node ids"):
+            self.load_with(node, id=value)
+
     @pytest.mark.parametrize("value", [2, -1, "1", True, None, 1.0])
     def test_sink_value_must_be_0_or_1(self, value):
         with pytest.raises(FormatError, match="sink 1 has value"):

@@ -173,6 +173,43 @@ class TestSplitNeat:
             G.split_neat(c4, c4.edges, frozenset(), pi)
 
 
+def permutation_widths(g):
+    """n! oracles over the vertex orders: the lsim and lmm crossing widths,
+    the widest bag of the elimination decomposition (treewidth) and the
+    vertex separation number, which equals the pathwidth."""
+    best = {}
+    for perm in itertools.permutations(sorted(g.vertices)):
+        order = G.LinearOrder(perm)
+        widths = {
+            "lsim": G.crossing_width(g, order, mode="induced-matching")[0],
+            "lmm": G.crossing_width(g, order, mode="matching")[0],
+            "tw": G.decomposition_from_elimination(g, perm).width,
+            "pw": max(sum(1 for u in perm[:k] if g.neighbors(u) - set(perm[:k]))
+                      for k in range(1, len(perm) + 1)),
+        }
+        for key, width in widths.items():
+            best[key] = min(best.get(key, width), width)
+    return best
+
+
+class TestSubsetDpOracles:
+    def test_exact_searches_match_the_permutation_oracles(self):
+        rng = random.Random(23)
+        # 104 graphs; six vertices cost 720 orders each, so only four have six
+        for size in [*range(1, 6)] * 20 + [6] * 4:
+            g = random_graph(rng, size, edge_prob=rng.random(), no_isolated=False)
+            brute = permutation_widths(g)
+            for mode, inner in (("lsim", "induced-matching"), ("lmm", "matching")):
+                width, order = G.width_min(g, mode)
+                assert width == brute[mode]
+                assert G.crossing_width(g, order, mode=inner)[0] == width
+            width, elimination = G.exact_elimination_order(g)
+            assert width == G.treewidth_exact(g) == brute["tw"]
+            decomposition = G.decomposition_from_elimination(g, elimination)
+            assert G.validate_decomposition(g, decomposition) == width
+            assert G.pathwidth_exact(g) == brute["pw"]
+
+
 class TestTreewidth:
     def test_trees_have_width_one(self):
         t = path_graph(["a", "b", "c", "d"])

@@ -1,12 +1,17 @@
-"""Every top-level import in the package is used by the module that makes it.
+"""Every top-level import in the package is used by the module that makes
+it, and every private top-level definition is read by some module.
 
 A stdlib ``ast`` scan: a module's top-level ``import`` and ``from ... import``
 statements bind names, and each bound name must be read somewhere in the
 module. ``__init__.py`` files are skipped, since their imports are the
-package's re-exports, and so are ``from __future__`` imports.
+package's re-exports, and so are ``from __future__`` imports. A top-level
+``def`` or ``class`` whose name starts with one underscore is private to the
+package, so some module of the package must read it: as a name, as an
+attribute, or through an import.
 """
 
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -30,6 +35,31 @@ def unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def private_definitions(source):
+    """(line, name) for each top-level def or class with a private name."""
+    return [(stmt.lineno, stmt.name) for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")]
+
+
+def names_read(source):
+    """Every name a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+@functools.cache
+def package_reads():
+    return frozenset().union(*(names_read(p.read_text()) for p in PACKAGE.glob("*.py")))
+
+
 def test_scan_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os, os.path as osp\n"
@@ -45,3 +75,20 @@ def test_package_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == [], f"{path.name} imports names it never uses"
+
+
+def test_scan_finds_an_unread_private_definition():
+    defining = ("def _used():\n    pass\n"
+                "class _Unread:\n    pass\n"
+                "def __dunder__():\n    pass\n"
+                "def _imported():\n    pass\n"
+                "_Unread = 1\n")
+    reading = "from .a import _imported\nx = _used\n"
+    read = names_read(defining) | names_read(reading)
+    assert [d for d in private_definitions(defining) if d[1] not in read] == [(3, "_Unread")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_definition(path):
+    unread = [d for d in private_definitions(path.read_text()) if d[1] not in package_reads()]
+    assert unread == [], f"{path.name} defines private names no module reads"

@@ -10,10 +10,10 @@ from ddlab import diagrams as D
 from ddlab import lowerbound as LB
 from ddlab.assignments import Assignment, restrict_set, breaks
 from ddlab.errors import PreconditionError, SoundnessError
-from ddlab.formulas import psi_formula, vc_formula
+from ddlab.formulas import grid_junction_formula, psi_formula, vc_formula
 from ddlab.graphs import Graph, LinearOrder
 
-from conftest import component_and_obdd, matching_graph
+from conftest import component_and_obdd, matching_graph, random_cnf
 
 
 def worked_example_experiment():
@@ -235,7 +235,26 @@ class TestNeatcrossChecks:
             assert not ok
 
 
+def permutation_min_obdd(phi):
+    """The n! oracle: every order sized on its own, the first strict minimum
+    kept, which is the lexicographically first optimal order."""
+    best = None
+    for perm in itertools.permutations(sorted(phi.vars)):
+        size = LB.obdd_size(phi, perm)
+        if best is None or size < best[0]:
+            best = (size, LinearOrder(perm))
+    return best
+
+
 class TestMinObdd:
+    def test_subset_dp_matches_the_permutation_oracle(self):
+        rng = random.Random(11)
+        cases = [random_cnf(rng, rng.randint(1, 6), rng.randint(0, 8)) for _ in range(120)]
+        for phi in cases + [grid_junction_formula(2)]:
+            size, order = LB.min_obdd(phi)
+            assert (size, order) == permutation_min_obdd(phi)
+            assert LB.obdd_for_order(phi, order).size == size
+
     def test_constant_true(self):
         assert LB.min_obdd(C.Cnf([]), verify=True)[0] == 1
 
