@@ -82,10 +82,6 @@ def _verb_args(ns):
     return args
 
 
-def _as_given(path):
-    return path
-
-
 # per shared verb: the info field printed first, and the line printed when
 # the text went to --out instead of stdout; by default the text alone
 _SHOW = {
@@ -105,7 +101,7 @@ def cmd_verb(ns):
     verb = ns.lbverb if ns.verb == "lb" else ns.verb
     args = _verb_args(ns)
     start = time.perf_counter()
-    info, text = verbs.run(verb, args, _as_given)
+    info, text = verbs.run(verb, args, verbs.Paths())
     elapsed = (time.perf_counter() - start) * 1000.0
     field, wrote = _SHOW.get(verb, (None, None))
     if field is not None:
@@ -122,7 +118,7 @@ def cmd_verb(ns):
 
 def _write_meta(args, info):
     """The provenance of a generated formula, next to it."""
-    _, source = verbs.formula(args, _as_given)
+    _, source = verbs.formula(args, verbs.Paths())
     grid = isinstance(source, graphs.GridGraph)
     graph = source.graph if grid else source
     meta = dict(info, build=BUILD_ID, family=args["family"],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .assignments import Assignment
 from .cnf import Cnf, clause_key, graphs_of, reduce as cnf_reduce
-from .diagrams import AND, DECISION, DiagramBuilder, graft, validate
+from .diagrams import AND, DECISION, SINK, Diagram, DiagramBuilder, graft, validate
 from .errors import FormatError, PreconditionError, ScopeError, SoundnessError
 from .graphs import LinearOrder, grid_name, grid_order, tag, validate_decomposition
 from .formulas import JUNCTION
@@ -69,16 +69,52 @@ def dt_paths(t, prefix=()):
 
 
 def dt_to_diagram(t):
-    """The tree as a conjunction-free diagram with shared sinks."""
-    builder = DiagramBuilder()
-    sink, decision = builder.sink, builder.decision
+    """The tree as a conjunction-free diagram with shared sinks.
+
+    Nodes are numbered children first, the 0-branch before the 1-branch,
+    each sink where it is first reached. A subtree object the tree shares is
+    expanded node by node once; every later occurrence copies the column
+    slice of an expansion that created no sink, shifting the ids inside the
+    slice and keeping the sink ids, which lie below it.
+    """
+    kind, var, lo, hi = [], [], [], []
+    sinks = {}
+    spans = {}  # id(DTTest) -> (start, end) of a sink-free expansion
 
     def build(node):
         if type(node) is DTLeaf:
-            return sink(1 if node.value else 0)
-        return decision(node.var, build(node.lo), build(node.hi))
+            value = 1 if node.value else 0
+            i = sinks.get(value)
+            if i is None:
+                i = sinks[value] = len(kind)
+                kind.append(SINK)
+                var.append(None)
+                lo.append(value)
+                hi.append(None)
+            return i
+        start = len(kind)
+        span = spans.get(id(node))
+        if span is not None:
+            a, b = span
+            shift = start - a
+            kind.extend(kind[a:b])
+            var.extend(var[a:b])
+            lo.extend([c + shift if c >= a else c for c in lo[a:b]])
+            hi.extend([c + shift if c >= a else c for c in hi[a:b]])
+            return len(kind) - 1
+        made = len(sinks)
+        zero = build(node.lo)
+        one = build(node.hi)
+        kind.append(DECISION)
+        var.append(node.var)
+        lo.append(zero)
+        hi.append(one)
+        if len(sinks) == made:
+            spans[id(node)] = (start, len(kind))
+        return len(kind) - 1
 
-    return builder.finalize(build(t))
+    source = build(t)
+    return Diagram.from_columns(kind, var, lo, hi, source)
 
 
 def _spine_clause(phi):

@@ -70,7 +70,7 @@ def run_experiment(manifest_path, out_dir):
     os.makedirs(bundle, exist_ok=True)
     with open(os.path.join(bundle, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    path = functools.partial(_resolve, bundle)
+    path = verbs.Paths(functools.partial(_resolve, bundle))
     rows = []
     try:
         for k, step in enumerate(steps):

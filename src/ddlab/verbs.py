@@ -1,14 +1,16 @@
 """The verbs that the ``ddlab`` command and experiment bundles share.
 
 Each verb takes ``(args, path)``. ``args`` is a dict of JSON values: numbers,
-strings, and lists where a verb takes several names. ``path`` maps a path
-argument to the file it names: as given on the command line, inside the
-bundle directory for a bundle step. A missing argument is a ``KeyError`` on
-``args``.
+strings, and lists where a verb takes several names. ``path`` is a
+:class:`Paths`: ``path(rel)`` is the file a path argument names, as given on
+the command line, inside the bundle directory for a bundle step, and
+``path.diagram(rel)`` reads the diagram such a file holds. A missing
+argument is a ``KeyError`` on ``args``.
 
-Each verb returns ``(info, text)``: ``info`` is what a bundle summary records
-for the step, ``text`` the verb's main artifact, or None when it has none.
-``run`` writes ``text`` to ``args["out"]`` when that key is given.
+Each verb returns ``(info, made)``: ``info`` is what a bundle summary records
+for the step, ``made`` the verb's main artifact, a ``Diagram`` or text, or
+None when it has none. ``run`` writes the artifact's text to ``args["out"]``
+when that key is given.
 """
 
 from __future__ import annotations
@@ -20,6 +22,45 @@ from . import compile as compile_mod
 from . import config, diagrams, formulas, graphs, lowerbound
 from .assignments import Assignment
 from .errors import FormatError
+
+
+class Paths:
+    """The files a verb's path arguments name, and the diagrams written to
+    them in this run.
+
+    ``path(rel)`` maps a path argument to its file: ``resolve(rel)``, or
+    ``rel`` itself without ``resolve``. A diagram written through ``write``
+    is kept with its text; ``diagram`` hands it back, unparsed, while the
+    file still holds exactly that text, and parses the file otherwise. The
+    command line makes one ``Paths()`` per verb and a bundle run one per
+    run, so nothing is kept past the run.
+    """
+
+    def __init__(self, resolve=None):
+        self._resolve = resolve
+        self._written = {}  # file -> (text, Diagram) of the last diagram written there
+
+    def __call__(self, rel):
+        return rel if self._resolve is None else self._resolve(rel)
+
+    def write(self, rel, text, diagram=None):
+        """Write ``text`` to the file ``rel`` names; ``diagram``, when given,
+        is what the text encodes."""
+        file = self(rel)
+        with open(file, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if diagram is not None:
+            self._written[file] = text, diagram
+
+    def diagram(self, rel):
+        """The diagram in the file ``rel`` names."""
+        file = self(rel)
+        with open(file, encoding="utf-8", newline="") as fh:
+            text = fh.read()  # as written: no newline translation
+        kept = self._written.get(file)
+        if kept is not None and kept[0] == text:
+            return kept[1]
+        return diagrams.from_json(text)
 
 
 def _listed(value, key):
@@ -69,9 +110,7 @@ def formula(args, path):
 
 def write(args, path):
     """Write ``text`` to the file ``path`` names."""
-    text = args["text"]
-    with open(path(args["path"]), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    path.write(args["path"], args["text"])
     return {}, None
 
 
@@ -82,7 +121,7 @@ def gen(args, path):
 
 
 def compile(args, path):
-    """A diagram by one of the compile methods, as JSON; the ``primal`` and
+    """A diagram by one of the compile methods; the ``primal`` and
     ``split`` methods also write their vtree to ``vtree_out`` when given."""
     method = args["method"]
     vtree = None
@@ -113,7 +152,7 @@ def compile(args, path):
         raise FormatError(f"unknown compile method {method!r}")
     if vtree is not None and args.get("vtree_out"):
         compile_mod.write_vtree(vtree, path(args["vtree_out"]))
-    return {"size": diagram.size}, diagrams.to_json(diagram)
+    return {"size": diagram.size}, diagram
 
 
 def obdd(args, path):
@@ -125,12 +164,12 @@ def obdd(args, path):
         exp = _experiment(args, path)
         phi, order = exp.formula(), exp.order
     diagram = lowerbound.obdd_for_order(phi, order)
-    return {"size": diagram.size}, diagrams.to_json(diagram)
+    return {"size": diagram.size}, diagram
 
 
 def count(args, path):
     """The model count over ``universe``, by default the declared variables."""
-    diagram = diagrams.load(path(args["diagram"]))
+    diagram = path.diagram(args["diagram"])
     universe = (frozenset(_listed(args["universe"], "universe")) if "universe" in args
                 else (diagram.declared_vars or diagram.vars))
     return {"count": diagrams.count_models(diagram, universe)}, None
@@ -138,13 +177,13 @@ def count(args, path):
 
 def eval(args, path):
     """The diagram's value on a total assignment."""
-    diagram = diagrams.load(path(args["diagram"]))
+    diagram = path.diagram(args["diagram"])
     return {"value": diagrams.evaluate(diagram, Assignment.parse(args["assignment"]))}, None
 
 
 def validate(args, path):
     """The diagram's class, as a one-line JSON report."""
-    diagram = diagrams.load(path(args["diagram"]))
+    diagram = path.diagram(args["diagram"])
     order = graphs.read_order(path(args["order"])).names if args.get("order") else None
     cls = diagrams.validate(diagram, order)
     info = {"fbdd": cls.is_fbdd, "obdd": cls.is_obdd, "and_obdd": cls.is_and_obdd}
@@ -179,7 +218,7 @@ def fool(args, path):
 def certify(args, path):
     """The injectivity certificate, as JSON without its timing."""
     exp = _experiment(args, path)
-    diagram = diagrams.load(path(args["diagram"]))
+    diagram = path.diagram(args["diagram"])
     cert = lowerbound.certify(diagram, exp.order, exp)
     return ({"bound": cert.bound, "fooling_size": cert.fooling_size,
              "diagram_size": cert.diagram_size}, cert.to_json())
@@ -193,9 +232,11 @@ VERBS = {fn.__name__: fn for fn in (write, gen, compile, obdd, count, eval, vali
 
 
 def run(verb, args, path):
-    """Run one verb, writing its text to ``args["out"]`` when that key is given."""
-    info, text = VERBS[verb](args, path)
+    """Run one verb, writing its artifact's text to ``args["out"]`` when that
+    key is given; returns the info and that text."""
+    info, made = VERBS[verb](args, path)
+    diagram = made if isinstance(made, diagrams.Diagram) else None
+    text = made if diagram is None else diagrams.to_json(diagram)
     if text is not None and "out" in args:
-        with open(path(args["out"]), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        path.write(args["out"], text, diagram)
     return info, text

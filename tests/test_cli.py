@@ -7,6 +7,7 @@ import pytest
 from ddlab import cli
 from ddlab import cnf as C
 from ddlab import diagrams as D
+from ddlab import manifest, verbs
 
 
 # a decision node whose two edges reach equal sinks: valid JSON, invalid diagram
@@ -504,3 +505,156 @@ def test_cli_and_bundle_step_agree(tmp_path, capsys, monkeypatch, argv, verb, ar
         assert (bundle / f"cli{suffix}").read_bytes() == (bundle / f"b{suffix}").read_bytes()
     text = (bundle / "text.out").read_text() if "{text}" in stdout else None
     assert out == stdout.format(text=text, **info)
+
+
+# ---------------------------------------------------------------------------
+# diagrams kept within one bundle run
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The lengths of the texts ``diagrams.from_json`` parses while the test runs."""
+    calls = []
+    real = D.from_json
+
+    def counted(text):
+        calls.append(len(text))
+        return real(text)
+
+    monkeypatch.setattr(D, "from_json", counted)
+    return calls
+
+
+def reuse_inputs():
+    """The input files of the steps below, in the working directory."""
+    from ddlab import formulas as F
+    from ddlab import graphs as G
+    from conftest import exact_decomposition, matching_graph
+    G.write_graph(matching_graph(3), "g.txt")
+    vc3 = F.vc_formula(G.grid(3).graph)
+    C.write_dimacs(vc3, "vc3.cnf")
+    G.write_decomposition(exact_decomposition(C.graphs_of(vc3)[0]), "d.txt")
+    G.write_order(G.grid_order(3).names, "vc3.order")
+    psi2 = F.psi_formula(G.grid(2).graph)
+    C.write_dimacs(psi2, "psi2.cnf")
+    rest = C.Cnf(c for c in psi2.clauses if len(c) <= 2)
+    G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0]), "ds.txt")
+
+
+# every kind of diagram a bundle step writes: each compile method and obdd
+WRITTEN = [
+    ("compile", {"method": "dtree", "cnf": "vc3.cnf"}),
+    ("compile", {"method": "primal", "cnf": "vc3.cnf", "decomp": "d.txt"}),
+    ("compile", {"method": "split", "cnf": "psi2.cnf", "decomp": "ds.txt",
+                 "long": ["c8", "c9"]}),
+    ("compile", {"method": "grid-junction", "n": 3}),
+    ("compile", {"method": "psi-layer", "n": 2, "orientation": "vert"}),
+    ("compile", {"method": "psi-layer", "n": 2, "junction": True}),
+    ("obdd", {"cnf": "vc3.cnf", "order": "vc3.order"}),
+    ("obdd", {"graph": "g.txt", "matching": MATCHING, "engine": "and-obdd"}),
+]
+
+
+@pytest.mark.parametrize("verb,args", WRITTEN,
+                         ids=[f"{v}-{a.get('method', a.get('engine', 'order'))}"
+                              f"{'-junction' if a.get('junction') else ''}"
+                              for v, a in WRITTEN])
+def test_written_diagrams_read_back_equal(tmp_path, monkeypatch, verb, args):
+    # what makes handing back a written diagram exact: parsing its text gives it back
+    monkeypatch.chdir(tmp_path)
+    reuse_inputs()
+    _, diagram = verbs.VERBS[verb](args, verbs.Paths())
+    assert isinstance(diagram, D.Diagram)
+    assert D.from_json(D.to_json(diagram)) == diagram  # columns, source, declared_vars
+
+
+def test_paths_hand_back_what_they_wrote_while_the_bytes_match(tmp_path, parses):
+    path = verbs.Paths()
+    b = D.DiagramBuilder()
+    d = b.finalize(b.decision("x", b.sink(0), b.sink(1)))
+    file = str(tmp_path / "d.json")
+    path.write(file, D.to_json(d), d)
+    assert path.diagram(file) is d and parses == []
+    with open(file, "a", encoding="utf-8") as fh:
+        fh.write("\n")  # the same diagram, no longer the same bytes
+    again = path.diagram(file)
+    assert again is not d and again == d and len(parses) == 1
+    assert verbs.Paths().diagram(file) == d and len(parses) == 2
+
+
+REUSE_STEPS = [
+    {"name": "gen", "verb": "gen", "args": {"family": "vc", "grid": 3, "out": "vc3.cnf"}},
+    {"name": "graph", "verb": "write",
+     "args": {"path": "in/g.txt", "text": "".join(f"v {v}\n" for p in MATCHING for v in p)
+              + "".join(f"e {u} {w}\n" for u, w in MATCHING)}},
+    {"name": "dtree", "verb": "compile",
+     "args": {"method": "dtree", "cnf": "vc3.cnf", "out": "dtree.json"}},
+    {"name": "junction", "verb": "compile",
+     "args": {"method": "grid-junction", "n": 3, "out": "out/junction.json"}},
+    {"name": "count-dtree", "verb": "count", "args": {"diagram": "dtree.json"}},
+    {"name": "count-junction", "verb": "count", "args": {"diagram": "out/junction.json"}},
+    {"name": "eval-junction", "verb": "eval",
+     "args": {"diagram": "out/junction.json",
+              "assignment": "jn=1,(1,1)=1,(1,2)=0,(1,3)=1,(2,1)=1,(2,2)=1,(2,3)=0,"
+                            "(3,1)=1,(3,2)=1,(3,3)=1"}},
+    {"name": "validate-dtree", "verb": "validate",
+     "args": {"diagram": "dtree.json", "out": "dtree.class"}},
+    {"name": "validate-junction", "verb": "validate", "args": {"diagram": "out/junction.json"}},
+    {"name": "obdd", "verb": "obdd",
+     "args": {"graph": "in/g.txt", "matching": MATCHING, "engine": "obdd", "out": "bad.json"}},
+    {"name": "certify", "verb": "certify",
+     "args": {"graph": "in/g.txt", "matching": MATCHING, "engine": "obdd",
+              "diagram": "bad.json", "out": "cert.json"}},
+]
+LOADS = sum("diagram" in step["args"] for step in REUSE_STEPS)
+
+
+def run_manifest(tmp_path, capsys, steps, out_dir):
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps({"name": "reuse", "steps": steps}))
+    code, _, err = run(["run", "--manifest", str(man), "--out-dir", str(out_dir)], capsys)
+    return code, json.loads((out_dir / "summary.json").read_text()), err
+
+
+def test_a_run_reuses_its_diagrams_and_matches_steps_run_one_by_one(tmp_path, capsys, parses):
+    code, whole, _ = run_manifest(tmp_path, capsys, REUSE_STEPS, tmp_path / "whole")
+    assert code == 0 and parses == []  # every diagram a step read, an earlier step wrote
+    rows = []
+    for step in REUSE_STEPS:
+        code, single, _ = run_manifest(tmp_path, capsys, [step], tmp_path / "single")
+        assert code == 0
+        rows += single["steps"]
+    assert len(parses) == LOADS
+    assert rows == whole["steps"]
+    artifacts = {k: v for k, v in whole["artifacts"].items() if k != "manifest.json"}
+    assert artifacts == {k: v for k, v in single["artifacts"].items() if k != "manifest.json"}
+    assert {"dtree.json", "out/junction.json", "bad.json", "cert.json"} <= artifacts.keys()
+
+
+def test_an_overwritten_diagram_is_read_again(tmp_path, capsys):
+    made = {"name": "made", "verb": "compile",
+            "args": {"method": "grid-junction", "n": 2, "out": "d.json"}}
+    count = {"name": "count", "verb": "count", "args": {"diagram": "d.json"}}
+    over = {"name": "over", "verb": "write",
+            "args": {"path": "d.json", "text": json.dumps(A_AND_B)}}
+    code, summary, _ = run_manifest(tmp_path, capsys, [made, count, over, count],
+                                    tmp_path / "b")
+    assert code == 0
+    assert [row["info"] for row in summary["steps"]] == [
+        {"size": 13}, {"count": 18}, {}, {"count": 1}]
+    over["args"]["text"] = '{"nodes": ['
+    code, summary, err = run_manifest(tmp_path, capsys, [made, over, count], tmp_path / "c")
+    assert code == 2 and summary["failed"]["name"] == "count"
+    assert json.loads(err.splitlines()[0])["error"] == "MalformedStep"
+
+
+def test_nothing_is_kept_past_a_run(tmp_path, parses):
+    bundle = tmp_path / "b"
+    man = tmp_path / "m.json"
+    gen, _, dtree, _, count = REUSE_STEPS[:5]
+    man.write_text(json.dumps({"name": "first", "steps": [gen, dtree, count]}))
+    first = manifest.run_experiment(str(man), str(bundle))
+    assert parses == []
+    man.write_text(json.dumps({"name": "second", "steps": [count]}))
+    second = manifest.run_experiment(str(man), str(bundle))
+    assert len(parses) == 1 and second["steps"] == first["steps"][-1:]

@@ -124,6 +124,52 @@ class TestDecisionTreeOracle:
         assert D.count_models(back) == D.count_models(d)
 
 
+def node_by_node(t):
+    """``dt_to_diagram`` as one builder call per tree node: the oracle for
+    its slice copies."""
+    builder = D.DiagramBuilder()
+
+    def build(node):
+        if isinstance(node, CP.DTLeaf):
+            return builder.sink(1 if node.value else 0)
+        return builder.decision(node.var, build(node.lo), build(node.hi))
+
+    return builder.finalize(build(t))
+
+
+def shared_tests(t):
+    """How many times the tree reaches a ``DTTest`` object it reached before."""
+    seen, again, stack = set(), 0, [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, CP.DTTest):
+            again += id(node) in seen
+            seen.add(id(node))
+            stack += [node.lo, node.hi]
+    return again
+
+
+class TestDtToDiagram:
+    def test_random_cnfs_match_the_node_by_node_build(self):
+        rng = random.Random(81)
+        shared = 0
+        for _ in range(300):
+            phi = random_cnf(rng, rng.randint(1, 8), rng.randint(0, 10))
+            dt = CP.decision_tree(phi)
+            d, want = CP.dt_to_diagram(dt), node_by_node(dt)
+            assert (d.kind, d.var, d.lo, d.hi, d.source) == (
+                want.kind, want.var, want.lo, want.hi, want.source)
+            assert d.declared_vars is None
+            shared += shared_tests(dt) > 0
+        assert shared > 50  # the slice copies ran
+
+    @pytest.mark.parametrize("family,n", [("vc", 2), ("vc", 3), ("vc", 4), ("psi", 3)])
+    def test_grid_trees_match_the_node_by_node_build(self, family, n):
+        maker = F.vc_formula if family == "vc" else F.psi_formula
+        dt = CP.decision_tree(maker(G.grid(n).graph))
+        assert D.to_json(CP.dt_to_diagram(dt)) == D.to_json(node_by_node(dt))
+
+
 class TestVtree:
     def test_roundtrip(self):
         vt = CP.Vtree(("a", (("b", "c"), "d")))

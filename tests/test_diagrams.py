@@ -306,7 +306,7 @@ class TestSerialization:
         t = b.sink(1)
         d = b.finalize(b.decision("x", t, t), declared_vars={"x", "y"})
         back = D.from_json(D.to_json(d))
-        assert back.declared_vars == {"x", "y"}
+        assert back == d and back.declared_vars == {"x", "y"}
 
     def test_declaring_only_the_tested_vars_declares_nothing(self):
         b = D.DiagramBuilder()
