@@ -14,6 +14,14 @@ import itertools
 from .errors import DomainOverlapError, ScopeError, UniformityError
 
 
+def as_bit(value, what):
+    """``value`` as the int 0 or 1; anything but an int or bool equal to 0 or 1
+    (a float, a string) raises ``ValueError`` naming ``what``."""
+    if isinstance(value, int) and value in (0, 1):
+        return int(value)
+    raise ValueError(f"{what} must be 0 or 1, got {value!r}")
+
+
 class Assignment:
     """An immutable partial truth assignment."""
 
@@ -31,9 +39,8 @@ class Assignment:
             pairs = bindings
         m = {}
         for name, bit in pairs:
-            bit = int(bit)
-            if bit not in (0, 1):
-                raise ValueError(f"bit for {name!r} must be 0 or 1, got {bit}")
+            if type(bit) is not int or bit >> 1:  # only the ints 0 and 1 skip the call
+                bit = as_bit(bit, f"bit for {name!r}")
             if name in m and m[name] != bit:
                 raise ValueError(f"variable {name!r} bound twice with conflicting bits")
             m[name] = bit
@@ -223,16 +230,55 @@ def restrict_set(h, a):
     return AssignmentSet(b.minus(a0) for b in h if a0 <= b)
 
 
+def _finest_parts(rows, low, n):
+    """The finest Cartesian factorization of the integer ``rows`` over bits
+    ``low .. n-1``, as a list of disjoint masks covering those bits.
+
+    Splits on the lowest bit x: each half is factored, and the two partitions
+    are joined. A join block on which both halves project alike is a part of
+    the whole; every other block joins x's part. A variable fixed across the
+    rows is a part by itself.
+    """
+    if low == n:
+        return []
+    if len(rows) == 1:
+        return [1 << i for i in range(low, n)]
+    x = 1 << low
+    r0 = [r for r in rows if not r & x]
+    r1 = [r for r in rows if r & x]
+    if not r0 or not r1:
+        return [x] + _finest_parts(r0 or r1, low + 1, n)
+    blocks = _finest_parts(r0, low + 1, n)
+    for part in _finest_parts(r1, low + 1, n):
+        keep = [b for b in blocks if not b & part]
+        if len(keep) < len(blocks) - 1:  # part spans several blocks: merge them
+            part = sum(blocks) - sum(keep)
+            blocks = keep + [part]
+    parts = []
+    for b in blocks:
+        if {r & b for r in r0} == {r & b for r in r1}:
+            parts.append(b)
+        else:
+            x |= b
+    parts.append(x)
+    return parts
+
+
 def breaks(h, y):
     """Decide whether the uniform set ``h`` breaks ``y``, with a witness.
 
     Returns ``(False, None)`` or ``(True, (v1, v2))`` where ``v1, v2`` is a
     bipartition of the universe splitting ``y`` with
-    ``h == project_set(h, v1) x project_set(h, v2)``. Only projections need be
-    tested as factor candidates: any factoring of a uniform set equals the
-    pair of projections onto its variable bipartition. Exhaustive over the
-    2^(|universe|-1) bipartitions, so desk scale only; each is tested on the
-    members encoded once as integer rows (bit i binds the i-th sorted name).
+    ``h == project_set(h, v1) x project_set(h, v2)``. The sets V with
+    ``h == project_set(h, V) x project_set(h, rest)`` are closed under
+    intersection and complement, so they are the unions of a finest set of
+    disjoint parts, found once on the members encoded as integer rows (bit i
+    binds the i-th sorted name). ``h`` breaks ``y`` exactly when ``y`` touches
+    two parts. ``v1`` is the first witness of a scan over the masks below
+    2^(n-1) in increasing order: every such witness is a union of parts
+    without the last sorted name, one of them touching ``y``, so the first is
+    the smallest part that touches ``y``. Polynomial: at most about n·|h|
+    recursive calls, each linear in its rows.
     """
     if not h.is_uniform:
         raise UniformityError("breaks requires a uniform assignment set")
@@ -243,19 +289,12 @@ def breaks(h, y):
         return False, None
     names = sorted(h.universe)
     n = len(names)
-    size = len(h.elements)
     # a uniform member's sorted items line up with names
     rows = [sum(bit << i for i, (_, bit) in enumerate(a._items)) for a in h.elements]
     ybits = sum(1 << i for i, name in enumerate(names) if name in y)
-    full = (1 << n) - 1
-    for mask in range(1, 2 ** (n - 1)):  # complement-symmetric, skip empty/full
-        rest = full ^ mask
-        if not (ybits & mask) or not (ybits & rest):
-            continue
-        # h always lies inside the product of its two projections, so
-        # equality is exactly the size test
-        k1 = len({r & mask for r in rows})
-        if size % k1 == 0 and k1 * len({r & rest for r in rows}) == size:
-            v1 = frozenset(names[i] for i in range(n) if mask >> i & 1)
-            return True, (v1, h.universe - v1)
-    return False, None
+    touched = [p for p in _finest_parts(rows, 0, n) if p & ybits]
+    if len(touched) < 2:
+        return False, None
+    mask = min(touched)  # the part holding bit n-1 outweighs every other part
+    v1 = frozenset(names[i] for i in range(n) if mask >> i & 1)
+    return True, (v1, h.universe - v1)

@@ -14,22 +14,21 @@ the truth-table kernels and is capped accordingly.
 from __future__ import annotations
 
 from . import config, kernels
-from .assignments import decode_table
+from .assignments import as_bit, decode_table
 from .errors import FormatError, ScopeError
 from .graphs import Graph
 from .sources import read_text
 
 
 def literal(name, sign):
-    sign = int(sign)
-    if sign not in (0, 1):
-        raise ValueError("literal sign must be 0 or 1")
-    return (name, sign)
+    return (name, as_bit(sign, "literal sign"))
 
 
 def clause(literals):
-    """Build a well-formed clause; rejects a variable occurring twice."""
-    lits = frozenset((n, int(s)) for n, s in literals)
+    """Build a well-formed clause; rejects a variable occurring twice and a
+    sign that is not an int or bool equal to 0 or 1."""
+    lits = frozenset((n, s) if type(s) is int and not s >> 1 else literal(n, s)
+                     for n, s in literals)
     names = [n for n, _ in lits]
     if len(set(names)) != len(names):
         bad = sorted(n for n in set(names) if names.count(n) > 1)
@@ -48,12 +47,17 @@ class Cnf:
     __slots__ = ("clauses", "vars", "_hash")
 
     def __init__(self, clauses_in=()):
-        self.clauses = frozenset(clause(c) for c in clauses_in)
+        self._fill(frozenset(clause(c) for c in clauses_in))
+
+    def _fill(self, clauses):
+        """Set the fields from a frozenset of well-formed clauses, unchecked."""
+        self.clauses = clauses
         v = set()
-        for c in self.clauses:
+        for c in clauses:
             v.update(n for n, _ in c)
         self.vars = frozenset(v)
-        self._hash = hash(self.clauses)
+        self._hash = hash(clauses)
+        return self
 
     def __eq__(self, other):
         return isinstance(other, Cnf) and self.clauses == other.clauses
@@ -115,13 +119,15 @@ def count_models(phi, universe):
 
 def reduce(phi, g):
     """The clause-surgery reduction: drop satisfied clauses, erase assigned
-    occurrences from the rest. Empty clauses are kept; they mark contradiction."""
+    occurrences from the rest. Empty clauses are kept; they mark contradiction.
+    A clause cut from a well-formed clause is well-formed, so none is checked
+    again."""
     out = []
     for c in phi.clauses:
         if any(g.get(n) == s for n, s in c):
             continue
         out.append(frozenset((n, s) for n, s in c if n not in g))
-    return Cnf(out)
+    return Cnf.__new__(Cnf)._fill(frozenset(out))
 
 
 def clause_labels(phi):

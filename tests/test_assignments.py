@@ -56,11 +56,79 @@ def breaks_by_projection(h, y):
     return False, None
 
 
+def breaks_by_scan(h, y):
+    """The bipartition scan on integer rows: the oracle for ``breaks``.
+
+    Tests every bipartition mask below 2^(n-1) in increasing order, bit i
+    binding the i-th sorted name, and returns the first that splits ``y``
+    and factors ``h``. Exponential in the universe, so small sets only.
+    """
+    y = frozenset(y)
+    if len(y) < 2 or not h.elements:
+        return False, None
+    names = sorted(h.universe)
+    n = len(names)
+    size = len(h.elements)
+    rows = [sum(bit << i for i, (_, bit) in enumerate(a)) for a in h.elements]
+    ybits = sum(1 << i for i, name in enumerate(names) if name in y)
+    full = (1 << n) - 1
+    for mask in range(1, 2 ** (n - 1)):
+        rest = full ^ mask
+        if not (ybits & mask) or not (ybits & rest):
+            continue
+        # h always lies inside the product of its two projections
+        k1 = len({r & mask for r in rows})
+        if size % k1 == 0 and k1 * len({r & rest for r in rows}) == size:
+            v1 = frozenset(names[i] for i in range(n) if mask >> i & 1)
+            return True, (v1, h.universe - v1)
+    return False, None
+
+
+def random_block(rng, names):
+    """A random set over ``names``: a parity block, one row, or a subset of
+    the cube."""
+    rows = list(itertools.product((0, 1), repeat=len(names)))
+    draw = rng.random()
+    if draw < 0.25 and len(names) >= 2:
+        odd = rng.randint(0, 1)  # x1 xor ... xor xk = odd: no bipartition factors it
+        rows = [r for r in rows if sum(r) % 2 == odd]
+    elif draw < 0.35:
+        rows = [rng.choice(rows)]
+    else:
+        keep = rng.uniform(0.3, 0.9)
+        rows = [r for r in rows if rng.random() < keep] or [rng.choice(rows)]
+    return AssignmentSet(Assignment(zip(names, r)) for r in rows)
+
+
+def random_factored_set(rng, max_vars=10, max_factors=5):
+    """The product of up to ``max_factors`` random blocks over disjoint slices
+    of up to ``max_vars`` shuffled names, with the slices."""
+    n = rng.randint(2, max_vars)
+    names = rng.sample([f"v{i}" for i in range(12)], n)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, max_factors - 1))))
+    slices = [names[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    return product_all(random_block(rng, s) for s in slices), slices
+
+
 class TestAssignment:
     def test_well_formed(self):
         a = Assignment({"x": 1, "y": 0})
         assert a.vars == {"x", "y"}
         assert a["x"] == 1
+
+    @pytest.mark.parametrize("bit", [0.9, 1.5, 1.0, 2, -1, "1", None])
+    def test_bit_must_be_an_int_zero_or_one(self, bit):
+        # int() would truncate 0.9 to 0 and 1.5 to 1
+        with pytest.raises(ValueError):
+            Assignment([("x", bit)])
+        with pytest.raises(ValueError):
+            Assignment({"y": 1, "x": bit})
+
+    def test_bool_bit_is_the_int(self):
+        a = Assignment({"x": True, "y": False})
+        assert a == Assignment({"x": 1, "y": 0})
+        assert a.render() == "x=1,y=0"
+        assert [type(b) for _, b in a] == [int, int]
 
     def test_conflicting_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -246,6 +314,80 @@ class TestBreaksOracle:
             assert breaks(h, ub) == breaks_by_projection(h, ub) == (False, None)
             checked += 1
         assert checked == 3
+
+
+class TestBreaksScan:
+    """``breaks`` gives the integer-row scan's verdict and first witness."""
+
+    def test_random_factored_sets(self):
+        rng = random.Random(37)
+        verdicts = [0, 0]
+        for _ in range(400):
+            h, slices = random_factored_set(rng)
+            universe = sorted(h.universe)
+            if rng.random() < 0.3:  # inside one block, often a parity block
+                src = max(slices, key=len)
+                y = frozenset(rng.sample(src, rng.randint(1, len(src))))
+            else:
+                y = frozenset(rng.sample(universe, rng.randint(2, len(universe))))
+            got = breaks(h, y)
+            assert got == breaks_by_scan(h, y), (h.render(), sorted(y))
+            verdicts[got[0]] += 1
+        assert min(verdicts) >= 100
+
+    def test_parity_block_is_one_part(self):
+        # pairwise independent, yet no bipartition of {x, y, z} factors it
+        xor = AssignmentSet(Assignment({"x": a, "y": b, "z": a ^ b})
+                            for a in (0, 1) for b in (0, 1))
+        h = product(xor, cube(["w"]))
+        assert breaks(h, {"x", "y"}) == breaks_by_scan(h, {"x", "y"}) == (False, None)
+        ok, witness = breaks(h, {"w", "z"})
+        assert ok and witness == (frozenset("w"), frozenset("xyz"))
+        assert breaks_by_scan(h, {"w", "z"}) == (ok, witness)
+
+    def test_witness_is_the_first_scanned_mask(self):
+        # parts {a, d}, {b}, {c, e} with masks 0b01001, 0b00010, 0b10100: the
+        # witness is the touched part with the smallest mask, so {b} before
+        # {a, d}, and never the part holding the last name e
+        ad = AssignmentSet(Assignment({"a": x, "d": x}) for x in (0, 1))
+        ce = AssignmentSet(Assignment({"c": x, "e": 1 - x}) for x in (0, 1))
+        h = product_all([ad, cube(["b"]), ce])
+        for y, v1 in [("abcde", "b"), ("ab", "b"), ("be", "b"), ("ce", None),
+                      ("de", "ad"), ("ac", "ad")]:
+            expect = (True, (frozenset(v1), h.universe - frozenset(v1))) if v1 else (False, None)
+            assert breaks(h, y) == breaks_by_scan(h, y) == expect, y
+
+    def test_path_experiment_verdicts(self):
+        # the 8-vertex path: three restricted sets over 13 variables each
+        from conftest import path_graph
+        from ddlab import diagrams, lowerbound
+        exp = lowerbound.make_experiment(
+            path_graph([f"v{i}" for i in range(1, 9)]),
+            [("v1", "v2"), ("v4", "v5"), ("v7", "v8")], "and-obdd")
+        sats = diagrams.satisfying_set(lowerbound.obdd_for_order(exp.formula(), exp.order))
+        checked = 0
+        for g in lowerbound.fooling_set(exp):
+            _, ub, _ = lowerbound.unbreakable(exp, g)
+            h = restrict_set(sats, g)
+            assert len(h.universe) == 13
+            assert breaks(h, ub) == breaks_by_scan(h, ub) == (False, None)
+            for y in (h.universe, frozenset(sorted(h.universe)[:2])):
+                assert breaks(h, y) == breaks_by_scan(h, y)
+            checked += 1
+        assert checked == 3
+
+    def test_q4_matching_verdicts_unbroken(self):
+        from conftest import matching_graph
+        from ddlab import diagrams, lowerbound
+        exp = lowerbound.make_experiment(
+            matching_graph(4), [(f"u{i}", f"w{i}") for i in range(1, 5)], "and-obdd")
+        sats = diagrams.satisfying_set(lowerbound.obdd_for_order(exp.formula(), exp.order))
+        checked = 0
+        for g in lowerbound.fooling_set(exp):
+            _, ub, _ = lowerbound.unbreakable(exp, g)
+            assert breaks(restrict_set(sats, g), ub) == (False, None)
+            checked += 1
+        assert checked == 10
 
 
 class TestNoBreakProposition:

@@ -32,6 +32,20 @@ class TestConstruction:
     def test_empty_clause_is_legal(self):
         assert len(C.Cnf([[]])) == 1
 
+    @pytest.mark.parametrize("sign", [1.7, 0.9, 1.0, 2, -1, "1", None])
+    def test_sign_must_be_an_int_zero_or_one(self, sign):
+        with pytest.raises(ValueError):
+            C.literal("x", sign)
+        with pytest.raises(ValueError):
+            C.clause([("x", sign)])
+        with pytest.raises(ValueError):
+            C.Cnf([[("y", 1), ("x", sign)]])
+
+    def test_bool_sign_is_the_int(self):
+        assert C.literal("x", True) == ("x", 1)
+        assert C.clause([("x", False)]) == frozenset({("x", 0)})
+        assert type(next(iter(C.clause([("x", True)])))[1]) is int
+
 
 class TestEvaluate:
     def test_example_all_ones(self):
@@ -92,6 +106,16 @@ class TestReduce:
         assert out == C.Cnf([])
         # the reduction equation then lifts the model count over the cube
         assert len(product(C.models(out, out.vars), cube({"x1", "x3"}))) == 4
+
+    def test_reduced_values_match_a_checked_build(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            phi = random_cnf(rng, rng.randint(2, 6), rng.randint(1, 8))
+            chosen = rng.sample(sorted(phi.vars), rng.randint(0, len(phi.vars)))
+            g = Assignment({v: rng.randint(0, 1) for v in chosen})
+            out = C.reduce(phi, g)
+            rebuilt = C.Cnf(out.clauses)
+            assert (out, out.vars, hash(out)) == (rebuilt, rebuilt.vars, hash(rebuilt))
 
     def test_reduction_equation_on_random_cnfs(self):
         rng = random.Random(5)
