@@ -13,8 +13,7 @@ import json
 import sys
 import time
 
-from . import diagrams, graphs, verbs
-from .assignments import Assignment
+from . import graphs, verbs
 from .errors import DdlabError, FormatError
 from .version import BUILD_ID
 
@@ -53,21 +52,20 @@ def _split_names(text):
     return [n for n in out if n]
 
 
-def _read_matching(path):
+def _read_matching(text):
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"bad matching line {raw!r}")
-            pairs.append((parts[0], parts[1]))
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"bad matching line {raw!r}")
+        pairs.append((parts[0], parts[1]))
     return pairs
 
 
-def _verb_args(ns):
+def _verb_args(ns, path):
     """The arguments as a bundle step holds them: the lists that the command
     line takes as text (comma lists, a matching file) become lists."""
     args = _Args((k, v) for k, v in vars(ns).items()
@@ -78,15 +76,17 @@ def _verb_args(ns):
     if "long" in args:
         args["long"] = [name for name in args["long"].split(",") if name]
     if "matching" in args:
-        args["matching"] = _read_matching(args["matching"])
+        args["matching"] = _read_matching(path.text(args["matching"]))
     return args
 
 
-# per shared verb: the info field printed first, and the line printed when
-# the text went to --out instead of stdout; by default the text alone
+# per verb: the info field printed first, and the line printed when the text
+# went to --out instead of stdout; by default the text alone, and nothing
+# when it went to --out
 _SHOW = {
     "gen": (None, "wrote {out}: {variables} variables, {clauses} clauses"),
     "compile": (None, "wrote {out}: {size} nodes"),
+    "restrict": (None, "wrote {out}: {size} nodes"),
     "count": ("count", None),
     "eval": ("value", None),
     "minobdd": ("size", None),
@@ -99,75 +99,36 @@ _SHOW = {
 def cmd_verb(ns):
     """Run a verb shared with bundles and print what it returns."""
     verb = ns.lbverb if ns.verb == "lb" else ns.verb
-    args = _verb_args(ns)
+    path = verbs.Paths()
+    args = _verb_args(ns, path)
     start = time.perf_counter()
-    info, text = verbs.run(verb, args, verbs.Paths())
+    info, text = verbs.run(verb, args, path)
     elapsed = (time.perf_counter() - start) * 1000.0
     field, wrote = _SHOW.get(verb, (None, None))
     if field is not None:
         print(info[field])
-    if "out" in args:
+    if "out" not in args:
+        if text is not None:
+            sys.stdout.write(text)
+    elif wrote is not None:
         print(wrote.format(out=args["out"], **info))
-    elif text is not None:
-        sys.stdout.write(text)
     if verb == "gen" and args["meta"]:
-        _write_meta(args, info)
+        _write_meta(args, info, path)
     if verb == "certify":
         print(json.dumps({"wall_clock_ms": elapsed}, sort_keys=True), file=sys.stderr)
 
 
-def _write_meta(args, info):
+def _write_meta(args, info, path):
     """The provenance of a generated formula, next to it."""
-    _, source = verbs.formula(args, verbs.Paths())
+    _, source = verbs.formula(args, path)
     grid = isinstance(source, graphs.GridGraph)
     graph = source.graph if grid else source
     meta = dict(info, build=BUILD_ID, family=args["family"],
                 graph_sha256=hashlib.sha256(graphs.write_graph(graph).encode()).hexdigest(),
                 partition={"e1": sorted(sorted(e) for e in source.hor),
                            "e2": sorted(sorted(e) for e in source.vert)} if grid else None)
-    with open(args.get("out", "formula.cnf") + ".meta.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def cmd_align(args):
-    from .alignment import align, frontier
-    diagram = diagrams.load(args.diagram)
-    g = Assignment.parse(args.assignment)
-    if args.order:
-        order = graphs.read_order(args.order)
-        fr = frontier(diagram, order, g)
-        doc = {"L": sorted(fr.l_nodes), "X": sorted(fr.free_vars),
-               "tree": [list(p) for p in fr.tree_pairs()]}
-    else:
-        al = align(diagram, g)
-        doc = {"kept_nodes": sorted(al.kept_nodes),
-               "kept_edges": sorted(list(e) for e in al.kept_edges),
-               "incomplete": sorted(al.incomplete)}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_restrict(args):
-    from .alignment import restrict_diagram
-    diagram = diagrams.load(args.diagram)
-    out = restrict_diagram(diagram, args.var, args.bit,
-                           check_essential=not args.no_essential_check)
-    diagrams.save(out, args.out)
-    print(f"wrote {args.out}: {out.size} nodes")
-
-
-def cmd_export_dot(args):
-    diagram = diagrams.load(args.diagram)
-    text = diagrams.to_dot(diagram)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    path.write(args.get("out", "formula.cnf") + ".meta.json",
+               json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_run(args):
@@ -185,7 +146,8 @@ def build_parser():
     search.add_argument("--sample", type=int)
     search.add_argument("--seed", type=int)
     search.add_argument("--order-cap", type=int,
-                        help="exhaustive-search vertex cap (default 8)")
+                        help="exhaustive order search cap on the vertices (width) "
+                             "or variables (minobdd), default 8")
     experiment = argparse.ArgumentParser(add_help=False)
     experiment.add_argument("--graph", required=True)
     experiment.add_argument("--matching", required=True)
@@ -234,7 +196,7 @@ def build_parser():
     p.add_argument("--assignment", required=True)
     p.add_argument("--order")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_align)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("restrict", help="restrict a diagram by one variable")
     p.add_argument("--diagram", required=True)
@@ -242,7 +204,7 @@ def build_parser():
     p.add_argument("--bit", type=int, required=True, choices=[0, 1])
     p.add_argument("--no-essential-check", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_restrict)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("width", parents=[search], help="minimum crossing width over orders")
     p.add_argument("--graph")
@@ -267,7 +229,7 @@ def build_parser():
     p = sub.add_parser("export-dot", help="Graphviz export")
     p.add_argument("--diagram", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_export_dot)
+    p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("run", help="run a manifest into a bundle directory")
     p.add_argument("--manifest", required=True)

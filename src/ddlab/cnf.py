@@ -17,7 +17,6 @@ from . import config, kernels
 from .assignments import as_bit, decode_table
 from .errors import FormatError, ScopeError
 from .graphs import Graph
-from .sources import read_text
 
 
 def literal(name, sign):
@@ -161,7 +160,7 @@ def graphs_of(phi):
     return primal, incidence
 
 
-def write_dimacs(phi, path=None):
+def write_dimacs(phi):
     """DIMACS text with a `c var <index> <name>` map preserving names."""
     names = sorted(phi.vars)
     index = {n: i + 1 for i, n in enumerate(names)}
@@ -170,19 +169,15 @@ def write_dimacs(phi, path=None):
     for c in phi.sorted_clauses():
         lits = sorted(((index[n] if s else -index[n]) for n, s in c), key=abs)
         lines.append(" ".join(str(l) for l in lits + [0]))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def read_dimacs(source):
-    """Parse DIMACS text or a file path; returns a :class:`Cnf`.
+def read_dimacs(text):
+    """Parse DIMACS text; returns a :class:`Cnf`.
 
-    Unnamed indices fall back to x<i> names.
+    Unnamed indices fall back to x<i> names. A name map that gives two
+    indices one name, counting the fallbacks, raises ``FormatError``.
     """
-    text = read_text(source, ("c", "p"))
     names = {}
     nvars = None
     claimed = None
@@ -214,15 +209,24 @@ def read_dimacs(source):
             raise FormatError(f"non-integer literal in {raw!r}") from exc
         if not ints or ints[-1] != 0:
             raise FormatError(f"clause line not 0-terminated: {raw!r}")
-        lits = []
         for l in ints[:-1]:
-            idx = abs(l)
-            if idx == 0 or idx > nvars:
+            if l == 0 or abs(l) > nvars:
                 raise FormatError(f"literal {l} out of range 1..{nvars}")
-            lits.append((names.get(idx, f"x{idx}"), 1 if l > 0 else 0))
-        clauses.append(clause(lits))
+        clauses.append(ints[:-1])
     if nvars is None:
         raise FormatError("missing problem line")
     if claimed is not None and claimed != len(clauses):
         raise FormatError(f"header claims {claimed} clauses, found {len(clauses)}")
-    return Cnf(clauses)
+    names = {i: n for i, n in names.items() if 1 <= i <= nvars}
+    owner = {}  # name -> its index: the unnamed indices' x<i> fallbacks, then the map
+    for n in names.values():
+        if n[:1] == "x" and n[1:].isdecimal():
+            j = int(n[1:])
+            if f"x{j}" == n and 1 <= j <= nvars and j not in names:
+                owner[n] = j
+    for i, n in sorted(names.items()):
+        if owner.setdefault(n, i) != i:
+            first, second = sorted((owner[n], i))
+            raise FormatError(f"variables {first} and {second} are both named {n!r}")
+    return Cnf([(names.get(abs(l), f"x{abs(l)}"), 1 if l > 0 else 0) for l in c]
+               for c in clauses)

@@ -22,7 +22,6 @@ from .diagrams import AND, DECISION, SINK, Diagram, DiagramBuilder, graft, valid
 from .errors import FormatError, PreconditionError, ScopeError, SoundnessError
 from .graphs import LinearOrder, grid_name, grid_order, tag, validate_decomposition
 from .formulas import JUNCTION
-from .sources import read_text
 
 
 # ---------------------------------------------------------------------------
@@ -45,12 +44,6 @@ def dt_size(t):
     if isinstance(t, DTLeaf):
         return 1
     return 1 + dt_size(t.lo) + dt_size(t.hi)
-
-
-def dt_vars(t):
-    if isinstance(t, DTLeaf):
-        return frozenset()
-    return frozenset({t.var}) | dt_vars(t.lo) | dt_vars(t.hi)
 
 
 def dt_evaluate(t, a):
@@ -228,44 +221,46 @@ class Vtree:
         return hash((self.kinds, self.payload))
 
 
-def write_vtree(vt, path=None):
+def write_vtree(vt):
     lines = []
     for i, (k, p) in enumerate(zip(vt.kinds, vt.payload)):
         if k == "leaf":
             lines.append(f"L {i} {p}")
         else:
             lines.append(f"I {i} {p[0]} {p[1]}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def read_vtree(source):
-    source = read_text(source, ("L", "I"))
-    entries = {}
-    for raw in source.splitlines():
+def read_vtree(text):
+    """The vtree of a table whose ids are dense, each child below its parent,
+    and every entry but the last (the root) some node's child exactly once."""
+    entries = []
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "L" and len(parts) == 3:
-            entries[int(parts[1])] = parts[2]
+            entries.append((int(parts[1]), parts[2]))
         elif parts[0] == "I" and len(parts) == 4:
-            entries[int(parts[1])] = (int(parts[2]), int(parts[3]))
+            entries.append((int(parts[1]), (int(parts[2]), int(parts[3]))))
         else:
             raise FormatError(f"bad vtree line {raw!r}")
-    if sorted(entries) != list(range(len(entries))):
+    entries.sort(key=lambda e: e[0])
+    if not entries or [i for i, _ in entries] != list(range(len(entries))):
         raise FormatError("vtree ids must be dense 0..n-1")
-
-    def nested(i):
-        e = entries[i]
-        if isinstance(e, str):
-            return e
-        return (nested(e[0]), nested(e[1]))
-
-    return Vtree(nested(len(entries) - 1))
+    nested = []
+    children = []
+    for i, e in entries:
+        if isinstance(e, tuple):
+            if not all(0 <= c < i for c in e):
+                raise FormatError(f"vtree node {i} has children {e} not below it")
+            children += e
+            e = (nested[e[0]], nested[e[1]])
+        nested.append(e)
+    if sorted(children) != list(range(len(entries) - 1)):
+        raise FormatError("every vtree node but the root must be a child exactly once")
+    return Vtree(nested[-1])
 
 
 def _right_comb(parts):

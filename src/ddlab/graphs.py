@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import DecompositionError, PreconditionError, ScopeError, SoundnessError
-from .sources import read_text
 
 
 def edge(a, b):
@@ -371,23 +370,6 @@ def _conflicts(g, cands):
     return {e: frozenset(s) for e, s in conflict.items()}
 
 
-def _best_at_cut(g, order, k, mode, neat):
-    prefix = order.prefix(k)
-    cands = [e for e in g.edges if len(e & prefix) == 1]
-    if neat:
-        groups = {(1, 2): [], (2, 1): []}
-        for e in cands:
-            (p,) = e & prefix
-            (s,) = e - prefix
-            key = (untag(p)[1], untag(s)[1])
-            groups[key].append(e)
-        results = []
-        for part in (groups[(1, 2)], groups[(2, 1)]):
-            results.append(_pick(g, part, prefix, mode))
-        return max(results, key=lambda m: (len(m), [tuple(sorted(e)) for e in sorted(m)]))
-    return _pick(g, cands, prefix, mode)
-
-
 def _pick(g, cands, prefix, mode):
     if not cands:
         return frozenset()
@@ -400,21 +382,19 @@ def _pick(g, cands, prefix, mode):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def crossing_width(g, pi, mode="matching", neat=False):
-    """Largest (induced/neat) matching crossing the order, with a witness.
+def crossing_width(g, pi, mode="matching"):
+    """Largest (induced) matching crossing the order, with a witness.
 
     Returns ``(size, (cut, Matching))``; the witness matching carries its
     bipartition sides. Exhaustive over the |V|-1 prefix cuts.
     """
     if set(pi.names) != set(g.vertices):
         raise ScopeError("order must cover exactly the vertex set")
-    if neat:
-        for v in g.vertices:
-            untag(v)
     best = frozenset()
     best_cut = 1
     for k in range(1, len(pi)):
-        m = _best_at_cut(g, pi, k, mode, neat)
+        prefix = pi.prefix(k)
+        m = _pick(g, [e for e in g.edges if len(e & prefix) == 1], prefix, mode)
         if len(m) > len(best):
             best, best_cut = m, k
     prefix = pi.prefix(best_cut)
@@ -747,24 +727,20 @@ def greedy_induced(g, m):
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# file formats: readers parse text and writers return it; the files a verb
+# names are read and written by ``verbs.Paths``
 
 
-def write_graph(g, path=None):
+def write_graph(g):
     lines = [f"v {v}" for v in sorted(g.vertices)]
     lines += [f"e {a} {b}" for a, b in sorted(tuple(sorted(e)) for e in g.edges)]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def read_graph(source):
-    source = read_text(source, ("v", "e"))
+def read_graph(text):
     vertices = set()
     edges = set()
-    for raw in source.splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -778,39 +754,27 @@ def read_graph(source):
     return Graph(vertices, edges)
 
 
-def write_order(order, path=None):
-    text = "".join(f"{n}\n" for n in order)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+def write_order(order):
+    return "".join(f"{n}\n" for n in order)
 
 
-def read_order(source):
-    """An order from text or a path. Order lines have no keyword, so a
-    one-line string is always a path; one-name order text ends in a newline."""
-    source = read_text(source, ())
-    return LinearOrder(line.strip() for line in source.splitlines() if line.strip())
+def read_order(text):
+    return LinearOrder(line.strip() for line in text.splitlines() if line.strip())
 
 
-def write_decomposition(d, path=None):
+def write_decomposition(d):
     lines = []
     for bid in sorted(d.bags):
         members = " ".join(sorted(d.bags[bid]))
         lines.append(f"B {bid} {members}".rstrip())
     lines += [f"T {a} {b}" for a, b in sorted(tuple(sorted(e)) for e in d.tree)]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def read_decomposition(source):
-    source = read_text(source, ("B", "T"))
+def read_decomposition(text):
     bags = {}
     tree = set()
-    for raw in source.splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -2,10 +2,12 @@
 
 Each verb takes ``(args, path)``. ``args`` is a dict of JSON values: numbers,
 strings, and lists where a verb takes several names. ``path`` is a
-:class:`Paths`: ``path(rel)`` is the file a path argument names, as given on
-the command line, inside the bundle directory for a bundle step, and
-``path.diagram(rel)`` reads the diagram such a file holds. A missing
-argument is a ``KeyError`` on ``args``.
+:class:`Paths`, the one route by which a verb reads and writes files: a path
+argument names a file as given on the command line, inside the bundle
+directory for a bundle step; ``path.text(rel)`` reads the text such a file
+holds and ``path.diagram(rel)`` the diagram. The file-format readers parse
+that text and the writers return text. A missing argument is a ``KeyError``
+on ``args``.
 
 Each verb returns ``(info, made)``: ``info`` is what a bundle summary records
 for the step, ``made`` the verb's main artifact, a ``Diagram`` or text, or
@@ -17,19 +19,21 @@ from __future__ import annotations
 
 import json
 
+from . import alignment
 from . import cnf as cnf_mod
 from . import compile as compile_mod
 from . import config, diagrams, formulas, graphs, lowerbound
-from .assignments import Assignment
+from .assignments import Assignment, as_bit
 from .errors import FormatError
 
 
 class Paths:
     """The files a verb's path arguments name, and the diagrams written to
-    them in this run.
+    them in this run: the only place a verb's files are opened.
 
     ``path(rel)`` maps a path argument to its file: ``resolve(rel)``, or
-    ``rel`` itself without ``resolve``. A diagram written through ``write``
+    ``rel`` itself without ``resolve``; ``text`` reads that file and
+    ``write`` writes it. A diagram written through ``write``
     is kept with its text; ``diagram`` hands it back, unparsed, while the
     file still holds exactly that text, and parses the file otherwise. The
     command line makes one ``Paths()`` per verb and a bundle run one per
@@ -43,6 +47,12 @@ class Paths:
     def __call__(self, rel):
         return rel if self._resolve is None else self._resolve(rel)
 
+    def text(self, rel):
+        """The text of the file ``rel`` names, as written: no newline
+        translation."""
+        with open(self(rel), encoding="utf-8", newline="") as fh:
+            return fh.read()
+
     def write(self, rel, text, diagram=None):
         """Write ``text`` to the file ``rel`` names; ``diagram``, when given,
         is what the text encodes."""
@@ -54,10 +64,8 @@ class Paths:
 
     def diagram(self, rel):
         """The diagram in the file ``rel`` names."""
-        file = self(rel)
-        with open(file, encoding="utf-8", newline="") as fh:
-            text = fh.read()  # as written: no newline translation
-        kept = self._written.get(file)
+        text = self.text(rel)
+        kept = self._written.get(self(rel))
         if kept is not None and kept[0] == text:
             return kept[1]
         return diagrams.from_json(text)
@@ -73,13 +81,13 @@ def _listed(value, key):
 def _graph(args, path):
     if "grid" in args:
         return graphs.grid(int(args["grid"])).graph
-    return graphs.read_graph(path(args["graph"]))
+    return graphs.read_graph(path.text(args["graph"]))
 
 
 def _experiment(args, path):
     graph = _graph(args, path)
     pairs = [tuple(_listed(p, "matching")) for p in _listed(args["matching"], "matching")]
-    order = graphs.read_order(path(args["order"])) if args.get("order") else None
+    order = graphs.read_order(path.text(args["order"])) if args.get("order") else None
     return lowerbound.make_experiment(graph, pairs, args["engine"], order)
 
 
@@ -132,16 +140,16 @@ def compile(args, path):
     elif method == "psi-layer":
         diagram = compile_mod.psi_layer_obdd(int(args["n"]), args.get("orientation", "hor"))
     elif method == "dtree":
-        phi = cnf_mod.read_dimacs(path(args["cnf"]))
+        phi = cnf_mod.read_dimacs(path.text(args["cnf"]))
         diagram = compile_mod.dt_to_diagram(compile_mod.decision_tree(phi))
     elif method == "primal":
-        phi = cnf_mod.read_dimacs(path(args["cnf"]))
-        d = graphs.read_decomposition(path(args["decomp"]))
+        phi = cnf_mod.read_dimacs(path.text(args["cnf"]))
+        d = graphs.read_decomposition(path.text(args["decomp"]))
         diagram, vtree = compile_mod.compile_primal(phi, d)
     elif method == "split":
         wanted = set(_listed(args.get("long", []), "long"))
-        phi = cnf_mod.read_dimacs(path(args["cnf"]))
-        d = graphs.read_decomposition(path(args["decomp"]))
+        phi = cnf_mod.read_dimacs(path.text(args["cnf"]))
+        d = graphs.read_decomposition(path.text(args["decomp"]))
         labels = dict(cnf_mod.clause_labels(phi))
         if wanted - labels.keys():
             raise FormatError(f"unknown clause ids {sorted(wanted - labels.keys())}")
@@ -151,15 +159,15 @@ def compile(args, path):
     else:
         raise FormatError(f"unknown compile method {method!r}")
     if vtree is not None and args.get("vtree_out"):
-        compile_mod.write_vtree(vtree, path(args["vtree_out"]))
+        path.write(args["vtree_out"], compile_mod.write_vtree(vtree))
     return {"size": diagram.size}, diagram
 
 
 def obdd(args, path):
     """The reduced OBDD for an explicit order, or for an experiment's bad order."""
     if "cnf" in args:
-        phi = cnf_mod.read_dimacs(path(args["cnf"]))
-        order = graphs.read_order(path(args["order"]))
+        phi = cnf_mod.read_dimacs(path.text(args["cnf"]))
+        order = graphs.read_order(path.text(args["order"]))
     else:
         exp = _experiment(args, path)
         phi, order = exp.formula(), exp.order
@@ -184,7 +192,7 @@ def eval(args, path):
 def validate(args, path):
     """The diagram's class, as a one-line JSON report."""
     diagram = path.diagram(args["diagram"])
-    order = graphs.read_order(path(args["order"])).names if args.get("order") else None
+    order = graphs.read_order(path.text(args["order"])).names if args.get("order") else None
     cls = diagrams.validate(diagram, order)
     info = {"fbdd": cls.is_fbdd, "obdd": cls.is_obdd, "and_obdd": cls.is_and_obdd}
     report = dict(info, and_fbdd=cls.is_and_fbdd,
@@ -192,9 +200,40 @@ def validate(args, path):
     return info, json.dumps(report, sort_keys=True) + "\n"
 
 
+def align(args, path):
+    """The diagram's alignment by a partial assignment, or with ``order`` its
+    frontier, as a JSON report."""
+    diagram = path.diagram(args["diagram"])
+    g = Assignment.parse(args["assignment"])
+    if args.get("order"):
+        fr = alignment.frontier(diagram, graphs.read_order(path.text(args["order"])), g)
+        doc = {"L": sorted(fr.l_nodes), "X": sorted(fr.free_vars),
+               "tree": [list(p) for p in fr.tree_pairs()]}
+    else:
+        al = alignment.align(diagram, g)
+        doc = {"kept_nodes": sorted(al.kept_nodes),
+               "kept_edges": sorted(list(e) for e in al.kept_edges),
+               "incomplete": sorted(al.incomplete)}
+    return {}, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def restrict(args, path):
+    """The diagram with ``var`` fixed to ``bit``; the brute-force essentiality
+    check runs unless ``no_essential_check`` is set."""
+    diagram = alignment.restrict_diagram(path.diagram(args["diagram"]), args["var"],
+                                         as_bit(args["bit"], "bit"),
+                                         check_essential=not args.get("no_essential_check"))
+    return {"size": diagram.size}, diagram
+
+
+def export_dot(args, path):
+    """The diagram as Graphviz source."""
+    return {}, diagrams.to_dot(path.diagram(args["diagram"]))
+
+
 def minobdd(args, path):
     """The minimal (or sampled-minimal) OBDD size; the text is its order."""
-    phi = cnf_mod.read_dimacs(path(args["cnf"]))
+    phi = cnf_mod.read_dimacs(path.text(args["cnf"]))
     search, info = _search(args)
     info["size"], order = lowerbound.min_obdd(phi, verify=bool(args.get("verify")),
                                               **search)
@@ -227,8 +266,10 @@ def certify(args, path):
 # the arguments that name a file a verb writes
 OUTPUTS = ("out", "path", "vtree_out")
 
-VERBS = {fn.__name__: fn for fn in (write, gen, compile, obdd, count, eval, validate,
-                                     minobdd, width, fool, certify)}
+# by the command's name: ``export_dot`` is the verb ``export-dot``
+VERBS = {fn.__name__.replace("_", "-"): fn
+         for fn in (write, gen, compile, obdd, count, eval, validate, align, restrict,
+                    export_dot, minobdd, width, fool, certify)}
 
 
 def run(verb, args, path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -24,6 +25,11 @@ A_AND_B = {"source": 3, "vars": ["a", "b"],
                      {"id": 3, "kind": "decision", "var": "a", "lo": 0, "hi": 2}]}
 
 
+def put(name, text):
+    """Write ``text`` to the file ``name`` in the working directory."""
+    pathlib.Path(name).write_text(text)
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -36,7 +42,7 @@ class TestGen:
         code, _, _ = run(["gen", "--family", "psi", "--grid", "2",
                           "--out", str(out), "--meta"], capsys)
         assert code == 0
-        phi = C.read_dimacs(str(out))
+        phi = C.read_dimacs(out.read_text())
         assert len(phi.vars) == 8 and len(phi) == 10
         meta = json.loads((tmp_path / "psi2.cnf.meta.json").read_text())
         assert meta["family"] == "psi" and meta["variables"] == 8
@@ -46,7 +52,7 @@ class TestGen:
         code, _, _ = run(["gen", "--family", "vc-junction", "--grid", "2",
                           "--out", str(out)], capsys)
         assert code == 0
-        phi = C.read_dimacs(str(out))
+        phi = C.read_dimacs(out.read_text())
         assert len(phi.vars) == 5 and len(phi) == 4
 
 
@@ -64,12 +70,12 @@ class TestCompileCountValidate:
     def test_primal_pipeline(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
         run(["gen", "--family", "vc", "--grid", "2", "--out", str(cnf)], capsys)
-        phi = C.read_dimacs(str(cnf))
+        phi = C.read_dimacs(cnf.read_text())
         from ddlab.graphs import write_decomposition
         from conftest import exact_decomposition
         primal, _ = C.graphs_of(phi)
         decomp = tmp_path / "d.txt"
-        write_decomposition(exact_decomposition(primal), decomp)
+        decomp.write_text(write_decomposition(exact_decomposition(primal)))
         diag = tmp_path / "b.json"
         vt = tmp_path / "b.vtree"
         code, _, _ = run(["compile", "--method", "primal", "--cnf", str(cnf),
@@ -142,7 +148,7 @@ class TestEvalAlignRestrict:
         order = tmp_path / "o.txt"
         from ddlab.compile import junction_order
         from ddlab.graphs import write_order
-        write_order(junction_order(2), order)
+        order.write_text(write_order(junction_order(2)))
         code, out, _ = run(["align", "--diagram", str(d), "--assignment", "jn=1",
                             "--order", str(order)], capsys)
         doc = json.loads(out)
@@ -168,7 +174,7 @@ class TestLb:
         from ddlab.graphs import write_graph
         from conftest import matching_graph
         g = tmp_path / "g.txt"
-        write_graph(matching_graph(3), g)
+        g.write_text(write_graph(matching_graph(3)))
         m = tmp_path / "m.txt"
         m.write_text("u1 w1\nu2 w2\nu3 w3\n")
         return g, m
@@ -254,6 +260,13 @@ class TestRun:
         code, message = self.run_step(tmp_path, capsys, "compile",
                                       {"method": "grid-junction", "n": None, "out": "b.json"})
         assert code == 2 and "TypeError" in message
+
+    def test_restrict_bit_other_than_0_or_1_is_exit_2(self, tmp_path, capsys):
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "ab.json").write_text(json.dumps(A_AND_B))
+        code, message = self.run_step(tmp_path, capsys, "restrict",
+                                      {"diagram": "ab.json", "var": "a", "bit": 2})
+        assert code == 2 and "bit must be 0 or 1" in message
 
     def test_failing_step_still_leaves_a_summary(self, tmp_path, capsys):
         man = tmp_path / "m.json"
@@ -345,7 +358,7 @@ class TestRun:
         for name in ("b1", "b2"):
             bundle = tmp_path / name
             bundle.mkdir()
-            write_graph(matching_graph(3), bundle / "g.txt")
+            (bundle / "g.txt").write_text(write_graph(matching_graph(3)))
             code, _, _ = run(["run", "--manifest", str(man),
                               "--out-dir", str(bundle)], capsys)
             assert code == 0
@@ -367,11 +380,12 @@ class TestRun:
         bundle.mkdir()
         cnf = bundle / "psi2.cnf"
         run(["gen", "--family", "psi", "--grid", "2", "--out", str(cnf)], capsys)
-        phi = C.read_dimacs(str(cnf))
+        phi = C.read_dimacs(cnf.read_text())
         labels = C.clause_labels(phi)
         long = [name for name, c in labels if len(c) > 2]
         rest = C.Cnf(c for name, c in labels if name not in long)
-        G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0]), bundle / "d.txt")
+        decomp = exact_decomposition(C.graphs_of(rest)[0])
+        (bundle / "d.txt").write_text(G.write_decomposition(decomp))
         code, _, _ = run(["compile", "--method", "split", "--cnf", str(cnf),
                           "--decomp", str(bundle / "d.txt"), "--long", ",".join(long),
                           "--out", str(tmp_path / "cli.json"),
@@ -385,6 +399,23 @@ class TestRun:
         code, _, _ = run(["run", "--manifest", str(man), "--out-dir", str(bundle)], capsys)
         assert code == 0
         assert (bundle / "b.vtree").read_text() == (tmp_path / "cli.vtree").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["width", "--graph", "e a b"],
+    ["minobdd", "--cnf", "c x"],
+    ["lb", "fool", "--graph", "e a b", "--matching", "e u1 w1", "--engine", "obdd"],
+], ids=["graph", "dimacs", "matching"])
+def test_file_names_that_read_like_text_are_files(tmp_path, capsys, monkeypatch, argv):
+    from ddlab import formulas as F
+    from ddlab import graphs as G
+    from conftest import matching_graph
+    monkeypatch.chdir(tmp_path)
+    put("e a b", G.write_graph(matching_graph(3)))
+    put("c x", C.write_dimacs(F.vc_formula(G.grid(2).graph)))
+    put("e u1 w1", "u1 w1\nu2 w2\nu3 w3\n")
+    code, out, err = run(argv, capsys)
+    assert code == 0 and out and err == ""
 
 
 def test_version_flag(capsys):
@@ -445,6 +476,25 @@ PARITY = [
      "{value}\n"),
     ("validate --diagram gj.json", "validate",
      {"diagram": "gj.json", "out": "text.out"}, "{text}"),
+    ("align --diagram gj.json --assignment jn=1", "align",
+     {"diagram": "gj.json", "assignment": "jn=1", "out": "text.out"}, "{text}"),
+    ("align --diagram gj.json --assignment jn=1,(1,1)=0 --order gj.order", "align",
+     {"diagram": "gj.json", "assignment": "jn=1,(1,1)=0", "order": "gj.order",
+      "out": "text.out"}, "{text}"),
+    ("align --diagram gj.json --assignment jn=0 --out cli.align", "align",
+     {"diagram": "gj.json", "assignment": "jn=0", "out": "b.align"}, ""),
+    ("restrict --diagram gj.json --var jn --bit 1 --out cli.json", "restrict",
+     {"diagram": "gj.json", "var": "jn", "bit": 1, "out": "b.json"},
+     "wrote cli.json: {size} nodes\n"),
+    ("restrict --diagram gj.json --var (1,1) --bit 0 --no-essential-check --out cli.json",
+     "restrict",
+     {"diagram": "gj.json", "var": "(1,1)", "bit": 0, "no_essential_check": True,
+      "out": "b.json"},
+     "wrote cli.json: {size} nodes\n"),
+    ("export-dot --diagram gj.json", "export-dot",
+     {"diagram": "gj.json", "out": "text.out"}, "{text}"),
+    ("export-dot --out cli.dot --diagram gj.json", "export-dot",
+     {"out": "b.dot", "diagram": "gj.json"}, ""),
     ("minobdd --cnf vc2.cnf", "minobdd",
      {"cnf": "vc2.cnf", "out": "text.out"}, "{size}\n{text}"),
     ("minobdd --cnf junction3.cnf --sample 40 --seed 5", "minobdd",
@@ -470,24 +520,26 @@ def test_cli_and_bundle_step_agree(tmp_path, capsys, monkeypatch, argv, verb, ar
     from ddlab import formulas as F
     from ddlab import graphs as G
     from ddlab import lowerbound as LB
-    from ddlab.compile import grid_junction_diagram
+    from ddlab.compile import grid_junction_diagram, junction_order
     from conftest import exact_decomposition, matching_graph
     bundle = tmp_path / "b"
     bundle.mkdir()
     monkeypatch.chdir(bundle)
-    G.write_graph(matching_graph(3), "g.txt")
-    (bundle / "m.txt").write_text("".join(f"{u} {w}\n" for u, w in MATCHING))
+    put("g.txt", G.write_graph(matching_graph(3)))
+    put("m.txt", "".join(f"{u} {w}\n" for u, w in MATCHING))
     vc2 = F.vc_formula(G.grid(2).graph)
-    C.write_dimacs(vc2, "vc2.cnf")
-    G.write_decomposition(exact_decomposition(C.graphs_of(vc2)[0]), "d.txt")
+    put("vc2.cnf", C.write_dimacs(vc2))
+    put("d.txt", G.write_decomposition(exact_decomposition(C.graphs_of(vc2)[0])))
     gg3 = G.grid(3)
-    C.write_dimacs(F.junction_formula(gg3.graph, gg3.hor, gg3.vert, "vc"), "junction3.cnf")
+    junction3 = F.junction_formula(gg3.graph, gg3.hor, gg3.vert, "vc")
+    put("junction3.cnf", C.write_dimacs(junction3))
     psi2 = F.psi_formula(G.grid(2).graph)
-    C.write_dimacs(psi2, "psi2.cnf")
+    put("psi2.cnf", C.write_dimacs(psi2))
     assert [name for name, c in C.clause_labels(psi2) if len(c) > 2] == ["c8", "c9"]
     rest = C.Cnf(c for c in psi2.clauses if len(c) <= 2)
-    G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0]), "ds.txt")
+    put("ds.txt", G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0])))
     D.save(grid_junction_diagram(2), "gj.json")
+    put("gj.order", G.write_order(junction_order(2)))
     exp = LB.make_experiment(matching_graph(3), [tuple(p) for p in MATCHING], "obdd")
     D.save(LB.obdd_for_order(exp.formula(), exp.order), "bad3.json")
 
@@ -530,15 +582,15 @@ def reuse_inputs():
     from ddlab import formulas as F
     from ddlab import graphs as G
     from conftest import exact_decomposition, matching_graph
-    G.write_graph(matching_graph(3), "g.txt")
+    put("g.txt", G.write_graph(matching_graph(3)))
     vc3 = F.vc_formula(G.grid(3).graph)
-    C.write_dimacs(vc3, "vc3.cnf")
-    G.write_decomposition(exact_decomposition(C.graphs_of(vc3)[0]), "d.txt")
-    G.write_order(G.grid_order(3).names, "vc3.order")
+    put("vc3.cnf", C.write_dimacs(vc3))
+    put("d.txt", G.write_decomposition(exact_decomposition(C.graphs_of(vc3)[0])))
+    put("vc3.order", G.write_order(G.grid_order(3).names))
     psi2 = F.psi_formula(G.grid(2).graph)
-    C.write_dimacs(psi2, "psi2.cnf")
+    put("psi2.cnf", C.write_dimacs(psi2))
     rest = C.Cnf(c for c in psi2.clauses if len(c) <= 2)
-    G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0]), "ds.txt")
+    put("ds.txt", G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0])))
 
 
 # every kind of diagram a bundle step writes: each compile method and obdd

@@ -193,13 +193,35 @@ class TestDimacs:
         assert C.read_dimacs(text) == phi
 
     def test_one_line_text_and_missing_file(self, tmp_path):
+        # the reader parses text only: a file's name, missing or not, is text
         assert C.read_dimacs("p cnf 0 0") == C.Cnf()
-        with pytest.raises(FileNotFoundError):
-            C.read_dimacs(str(tmp_path / "missing.cnf"))
+        for name in (str(tmp_path / "missing.cnf"), "c x"):
+            with pytest.raises(FormatError, match="problem line"):
+                C.read_dimacs(name)
 
     def test_unnamed_indices_get_default_names(self):
         phi = C.read_dimacs("p cnf 2 1\n1 -2 0\n")
         assert phi.vars == {"x1", "x2"}
+
+    @pytest.mark.parametrize("text", [
+        "c var 1 a\nc var 2 a\np cnf 2 2\n1 0\n-2 0\n",
+        "c var 1 x2\np cnf 2 2\n1 0\n-2 0\n",
+        "p cnf 3 1\n1 2 0\nc var 3 x1\n",
+        "c var 2 b\nc var 1 b\np cnf 2 0\n",
+    ], ids=["two-names", "another-fallback", "map-after-clauses", "unused-indices"])
+    def test_one_name_for_two_indices_is_rejected(self, text):
+        with pytest.raises(FormatError, match="both named"):
+            C.read_dimacs(text)
+
+    def test_names_that_keep_indices_apart_are_read(self):
+        # a name that looks like another index's fallback is fine while that
+        # index has a name of its own or does not exist
+        phi = C.read_dimacs("c var 1 x2\nc var 2 x1\np cnf 2 2\n1 0\n-2 0\n")
+        assert phi == C.Cnf([[("x2", 1)], [("x1", 0)]])
+        assert C.read_dimacs("c var 1 x2\np cnf 1 1\n1 0\n") == C.Cnf([[("x2", 1)]])
+        assert C.read_dimacs("p cnf 1 1\n-1 0\nc var 1 a\n") == C.Cnf([[("a", 0)]])
+        odd = C.Cnf([[("x2", 1), ("a", 0)], [("x10", 1)], [("x01", 0)]])
+        assert C.read_dimacs(C.write_dimacs(odd)) == odd
 
     def test_malformed_inputs(self):
         with pytest.raises(FormatError):

@@ -9,7 +9,7 @@ from ddlab import diagrams as D
 from ddlab import formulas as F
 from ddlab import graphs as G
 from ddlab.assignments import Assignment, cube
-from ddlab.errors import PreconditionError
+from ddlab.errors import FormatError, PreconditionError
 
 from conftest import (cycle_graph, doubled_window_decomposition,
                       exact_decomposition, matching_graph, random_cnf)
@@ -179,9 +179,34 @@ class TestVtree:
         assert text.strip().splitlines()[-1].startswith("I")
 
     def test_one_line_text_and_missing_file(self, tmp_path):
+        # the reader parses text only: a file's name, missing or not, is text
         assert CP.read_vtree("L 0 x") == CP.Vtree("x")
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FormatError, match="bad vtree line"):
             CP.read_vtree(str(tmp_path / "missing.vtree"))
+
+    @pytest.mark.parametrize("text", [
+        "L 0 a\nL 1 b\nL 2 c\nI 3 0 1\n",
+        "I 0 1 2\nL 1 a\nL 2 b\n",
+        "I 0 0 0\n",
+        "L 0 a\nI 1 0 0\n",
+        "L 0 a\nL 1 b\nI 2 0 1\nI 3 0 2\n",
+        "L 0 a\nL 1 b\nI 2 0 1\nI 3 0 5\n",
+        "L 0 a\nL 0 b\n",
+        "",
+    ], ids=["unreached-leaf", "child-above-parent", "own-child", "child-twice",
+            "shared-child", "missing-child", "duplicate-id", "empty"])
+    def test_malformed_tables_are_rejected(self, text):
+        with pytest.raises(FormatError):
+            CP.read_vtree(text)
+
+    @pytest.mark.parametrize("nested", ["x", ("a", "b"), ("a", (("b", "c"), "d")),
+                                        ((("a", "b"), ("c", "d")), ("e", ("f", "g")))])
+    def test_written_tables_read_back(self, nested):
+        vt = CP.Vtree(nested)
+        assert CP.read_vtree(CP.write_vtree(vt)) == vt
+        # the ids may come in any order
+        shuffled = "".join(reversed(CP.write_vtree(vt).splitlines(keepends=True)))
+        assert CP.read_vtree(shuffled) == vt
 
     def test_distinct_leaves_required(self):
         with pytest.raises(ValueError):

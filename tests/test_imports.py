@@ -1,5 +1,6 @@
 """Every top-level import in the package is used by the module that makes
-it, and every private top-level definition is read by some module.
+it, every private top-level definition is read by some module, and only the
+file routes open files.
 
 A stdlib ``ast`` scan: a module's top-level ``import`` and ``from ... import``
 statements bind names, and each bound name must be read somewhere in the
@@ -7,7 +8,10 @@ module. ``__init__.py`` files are skipped, since their imports are the
 package's re-exports, and so are ``from __future__`` imports. A top-level
 ``def`` or ``class`` whose name starts with one underscore is private to the
 package, so some module of the package must read it: as a name, as an
-attribute, or through an import.
+attribute, or through an import. A call of ``open`` may stand only in
+``verbs.Paths``, through which every verb reads and writes its files, in
+``manifest``, which writes the bundle's own files, and in ``diagrams.save``
+and ``diagrams.load``.
 """
 
 import ast
@@ -18,6 +22,9 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ddlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# module -> the top-level definitions that may call ``open``; ``manifest``
+# writes the bundle's own files and may open them anywhere
+OPENERS = {"verbs.py": {"Paths"}, "diagrams.py": {"save", "load"}}
 
 
 def unused_imports(source):
@@ -92,3 +99,30 @@ def test_scan_finds_an_unread_private_definition():
 def test_no_unread_private_definition(path):
     unread = [d for d in private_definitions(path.read_text()) if d[1] not in package_reads()]
     assert unread == [], f"{path.name} defines private names no module reads"
+
+
+def opening_definitions(source):
+    """(line, top-level definition) for each call of ``open``; the definition
+    is None for a call outside any."""
+    found = []
+    for stmt in ast.parse(source).body:
+        name = getattr(stmt, "name", None)
+        found += [(node.lineno, name) for node in ast.walk(stmt)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "open"]
+    return found
+
+
+def test_scan_finds_open_calls():
+    source = ("with open('a') as fh:\n    pass\n"
+              "class Route:\n    def read(self):\n        return open(self.f).read()\n"
+              "def text(f):\n    return f.open()\n")
+    assert opening_definitions(source) == [(1, None), (5, "Route")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "manifest.py"],
+                         ids=lambda p: p.name)
+def test_only_the_file_routes_open_files(path):
+    allowed = OPENERS.get(path.name, set())
+    stray = [f for f in opening_definitions(path.read_text()) if f[1] not in allowed]
+    assert stray == [], f"{path.name} opens files outside verbs.Paths"
