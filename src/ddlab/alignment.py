@@ -91,6 +91,11 @@ class Frontier:
 def frontier(b, pi, g):
     """Compute the frontier of an ordered diagram under a prefix assignment.
 
+    The walk from the source passes through conjunctions and incomplete
+    decision nodes (those whose variable g binds, keeping only the child g
+    chooses) and stops at complete decision nodes, which form L(g), and at
+    sinks; nothing else of the aligned diagram is built.
+
     Asserts the structural facts the construction is entitled to: the
     subdiagrams hanging off L(g) are complete and pairwise variable-disjoint,
     and the union of incomplete paths is a tree. Their failure indicates an
@@ -99,7 +104,8 @@ def frontier(b, pi, g):
     names = tuple(pi.names if hasattr(pi, "names") else pi)
     validate(b, names)
     _require_prefix(g, names)
-    aligned = align(b, g)
+    bound = g.vars
+    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
     l_nodes = set()
     visited = set()
     taken = set()  # incomplete-path edges, as (parent, child)
@@ -109,10 +115,18 @@ def frontier(b, pi, g):
         if i in visited:
             continue
         visited.add(i)
-        if b.kind[i] == DECISION and i not in aligned.incomplete:
-            l_nodes.add(i)
+        k = kind[i]
+        if k == DECISION:
+            bit = g.get(var[i])
+            if bit is None:
+                l_nodes.add(i)
+                continue
+            children = (hi[i] if bit else lo[i],)
+        elif k == AND:
+            children = (lo[i], hi[i])
+        else:
             continue
-        for _, child in aligned.out_edges(i):
+        for child in children:
             taken.add((i, child))
             stack.append(child)
     # T(g): the part of the walk on paths that end at frontier nodes. Paths
@@ -138,12 +152,15 @@ def frontier(b, pi, g):
                 raise SoundnessError(
                     f"incomplete paths remeet at node {child}; T(g) is not a tree")
             tree_parent[child] = parent_id
-    # completeness below the frontier (first statement of the path lemma)
-    for u in l_nodes:
-        for i in _reachable_in_aligned(aligned, u):
-            if i in aligned.incomplete:
-                raise SoundnessError(
-                    f"incomplete decision node {i} below frontier node {u}")
+    # completeness below the frontier (first statement of the path lemma): on
+    # any path below u the first node testing a g variable is reached through
+    # complete nodes, so the aligned walk below u meets an incomplete node
+    # exactly when u's subdiagram tests a variable of g
+    for u in sorted(l_nodes):
+        if b.vars_below(u) & bound:
+            raise SoundnessError(
+                f"incomplete decision node {_smallest_incomplete(b, g, u)} "
+                f"below frontier node {u}")
     seen = {}
     for u in sorted(l_nodes):
         for v in sorted(l_nodes):
@@ -152,20 +169,27 @@ def frontier(b, pi, g):
                     f"frontier subdiagrams {u} and {v} share variables "
                     f"{sorted(b.vars_below(u) & b.vars_below(v))}")
         seen[u] = b.vars_below(u)
-    free = (b.vars - g.vars) - frozenset().union(*seen.values()) if seen else (b.vars - g.vars)
+    free = (b.vars - bound) - frozenset().union(*seen.values()) if seen else (b.vars - bound)
     return Frontier(frozenset(l_nodes), tree_parent, frozenset(free))
 
 
-def _reachable_in_aligned(aligned, start):
+def _smallest_incomplete(b, g, start):
+    """The smallest incomplete decision node that the aligned diagram
+    reaches from ``start``."""
+    found = []
     seen = set()
     stack = [start]
     while stack:
         i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        stack.extend(child for _, child in aligned.out_edges(i))
-    return seen
+        if i not in seen:
+            seen.add(i)
+            bit = g.get(b.var[i]) if b.kind[i] == DECISION else None
+            if bit is None:
+                stack.extend(b.children(i))
+            else:
+                found.append(i)
+                stack.append(b.hi[i] if bit else b.lo[i])
+    return min(found)
 
 
 def _require_prefix(g, names):

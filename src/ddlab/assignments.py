@@ -10,6 +10,7 @@ projection, restriction, and the rectangle "breaks" test.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .errors import DomainOverlapError, ScopeError, UniformityError
 
@@ -47,6 +48,17 @@ class Assignment:
         self._map = m
         self._items = tuple(sorted(m.items()))
         self._hash = hash(self._items)
+
+    @classmethod
+    def _rows(cls, items):
+        """The assignment whose sorted items are ``items``: a tuple of
+        (name, bit) pairs, names strictly increasing and bits the ints 0 and
+        1. Nothing is checked; the callers build such tuples only."""
+        a = object.__new__(cls)
+        a._items = items
+        a._map = dict(items)
+        a._hash = hash(items)
+        return a
 
     @property
     def vars(self):
@@ -91,11 +103,11 @@ class Assignment:
     def minus(self, other):
         """Drop the bindings of ``other``'s variables."""
         drop = other._map if isinstance(other, Assignment) else set(other)
-        return Assignment((n, b) for n, b in self._items if n not in drop)
+        return Assignment._rows(tuple(item for item in self._items if item[0] not in drop))
 
     def project(self, names):
         names = set(names)
-        return Assignment((n, b) for n, b in self._items if n in names)
+        return Assignment._rows(tuple(item for item in self._items if item[0] in names))
 
     def render(self):
         return ",".join(f"{n}={b}" for n, b in self._items)
@@ -139,12 +151,14 @@ class AssignmentSet:
                                   for e in elements)
         u = set()
         for a in self.elements:
-            u.update(a.vars)
+            u.update(a._map)
         self.universe = frozenset(u)
 
     @property
     def is_uniform(self):
-        return all(a.vars == self.universe for a in self.elements)
+        # every member's variables lie in the universe, so equal sizes suffice
+        n = len(self.universe)
+        return all(len(a._map) == n for a in self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -180,18 +194,34 @@ def cube(names):
 
 def decode_table(order, table):
     """The uniform set a truth table encodes: bit m of ``table`` set means a
-    member binding ``order[p]`` to bit ``len(order) - 1 - p`` of m."""
+    member binding ``order[p]`` to bit ``len(order) - 1 - p`` of m.
+
+    ``order`` must be strictly increasing, so that each member's sorted items
+    are the items of the high half of m followed by those of the low half;
+    both halves' item tuples are made once."""
+    order = tuple(order)
+    if any(a >= b for a, b in zip(order, order[1:])):
+        raise ValueError("decode_table needs a strictly increasing order")
     n = len(order)
+    low = n // 2
+    high_rows = _half_rows(order[:n - low])
+    low_rows = _half_rows(order[n - low:])
+    low_mask = (1 << low) - 1
+    rows = Assignment._rows
     raw = table.to_bytes(((1 << n) + 7) // 8, "little")
     out = []
     for byte_index, byte in enumerate(raw):
         while byte:
             bit = byte & -byte
             m = byte_index * 8 + bit.bit_length() - 1
-            out.append(Assignment((name, (m >> (n - 1 - p)) & 1)
-                                  for p, name in enumerate(order)))
+            out.append(rows(high_rows[m >> low] + low_rows[m & low_mask]))
             byte ^= bit
     return AssignmentSet(out)
+
+
+def _half_rows(names):
+    """Entry m: the items binding ``names[p]`` to bit ``len(names) - 1 - p`` of m."""
+    return [tuple(zip(names, bits)) for bits in itertools.product((0, 1), repeat=len(names))]
 
 
 def product(h1, h2):
@@ -227,7 +257,33 @@ def restrict_set(h, a):
     with that projection's bindings removed.
     """
     a0 = a.project(h.universe)
-    return AssignmentSet(b.minus(a0) for b in h if a0 <= b)
+    names = sorted(h.universe)
+    # a uniform member's sorted items line up with names: compare the items
+    # at a0's positions in one call and keep the others
+    pick = _picker([p for p, name in enumerate(names) if name in a0])
+    rest = _picker([p for p, name in enumerate(names) if name not in a0])
+    want = a0._items
+    n = len(names)
+    rows = Assignment._rows
+    out = []
+    for b in h.elements:
+        items = b._items
+        if len(items) == n:
+            if pick(items) == want:
+                out.append(rows(rest(items)))
+        elif a0 <= b:
+            out.append(b.minus(a0))
+    return AssignmentSet(out)
+
+
+def _picker(positions):
+    """A function from a tuple to the tuple of its entries at ``positions``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        p = positions[0]
+        return lambda row: (row[p],)
+    return lambda row: ()
 
 
 def _finest_parts(rows, low, n):

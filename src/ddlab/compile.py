@@ -169,22 +169,27 @@ class Vtree:
     __slots__ = ("kinds", "payload", "_vars")
 
     def __init__(self, nested):
+        # post-order, left subtree first, with an explicit stack so that a
+        # vtree of any depth can be built; ``done`` holds the ids of the
+        # finished subtrees whose parent is not numbered yet
         kinds = []
         payload = []
-
-        def build(part):
+        done = []
+        stack = [(nested, False)]
+        while stack:
+            part, expanded = stack.pop()
             if isinstance(part, str):
                 kinds.append("leaf")
                 payload.append(part)
-                return len(kinds) - 1
-            left, right = part
-            li = build(left)
-            ri = build(right)
-            kinds.append("internal")
-            payload.append((li, ri))
-            return len(kinds) - 1
-
-        build(nested)
+            elif expanded:
+                right = done.pop()
+                kinds.append("internal")
+                payload.append((done.pop(), right))
+            else:
+                left, right = part
+                stack += ((part, True), (right, False), (left, False))
+                continue
+            done.append(len(kinds) - 1)
         self.kinds = tuple(kinds)
         self.payload = tuple(payload)
         names = [p for k, p in zip(kinds, payload) if k == "leaf"]

@@ -152,6 +152,123 @@ def frontier_by_fixpoint(b, names, g):
     return frozenset(l_nodes), tree_parent
 
 
+def frontier_by_alignment(b, names, g):
+    """L(g), T(g) and X(g) from the aligned diagram: the walk follows the
+    aligned out-edges, and completeness below each frontier node is checked
+    by walking the aligned graph below it. Raises ``SoundnessError`` with the
+    messages of ``alignment.frontier``. The diagram is not validated, so on
+    an unordered one the structural checks can fail."""
+    al = AL.align(b, g)
+    l_nodes, visited, taken = set(), set(), set()
+    stack = [b.source]
+    while stack:
+        i = stack.pop()
+        if i in visited:
+            continue
+        visited.add(i)
+        if b.node(i).kind == "decision" and i not in al.incomplete:
+            l_nodes.add(i)
+            continue
+        for _, child in al.out_edges(i):
+            taken.add((i, child))
+            stack.append(child)
+    parents = {}
+    for parent, child in taken:
+        parents.setdefault(child, []).append(parent)
+    reaches = set(l_nodes)
+    stack = list(l_nodes)
+    while stack:
+        for parent in parents.get(stack.pop(), ()):
+            if parent not in reaches:
+                reaches.add(parent)
+                stack.append(parent)
+    tree_parent = {b.source: None} if l_nodes else {}
+    for parent, child in sorted(taken):
+        if parent in reaches and child in reaches:
+            if child in tree_parent:
+                raise SoundnessError(
+                    f"incomplete paths remeet at node {child}; T(g) is not a tree")
+            tree_parent[child] = parent
+    for u in sorted(l_nodes):
+        below, stack = set(), [u]
+        while stack:
+            i = stack.pop()
+            if i not in below:
+                below.add(i)
+                stack.extend(c for _, c in al.out_edges(i))
+        bad = below & al.incomplete
+        if bad:
+            raise SoundnessError(
+                f"incomplete decision node {min(bad)} below frontier node {u}")
+    covered = set()
+    for u in sorted(l_nodes):
+        for v in sorted(l_nodes):
+            shared = b.vars_below(u) & b.vars_below(v)
+            if u < v and shared:
+                raise SoundnessError(
+                    f"frontier subdiagrams {u} and {v} share variables {sorted(shared)}")
+        covered |= b.vars_below(u)
+    return frozenset(l_nodes), tree_parent, frozenset(b.vars - g.vars - covered)
+
+
+def outcome(run):
+    """The frontier as (l_nodes, tree_parent, free_vars), or the message of
+    the ``SoundnessError`` raised making it."""
+    try:
+        fr = run()
+    except SoundnessError as e:
+        return str(e)
+    return fr if isinstance(fr, tuple) else (fr.l_nodes, fr.tree_parent, fr.free_vars)
+
+
+def assert_frontier_as_aligned(b, names, g):
+    """``alignment.frontier`` gives the oracle's frontier or raises its error;
+    returns that outcome."""
+    expected = outcome(lambda: frontier_by_alignment(b, names, g))
+    assert outcome(lambda: AL.frontier(b, names, g)) == expected
+    return expected
+
+
+class TestFrontierOracle:
+    def test_every_prefix_of_random_and_obdds(self):
+        rng = random.Random(37)
+        checked = 0
+        for size in (3, 5, 7):
+            names = [f"v{i}" for i in range(size)]
+            for _ in range(40):
+                b, order = random_and_obdd(rng, names)
+                for k in range(len(order) + 1):
+                    g = Assignment({v: rng.randint(0, 1) for v in order[:k]})
+                    assert_frontier_as_aligned(b, order, g)
+                    checked += 1
+        assert checked > 500
+
+    def test_unordered_diagrams_fail_as_the_aligned_walk_does(self, monkeypatch):
+        # with validation off, a diagram tested against a shuffled order
+        # breaks the completeness and disjointness checks too
+        monkeypatch.setattr(AL, "validate", lambda b, names: None)
+        rng = random.Random(39)
+        names = [f"v{i}" for i in range(6)]
+        messages = []
+        for _ in range(80):
+            b, _ = random_and_obdd(rng, names)
+            order = rng.sample(names, len(names))
+            for k in range(len(order) + 1):
+                g = Assignment({v: rng.randint(0, 1) for v in order[:k]})
+                messages.append(assert_frontier_as_aligned(b, order, g))
+        # conjunctions that are not decomposable: two incomplete paths remeet
+        # at a frontier node, and two frontier nodes test one variable
+        builder = D.DiagramBuilder()
+        f, t = builder.sink(0), builder.sink(1)
+        shared = builder.decision("z", f, t)
+        remeet = builder.conj(builder.decision("x", shared, t), builder.decision("y", shared, f))
+        overlap = builder.conj(shared, builder.decision("z", t, f))
+        for root, g in ((remeet, Assignment({"x": 0, "y": 0})), (overlap, Assignment())):
+            messages.append(assert_frontier_as_aligned(builder.finalize(root), ["x", "y", "z"], g))
+        for kind in ("not a tree", "below frontier node", "share variables"):
+            assert any(kind in m for m in messages if isinstance(m, str)), kind
+
+
 class TestAlignedEdgeIndex:
     def test_out_edges_match_a_scan_of_kept_edges(self):
         rng = random.Random(31)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ddlab.assignments import (Assignment, AssignmentSet, breaks, cube, product,
+from ddlab.assignments import (Assignment, AssignmentSet, breaks, cube, decode_table, product,
                                product_all, project, project_set, restrict_set)
 from ddlab.errors import DomainOverlapError, ScopeError, UniformityError
 
@@ -242,6 +242,106 @@ class TestProjectRestrict:
             r2 = restrict_set(h2, a)
             if r1.elements and r2.elements:
                 assert restrict_set(product(h1, h2), a) == product(r1, r2)
+
+
+def public(pairs):
+    """The assignment of ``pairs`` through the validating public constructor."""
+    return Assignment(list(pairs))
+
+
+def assert_same_members(got, expected):
+    """Equal sets whose members agree with ``expected``'s on items, map and hash."""
+    assert got == expected
+    by_items = {a._items: a for a in expected}
+    for a in got:
+        b = by_items[a._items]
+        assert type(a._items) is tuple and a == b and hash(a) == hash(b) and a._map == b._map
+
+
+def restrict_set_by_minus(h, a):
+    """The restriction as first written: ``<=`` and ``minus`` on every member."""
+    a0 = a.project(h.universe)
+    return AssignmentSet(b.minus(a0) for b in h if a0 <= b)
+
+
+def random_members(rng, names, uniform):
+    """Random members over ``names``; each binds every name when ``uniform``,
+    else a random subset of them."""
+    members = []
+    for _ in range(rng.randint(0, 12)):
+        chosen = names if uniform else [v for v in names if rng.random() < 0.6]
+        members.append(public((v, rng.randint(0, 1)) for v in chosen))
+    return AssignmentSet(members)
+
+
+class TestRowConstructor:
+    NAMES = ["b10", "a", "x_1", "b2", "c", "zz", "m", "k", "d", "e", "f", "g"]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 11, 12])
+    def test_decode_table_members_match_the_public_constructor(self, n):
+        rng = random.Random(100 + n)
+        order = sorted(self.NAMES[:n])
+        for table in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n), rng.getrandbits(1 << n)):
+            expected = AssignmentSet(
+                public((name, m >> (n - 1 - p) & 1) for p, name in enumerate(order))
+                for m in range(1 << n) if table >> m & 1)
+            got = decode_table(order, table)
+            assert_same_members(got, expected)
+            assert len(got) == bin(table).count("1")
+
+    @pytest.mark.parametrize("order", [["b", "a"], ["a", "a"], ["a", "c", "b"]])
+    def test_decode_table_rejects_an_order_that_is_not_strictly_increasing(self, order):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            decode_table(order, 1)
+
+    def test_minus_and_project_match_the_public_constructor(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            a = public((v, rng.randint(0, 1)) for v in self.NAMES if rng.random() < 0.6)
+            names = [v for v in self.NAMES + ["foreign"] if rng.random() < 0.4]
+            other = public((v, rng.randint(0, 1)) for v in names)
+            kept = AssignmentSet([public((v, b) for v, b in a if v not in names)])
+            for dropped in (names, other):
+                assert_same_members(AssignmentSet([a.minus(dropped)]), kept)
+            assert_same_members(AssignmentSet([a.project(names)]),
+                                AssignmentSet([public((v, b) for v, b in a if v in names)]))
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+    def test_restrict_set_matches_the_minus_route(self, uniform):
+        rng = random.Random(43 + uniform)
+        cases = 0
+        for _ in range(200):
+            names = sorted(rng.sample(self.NAMES, rng.randint(0, 7)))
+            h = random_members(rng, names, uniform)
+            member = next(iter(h), Assignment())
+            for a in (Assignment(),  # empty
+                      public((v, rng.randint(0, 1)) for v in names),  # binds every variable
+                      member,  # one member extends it
+                      public((v, 1 - member[v]) if v in member else (v, 0)
+                             for v in names),  # no member extends it, when h has one member
+                      public((v, rng.randint(0, 1)) for v in names + ["foreign"]
+                             if rng.random() < 0.5)):
+                got = restrict_set(h, a)
+                expected = restrict_set_by_minus(h, a)
+                assert_same_members(got, expected)
+                assert_same_members(got, AssignmentSet(
+                    public((v, x) for v, x in b if v not in a) for b in h
+                    if all(b.get(v) == x for v, x in a if v in h.universe)))
+                cases += 1
+        assert cases == 1000
+
+    def test_restrict_set_with_no_extending_member_is_empty(self):
+        h = cube(["a", "b", "c"])
+        h = AssignmentSet(b for b in h if b["a"] == 0)
+        assert restrict_set(h, Assignment({"a": 1})) == AssignmentSet()
+        assert restrict_set(h, Assignment({"a": 1, "b": 0, "c": 0})) == AssignmentSet()
+
+    def test_is_uniform_on_non_uniform_sets(self):
+        assert not aset({"a": 1}, {"b": 0}).is_uniform
+        assert not aset({"a": 1, "b": 0}, {"a": 0}).is_uniform
+        assert not aset({"a": 1, "b": 0}, {}).is_uniform
+        assert aset({"a": 1, "b": 0}, {"a": 0, "b": 0}).is_uniform
+        assert aset({}).is_uniform and AssignmentSet().is_uniform
 
 
 class TestBreaks:

@@ -212,6 +212,29 @@ class TestVtree:
         with pytest.raises(ValueError):
             CP.Vtree(("a", "a"))
 
+    @pytest.mark.parametrize("nested,kinds,payload", [
+        ("x", "L", ("x",)),
+        (("a", "b"), "LLI", ("a", "b", (0, 1))),
+        (("a", (("b", "c"), "d")), "LLLILII", ("a", "b", "c", (1, 2), "d", (3, 4), (0, 5))),
+        (((("a", "b"), "c"), ("d", "e")), "LLILILLII",
+         ("a", "b", (0, 1), "c", (2, 3), "d", "e", (5, 6), (4, 7))),
+    ])
+    def test_tables_are_numbered_in_post_order_left_first(self, nested, kinds, payload):
+        vt = CP.Vtree(nested)
+        assert vt.kinds == tuple("leaf" if k == "L" else "internal" for k in kinds)
+        assert vt.payload == payload
+
+    def test_deep_left_comb_round_trips(self):
+        # 1,200 leaves nest deeper than the interpreter's recursion limit
+        lines = ["L 0 x0"]
+        for i in range(1, 1200):
+            lines += [f"L {2 * i - 1} x{i}", f"I {2 * i} {2 * i - 2} {2 * i - 1}"]
+        text = "\n".join(lines) + "\n"
+        vt = CP.read_vtree(text)
+        assert CP.write_vtree(vt) == text
+        assert CP.read_vtree(CP.write_vtree(vt)) == vt
+        assert len(vt.vars) == 1200 and vt.payload[-1] == (2396, 2397)
+
     def test_from_decomposition_covers_bag_vars(self, c4):
         d = exact_decomposition(c4)
         vt = CP.vtree_from_decomposition(d)
