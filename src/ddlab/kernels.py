@@ -32,16 +32,23 @@ def pattern(n, p):
     return out
 
 
+@lru_cache(maxsize=32)
+def _patterns(n):
+    """Every position's pattern over n variables, index p + 1 holding
+    ``pattern(n, p)``, so a literal indexes its own pattern."""
+    return (0,) + tuple(pattern(n, p) for p in range(n))
+
+
 # obdd_size_for_order builds its table through this private name, so a
 # wrapper installed on the public cnf_truth_table sees only outside calls.
 def _truth_table(n, clauses):
     full = (1 << (1 << n)) - 1
+    pats = _patterns(n)
     table = full
     for clause in clauses:
         mask = 0
         for lit in clause:
-            pat = pattern(n, abs(lit) - 1)
-            mask |= pat if lit > 0 else full ^ pat
+            mask |= pats[lit] if lit > 0 else full ^ pats[-lit]
         table &= mask
         if table == 0:
             break
@@ -57,8 +64,9 @@ def count_ones(table):
     return table.bit_count()
 
 
-def obdd_size_for_order(n, clauses):
-    """Node count of the reduced OBDD of a clause set, sinks included.
+def obdd_size_for_order(n, clauses, bound=None):
+    """Node count of the reduced OBDD of a clause set, sinks included, or
+    ``None`` when a ``bound`` is given and the count is at least ``bound``.
 
     The subfunctions left after fixing the first p variables are the distinct
     aligned blocks of width 2^(n-p) in the truth table. Top-down, each level
@@ -68,10 +76,23 @@ def obdd_size_for_order(n, clauses):
     equal subfunctions, so the cost follows the number of distinct cofactors
     (about the diagram size times n), not the 2^n cells. The last set holds
     the sinks the diagram reaches.
+
+    The bound is checked before each level is split and once at the end.
+    Before level p, ``internal`` counts the decision nodes at positions
+    below p, and every block in ``level`` is a distinct subfunction that some
+    path into the diagram reaches after p variables. The reduced OBDD
+    represents each such subfunction by its own node, a decision node at
+    position p or later or a sink, so none of them is among the nodes
+    counted in ``internal``. The final count is therefore at least
+    ``internal + len(level)``, and once that reaches the bound the rest of
+    the split cannot bring the count under it. Without a bound every level
+    is split and the count is returned.
     """
     level = {_truth_table(n, clauses)}
     internal = 0
     for p in range(n):
+        if bound is not None and internal + len(level) >= bound:
+            return None
         half = 1 << (n - 1 - p)
         low = (1 << half) - 1
         below = set()
@@ -83,4 +104,7 @@ def obdd_size_for_order(n, clauses):
                 below.add(hi)
             below.add(lo)
         level = below
-    return internal + len(level)
+    size = internal + len(level)
+    if bound is not None and size >= bound:
+        return None
+    return size

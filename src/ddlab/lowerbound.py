@@ -12,6 +12,7 @@ bound, plus a content hash of the diagram they were checked against.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -56,8 +57,9 @@ class FoolingExperiment:
             return tuple(tag(w, 2) for _, w in self.pairs)
         return tuple(w for _, w in self.pairs)
 
-    @property
+    @functools.cached_property
     def prefix_vars(self):
+        """The prefix's variables, made once per experiment."""
         return frozenset(self.order.names[:self.prefix_len])
 
     def formula(self):
@@ -138,10 +140,11 @@ def fooling_set(exp):
 
 
 def is_fooling(exp, g):
-    if g.vars != exp.prefix_vars:
+    prefix = exp.prefix_vars
+    if g.vars != prefix:
         return False
     u_vars = set(exp.u_vars)
-    if any(g[v] != 1 for v in exp.prefix_vars - u_vars):
+    if any(g[v] != 1 for v in prefix - u_vars):
         return False
     ones = sum(g[v] for v in u_vars)
     if exp.engine == "and-obdd":
@@ -259,16 +262,17 @@ def certify(b, pi, exp):
     if exp.engine == "obdd" and not cls.is_obdd:
         raise SoundnessError("diagram is not an OBDD")
     _check_computes(b, exp.formula())
-    fools = sorted(fooling_set(exp), key=lambda a: a.render())
+    # each assignment rendered once: the sort key, the collision map and u_map
+    fools = sorted(((g.render(), g) for g in fooling_set(exp)), key=operator.itemgetter(0))
     u_map = []
     seen = {}
-    for g in fools:
+    for text, g in fools:
         node = locate(b, pi, exp, g, check_input=False)
         if node in seen:
             raise SoundnessError(
-                f"u(g) collision at node {node} for {seen[node]!r} and {g.render()!r}")
-        seen[node] = g.render()
-        u_map.append((g.render(), node))
+                f"u(g) collision at node {node} for {seen[node]!r} and {text!r}")
+        seen[node] = text
+        u_map.append((text, node))
     bound = len(fools)
     if b.size < bound:
         raise SoundnessError(
@@ -339,6 +343,11 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None,
     The exhaustive search is the Friedman-Supowit subset DP, ``best_order``
     summing ``_level_nodes``; of the optimal orders it returns the
     lexicographically first, the one a scan of all n! orders keeps.
+
+    The sampled search sizes each order with the best size so far as the
+    kernel's bound, so an order stops being sized once it cannot beat it.
+    A cut-off order has size at least the best, so it could never have
+    replaced it: the search still returns the first order of the least size.
     """
     names = sorted(phi.vars)
     n = len(names)
@@ -356,15 +365,16 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None,
         rng = random.Random(seed)
         # encode once over the sorted names; each order only relabels positions
         base = encode(phi, names)
-        rank = {name: i + 1 for i, name in enumerate(names)}
         best = None
         for _ in range(count):
             shuffled = list(names)
             rng.shuffle(shuffled)
-            pos = {rank[name]: p for p, name in enumerate(shuffled, 1)}
+            where = {name: p for p, name in enumerate(shuffled, 1)}
+            pos = [0] + [where[name] for name in names]  # rank -> position
             clauses = [[pos[lit] if lit > 0 else -pos[-lit] for lit in c] for c in base]
-            size = kernels.obdd_size_for_order(n, clauses)
-            if best is None or size < best[0]:
+            size = kernels.obdd_size_for_order(
+                n, clauses, None if best is None else best[0])
+            if size is not None:
                 best = (size, shuffled)
         size, order = best
     else:

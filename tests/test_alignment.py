@@ -282,6 +282,19 @@ class TestAlignedEdgeIndex:
                     assert al.out_edges(i) == sorted(
                         (slot, c) for p, slot, c in al.kept_edges if p == i)
 
+    @staticmethod
+    def assert_frontier_as_defined(b, order, g):
+        """``alignment.frontier`` gives the fixpoint definition's L(g) and
+        T(g), or raises when T(g) is not a tree; returns whether it is."""
+        l_nodes, tree_parent = frontier_by_fixpoint(b, order, g)
+        if tree_parent is None:
+            with pytest.raises(SoundnessError, match="not a tree"):
+                AL.frontier(b, order, g)
+            return False
+        fr = AL.frontier(b, order, g)
+        assert (fr.l_nodes, fr.tree_parent) == (l_nodes, tree_parent)
+        return True
+
     def test_frontier_matches_the_fixpoint_definition(self):
         rng = random.Random(32)
         names = [f"v{i}" for i in range(7)]
@@ -290,15 +303,26 @@ class TestAlignedEdgeIndex:
             b, order = random_and_obdd(rng, names)
             for k in range(len(order) + 1):
                 g = Assignment({v: rng.randint(0, 1) for v in order[:k]})
-                l_nodes, tree_parent = frontier_by_fixpoint(b, order, g)
-                if tree_parent is None:
-                    with pytest.raises(SoundnessError, match="not a tree"):
-                        AL.frontier(b, order, g)
-                    continue
-                fr = AL.frontier(b, order, g)
-                assert (fr.l_nodes, fr.tree_parent) == (l_nodes, tree_parent)
+                assert self.assert_frontier_as_defined(b, order, g)
                 checked += 1
         assert checked > 200
+
+    def test_incomplete_paths_remeeting_at_a_decision_node(self, monkeypatch):
+        # No validated and-OBDD has such paths: they part only at
+        # conjunctions, whose two sides test disjoint variables, so they can
+        # remeet only at a sink. Here both sides of a conjunction lead, under
+        # g, to one node testing z; with validation stubbed out, the frontier
+        # and both oracles must find that T(g) is not a tree.
+        monkeypatch.setattr(AL, "validate", lambda b, names: None)
+        builder = D.DiagramBuilder()
+        f, t = builder.sink(0), builder.sink(1)
+        shared = builder.decision("z", f, t)
+        b = builder.finalize(builder.conj(builder.decision("x", shared, t),
+                                          builder.decision("y", shared, f)))
+        order, g = ["x", "y", "z"], Assignment({"x": 0, "y": 0})
+        assert not self.assert_frontier_as_defined(b, order, g)
+        with pytest.raises(SoundnessError, match="not a tree"):
+            frontier_by_alignment(b, order, g)
 
     def test_type_hints_resolve(self):
         assert typing.get_type_hints(AL.AlignedDiagram)["base"] is D.Diagram

@@ -1,6 +1,6 @@
 """The kernels against independent oracles: per-assignment clause evaluation
-for truth tables, and the bottom-up level reduction over all 2^n cells for
-reduced-OBDD sizes."""
+for truth tables, the bottom-up level reduction over all 2^n cells for
+reduced-OBDD sizes, and the unbounded size for the bounded one."""
 
 import random
 
@@ -8,6 +8,9 @@ import ddlab
 from ddlab import formulas as F
 from ddlab import kernels
 from ddlab import lowerbound as LB
+from ddlab.cnf import encode
+
+from conftest import random_cnf
 
 
 def random_position_clauses(rng, n, m):
@@ -97,6 +100,20 @@ def test_obdd_sizes_match_bottom_up_oracle():
         clauses = random_position_clauses(rng, n, rng.randint(0, 8))
         assert kernels.obdd_size_for_order(n, clauses) == \
             bottom_up_size(n, kernels.cnf_truth_table(n, clauses))
+
+
+def test_bounded_sizes_are_cut_off_exactly_at_the_bound():
+    rng = random.Random(9)
+    for _ in range(150):
+        phi = random_cnf(rng, rng.randint(1, 10), rng.randint(0, 10))
+        names = sorted(phi.vars)
+        rng.shuffle(names)
+        n, clauses = len(names), encode(phi, names)
+        size = kernels.obdd_size_for_order(n, clauses)
+        assert size == bottom_up_size(n, kernels.cnf_truth_table(n, clauses))
+        for bound in range(1, size + 3):
+            expected = None if size >= bound else size
+            assert kernels.obdd_size_for_order(n, clauses, bound) == expected, (bound, size)
 
 
 def test_grid4_junction_sizes_match_constructed_obdds():

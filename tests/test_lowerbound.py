@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -79,6 +80,55 @@ class TestFoolingSet:
                                        [("u1", "w1"), ("u2", "w2")], "and-obdd")
         with pytest.raises(PreconditionError):
             LB.fooling_set(exp_small)
+
+
+def fooling_experiments():
+    """One experiment per engine whose prefix holds variables off the u side:
+    q = 4 and-obdd (u1#2 and w2#1 in the prefix) and q = 2 plain (u3)."""
+    pairs = [(f"u{i}", f"w{i}") for i in range(1, 5)]
+    canonical = LB.make_experiment(matching_graph(4), pairs, "and-obdd").order.names
+    rest = [v for v in canonical if v not in ("u1#1", "u1#2", "u2#1", "w2#1")]
+    order = LinearOrder(["u1#1", "u1#2", "u2#1", "w2#1"] + rest)
+    return [LB.make_experiment(matching_graph(4), pairs, "and-obdd", order),
+            LB.make_experiment(matching_graph(3), pairs[:2], "obdd",
+                               LinearOrder(["u1", "u3", "u2", "w1", "w2", "w3"]))]
+
+
+class TestIsFooling:
+    @staticmethod
+    def prefix_assignment(exp, ones, changes=()):
+        """The non-u prefix variables at 1 and the first ``ones`` u-side
+        variables at 1, the rest at 0; ``changes`` rebinds or adds names."""
+        bits = dict.fromkeys(exp.prefix_vars, 1)
+        bits.update((u, int(i < ones)) for i, u in enumerate(exp.u_vars))
+        bits.update(changes)
+        return Assignment(bits)
+
+    @pytest.mark.parametrize("exp", fooling_experiments(), ids=lambda e: e.engine)
+    def test_accepts_the_boundary_counts(self, exp):
+        low = 2 if exp.engine == "and-obdd" else 0
+        assert exp.prefix_vars - set(exp.u_vars)
+        for ones in range(exp.q + 1):
+            expected = low <= ones <= exp.q - 1
+            assert LB.is_fooling(exp, self.prefix_assignment(exp, ones)) == expected, ones
+        assert len(LB.fooling_set(exp)) == sum(math.comb(exp.q, k) for k in range(low, exp.q))
+
+    @pytest.mark.parametrize("exp", fooling_experiments(), ids=lambda e: e.engine)
+    def test_rejects_wrong_variables_and_zeroed_non_u_variables(self, exp):
+        ones = exp.q - 1
+        good = self.prefix_assignment(exp, ones)
+        assert LB.is_fooling(exp, good)
+        for v in sorted(exp.prefix_vars):
+            missing = Assignment((x, b) for x, b in good if x != v)
+            assert not LB.is_fooling(exp, missing), v
+        assert not LB.is_fooling(exp, self.prefix_assignment(exp, ones, {exp.w_vars[0]: 1}))
+        for v in sorted(exp.prefix_vars - set(exp.u_vars)):
+            assert not LB.is_fooling(exp, self.prefix_assignment(exp, ones, {v: 0})), v
+
+    def test_prefix_set_is_made_once_per_experiment(self):
+        exp = fooling_experiments()[0]
+        assert exp.prefix_vars is exp.prefix_vars
+        assert exp == LB.make_experiment(exp.graph, exp.pairs, exp.engine, exp.order)
 
 
 class TestUnbreakable:
@@ -171,6 +221,17 @@ class TestLocateAndCertify:
         text = LB.certify(diagram, exp.order, exp).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
+    def test_certify_renders_each_assignment_once(self, monkeypatch):
+        exp = LB.make_experiment(matching_graph(4),
+                                 [(f"u{i}", f"w{i}") for i in range(1, 5)], "obdd")
+        diagram = LB.obdd_for_order(exp.formula(), exp.order)
+        calls = []
+        render = Assignment.render
+        monkeypatch.setattr(Assignment, "render", lambda a: calls.append(a) or render(a))
+        cert = LB.certify(diagram, exp.order, exp)
+        assert len(calls) == cert.fooling_size == 15
+        assert [text for text, _ in cert.u_map] == sorted(render(a) for a in set(calls))
+
     def test_locate_returns_owning_frontier_node(self):
         exp = worked_example_experiment()
         diagram = LB.obdd_for_order(exp.formula(), exp.order)
@@ -246,6 +307,21 @@ def permutation_min_obdd(phi):
     return best
 
 
+def unbounded_sampled_min_obdd(phi, count, seed):
+    """The sampled search without the bound: the same shuffles, every order
+    sized to the last level, the first order of the least size kept."""
+    names = sorted(phi.vars)
+    rng = random.Random(seed)
+    best = None
+    for _ in range(count):
+        shuffled = list(names)
+        rng.shuffle(shuffled)
+        size = LB.obdd_size(phi, shuffled)
+        if best is None or size < best[0]:
+            best = (size, LinearOrder(shuffled))
+    return best
+
+
 class TestMinObdd:
     def test_subset_dp_matches_the_permutation_oracle(self):
         rng = random.Random(11)
@@ -274,6 +350,26 @@ class TestMinObdd:
         a = LB.min_obdd(phi, search="sampled", count=40, seed=9)
         b = LB.min_obdd(phi, search="sampled", count=40, seed=9)
         assert a == b
+
+    def test_sampled_matches_the_unbounded_search(self):
+        rng = random.Random(17)
+        cases = [random_cnf(rng, rng.randint(1, 8), rng.randint(1, 10)) for _ in range(30)]
+        for phi in cases:
+            for seed in range(3):
+                assert LB.min_obdd(phi, search="sampled", count=40, seed=seed) == \
+                    unbounded_sampled_min_obdd(phi, 40, seed)
+        for q in (2, 3):
+            phi = grid_junction_formula(q)
+            for seed in range(4):
+                assert LB.min_obdd(phi, search="sampled", count=300, seed=seed,
+                                   verify=True) == unbounded_sampled_min_obdd(phi, 300, seed)
+
+    def test_sampled_grid3_result_pinned(self):
+        # the answer of sizing all 2000 orders in full, so a change to the
+        # bound, the draws or the tie rule shows here
+        assert LB.min_obdd(grid_junction_formula(3), search="sampled", count=2000, seed=1) == (
+            33, LinearOrder(("jn", "(2,2)", "(1,2)", "(2,1)", "(2,3)", "(3,2)", "(3,1)",
+                             "(3,3)", "(1,1)", "(1,3)")))
 
     def test_min_never_beats_any_fixed_order(self):
         phi = vc_formula(matching_graph(2))
