@@ -120,13 +120,15 @@ def reduce(phi, g):
     """The clause-surgery reduction: drop satisfied clauses, erase assigned
     occurrences from the rest. Empty clauses are kept; they mark contradiction.
     A clause cut from a well-formed clause is well-formed, so none is checked
-    again."""
-    out = []
-    for c in phi.clauses:
-        if any(g.get(n) == s for n, s in c):
-            continue
-        out.append(frozenset((n, s) for n, s in c if n not in g))
-    return Cnf.__new__(Cnf)._fill(frozenset(out))
+    again.
+
+    A clause is satisfied iff it shares a literal with g's bindings; a clause
+    that is not has every literal over g's variables false, so erasing them
+    is removing g's falsified literals."""
+    true = frozenset(g)
+    false = {(n, 1 - b) for n, b in g}
+    return Cnf.__new__(Cnf)._fill(
+        frozenset(c - false for c in phi.clauses if true.isdisjoint(c)))
 
 
 def clause_labels(phi):

@@ -474,6 +474,8 @@ def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None,
     if search == "sampled":
         if count is None or seed is None:
             raise ValueError("sampled search needs count and seed")
+        if count < 1:
+            raise ValueError(f"sampled search needs a count of at least 1, not {count}")
         rng = random.Random(seed)
         best = None
         for _ in range(count):

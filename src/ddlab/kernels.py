@@ -8,6 +8,8 @@ the low half sets the first variable to 0, the high half sets it to 1.
 
 Clauses arrive in position space: a literal is ``+(p+1)`` for the positive
 literal of the variable at position ``p`` and ``-(p+1)`` for its negation.
+``obdd_size_for_order`` also takes clauses over ranks 1..n with an ``order``
+that places rank ``order[p]`` at position ``p``.
 """
 
 from functools import lru_cache
@@ -33,22 +35,23 @@ def pattern(n, p):
 
 
 @lru_cache(maxsize=32)
-def _patterns(n):
-    """Every position's pattern over n variables, index p + 1 holding
-    ``pattern(n, p)``, so a literal indexes its own pattern."""
-    return (0,) + tuple(pattern(n, p) for p in range(n))
+def _literals(n):
+    """Every literal's pattern over n variables: index p + 1 holds
+    ``pattern(n, p)`` and index -(p + 1), reached by negative indexing, its
+    complement, so a position-space literal indexes its own pattern."""
+    full = (1 << (1 << n)) - 1
+    pats = [pattern(n, p) for p in range(n)]
+    return (0,) + tuple(pats) + tuple(full ^ pat for pat in reversed(pats))
 
 
 # obdd_size_for_order builds its table through this private name, so a
 # wrapper installed on the public cnf_truth_table sees only outside calls.
-def _truth_table(n, clauses):
-    full = (1 << (1 << n)) - 1
-    pats = _patterns(n)
-    table = full
+def _truth_table(n, clauses, lits):
+    table = (1 << (1 << n)) - 1
     for clause in clauses:
         mask = 0
         for lit in clause:
-            mask |= pats[lit] if lit > 0 else full ^ pats[-lit]
+            mask |= lits[lit]
         table &= mask
         if table == 0:
             break
@@ -57,16 +60,21 @@ def _truth_table(n, clauses):
 
 def cnf_truth_table(n, clauses):
     """Truth table of a clause set over n position-indexed variables."""
-    return _truth_table(n, clauses)
+    return _truth_table(n, clauses, _literals(n))
 
 
 def count_ones(table):
     return table.bit_count()
 
 
-def obdd_size_for_order(n, clauses, bound=None):
+def obdd_size_for_order(n, clauses, bound=None, order=None):
     """Node count of the reduced OBDD of a clause set, sinks included, or
     ``None`` when a ``bound`` is given and the count is at least ``bound``.
+
+    With an ``order`` the clauses are over ranks 1..n and ``order[p]`` is the
+    rank at position p: each position's pattern and its complement are
+    placed at its rank's two literal slots, 2n writes, and no literal is
+    rewritten. Without one the clauses are in position space.
 
     The subfunctions left after fixing the first p variables are the distinct
     aligned blocks of width 2^(n-p) in the truth table. Top-down, each level
@@ -88,7 +96,14 @@ def obdd_size_for_order(n, clauses, bound=None):
     the split cannot bring the count under it. Without a bound every level
     is split and the count is returned.
     """
-    level = {_truth_table(n, clauses)}
+    lits = _literals(n)
+    if order is not None:
+        placed = [0] * len(lits)
+        for p, rank in enumerate(order, 1):
+            placed[rank] = lits[p]
+            placed[-rank] = lits[-p]
+        lits = placed
+    level = {_truth_table(n, clauses, lits)}
     internal = 0
     for p in range(n):
         if bound is not None and internal + len(level) >= bound:

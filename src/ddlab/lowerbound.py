@@ -348,6 +348,8 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None,
     kernel's bound, so an order stops being sized once it cannot beat it.
     A cut-off order has size at least the best, so it could never have
     replaced it: the search still returns the first order of the least size.
+    It shuffles ranks, not names: ``shuffle`` never reads the values, so the
+    draws and the permutation are those of shuffling the sorted names.
     """
     names = sorted(phi.vars)
     n = len(names)
@@ -362,21 +364,23 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None,
     elif search == "sampled":
         if count is None or seed is None:
             raise ValueError("sampled search needs count and seed")
+        if count < 1:
+            raise ValueError(f"sampled search needs a count of at least 1, not {count}")
         rng = random.Random(seed)
-        # encode once over the sorted names; each order only relabels positions
+        # encode once over the ranks of the sorted names; the kernel places
+        # each order's positions itself
         base = encode(phi, names)
+        ranks = range(1, n + 1)
         best = None
         for _ in range(count):
-            shuffled = list(names)
+            shuffled = list(ranks)
             rng.shuffle(shuffled)
-            where = {name: p for p, name in enumerate(shuffled, 1)}
-            pos = [0] + [where[name] for name in names]  # rank -> position
-            clauses = [[pos[lit] if lit > 0 else -pos[-lit] for lit in c] for c in base]
             size = kernels.obdd_size_for_order(
-                n, clauses, None if best is None else best[0])
+                n, base, None if best is None else best[0], shuffled)
             if size is not None:
                 best = (size, shuffled)
-        size, order = best
+        size, best_ranks = best
+        order = [names[rank - 1] for rank in best_ranks]
     else:
         raise ValueError(f"unknown search {search!r}")
     if verify:

@@ -213,6 +213,15 @@ class TestLb:
                             "--seed", "1"], capsys)
         assert code == 0 and out.splitlines()[0].isdigit()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_one_is_exit_2(self, tmp_path, capsys, count):
+        cnf = tmp_path / "f.cnf"
+        run(["gen", "--family", "vc", "--grid", "2", "--out", str(cnf)], capsys)
+        for argv in (["minobdd", "--cnf", str(cnf)], ["width", "--grid", "2"]):
+            code, out, err = run(argv + ["--sample", count, "--seed", "1"], capsys)
+            assert code == 2 and out == "", argv
+            assert "count of at least 1" in err and "Traceback" not in err
+
 
 class TestRun:
     def test_empty_manifest(self, tmp_path, capsys):

@@ -117,6 +117,31 @@ class TestReduce:
             rebuilt = C.Cnf(out.clauses)
             assert (out, out.vars, hash(out)) == (rebuilt, rebuilt.vars, hash(rebuilt))
 
+    def test_set_algebra_matches_the_literal_loop(self):
+        """The clause-by-clause loop ``reduce`` used to run is the oracle:
+        random CNFs, partial assignments that may bind variables the CNF
+        lacks, and results holding empty clauses."""
+        def loop_reduce(phi, g):
+            out = []
+            for c in phi.clauses:
+                if any(g.get(n) == s for n, s in c):
+                    continue
+                out.append(frozenset((n, s) for n, s in c if n not in g))
+            return frozenset(out)
+
+        rng = random.Random(17)
+        empties = 0
+        for _ in range(300):
+            phi = random_cnf(rng, rng.randint(1, 7), rng.randint(0, 9))
+            names = [f"x{i}" for i in range(1, 9)]
+            chosen = rng.sample(names, rng.randint(0, len(names)))
+            g = Assignment({v: rng.randint(0, 1) for v in chosen})
+            out = C.reduce(phi, g)
+            assert out.clauses == loop_reduce(phi, g)
+            assert out.vars == C.Cnf(out.clauses).vars
+            empties += frozenset() in out.clauses
+        assert empties > 20
+
     def test_reduction_equation_on_random_cnfs(self):
         rng = random.Random(5)
         for _ in range(60):

@@ -1,6 +1,7 @@
 """The kernels against independent oracles: per-assignment clause evaluation
 for truth tables, the bottom-up level reduction over all 2^n cells for
-reduced-OBDD sizes, and the unbounded size for the bounded one."""
+reduced-OBDD sizes, the unbounded size for the bounded one, and clauses
+relabelled into position space for an order passed as data."""
 
 import random
 
@@ -62,6 +63,15 @@ def bottom_up_size(n, table):
     return internal + len(used_sinks)
 
 
+def relabel(clauses, order):
+    """Rank-space clauses rewritten into the position space of ``order``
+    (``order[p]`` is the rank at position p), one literal at a time."""
+    pos = [0] * (len(order) + 1)
+    for p, rank in enumerate(order, 1):
+        pos[rank] = p
+    return [[pos[lit] if lit > 0 else -pos[-lit] for lit in c] for c in clauses]
+
+
 def test_pure_pattern_shapes():
     assert kernels.pattern(2, 0) == 0b1100
     assert kernels.pattern(2, 1) == 0b1010
@@ -114,6 +124,48 @@ def test_bounded_sizes_are_cut_off_exactly_at_the_bound():
         for bound in range(1, size + 3):
             expected = None if size >= bound else size
             assert kernels.obdd_size_for_order(n, clauses, bound) == expected, (bound, size)
+
+
+def test_literal_tuple_holds_each_pattern_and_its_complement():
+    for n in range(0, 9):
+        lits = kernels._literals(n)
+        full = (1 << (1 << n)) - 1
+        assert len(lits) == 2 * n + 1 and lits[0] == 0
+        for p in range(n):
+            assert lits[p + 1] == kernels.pattern(n, p)
+            assert lits[-(p + 1)] == full ^ kernels.pattern(n, p)
+
+
+def test_order_argument_matches_relabelled_clauses_at_every_bound():
+    rng = random.Random(21)
+    for n in range(0, 9):
+        for _ in range(25):
+            if n:
+                clauses = random_position_clauses(rng, n, rng.randint(0, 8))
+            else:
+                clauses = rng.choice([[], [[]]])
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            moved = relabel(clauses, order)
+            size = kernels.obdd_size_for_order(n, moved)
+            assert kernels.obdd_size_for_order(n, clauses, order=order) == size
+            for bound in range(1, size + 3):
+                expected = kernels.obdd_size_for_order(n, moved, bound)
+                assert expected == (None if size >= bound else size)
+                assert kernels.obdd_size_for_order(n, clauses, bound, order) == expected, \
+                    (n, order, bound)
+
+
+def test_identity_order_is_position_space():
+    rng = random.Random(22)
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        clauses = random_position_clauses(rng, n, rng.randint(0, 8))
+        identity = list(range(1, n + 1))
+        size = kernels.obdd_size_for_order(n, clauses)
+        assert kernels.obdd_size_for_order(n, clauses, order=identity) == size
+        assert kernels.obdd_size_for_order(n, clauses, size, identity) is None
+        assert kernels.obdd_size_for_order(n, clauses, size + 1, identity) == size
 
 
 def test_grid4_junction_sizes_match_constructed_obdds():
