@@ -192,6 +192,19 @@ def cube(names):
                          for bits in itertools.product((0, 1), repeat=len(names)))
 
 
+def check_order(order, needed):
+    """``order`` as a list; a ScopeError unless it names no variable twice
+    and every variable of ``needed``. A truth table over it has one position
+    per name."""
+    order = list(order)
+    if len(set(order)) != len(order):
+        raise ScopeError(f"order repeats {sorted({x for x in order if order.count(x) > 1})}")
+    missing = needed - set(order)
+    if missing:
+        raise ScopeError(f"order misses {sorted(missing)}")
+    return order
+
+
 def decode_table(order, table):
     """The uniform set a truth table encodes: bit m of ``table`` set means a
     member binding ``order[p]`` to bit ``len(order) - 1 - p`` of m.

@@ -14,7 +14,7 @@ the truth-table kernels and is capped accordingly.
 from __future__ import annotations
 
 from . import config, kernels
-from .assignments import as_bit, decode_table
+from .assignments import as_bit, check_order, decode_table
 from .errors import FormatError, ScopeError
 from .graphs import Graph
 
@@ -95,7 +95,9 @@ def encode(phi, order):
 
 
 def truth_table(phi, order):
-    """Model indicator bitset of phi over the ordered universe ``order``."""
+    """Model indicator bitset of phi over the ordered universe ``order``,
+    which names every variable of phi, each name once."""
+    order = check_order(order, phi.vars)
     config.check_scale(len(order), config.BRUTE_FORCE_VAR_CAP, "variables")
     return kernels.cnf_truth_table(len(order), encode(phi, order))
 

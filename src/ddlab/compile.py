@@ -110,11 +110,14 @@ def dt_to_diagram(t):
     return Diagram.from_columns(kind, var, lo, hi, source)
 
 
-def _spine_clause(phi):
-    """Deterministic clause choice: least by sorted variable names, then by
-    the canonical literal key."""
-    return min(phi.clauses,
-               key=lambda c: (tuple(sorted(n for n, _ in c)), clause_key(c)))
+class _SpineKeys(dict):
+    """Clause -> its spine key, computed once per clause: the sorted
+    variable names, then the canonical literal key. The least key picks the
+    spine clause."""
+
+    def __missing__(self, c):
+        self[c] = key = (tuple(sorted(n for n, _ in c)), clause_key(c))
+        return key
 
 
 def decision_tree(phi):
@@ -128,6 +131,7 @@ def decision_tree(phi):
     builds.
     """
     memo = {}
+    spine_key = _SpineKeys().__getitem__
 
     def tree(phi):
         if not phi.clauses:
@@ -136,7 +140,7 @@ def decision_tree(phi):
             return DTLeaf(False)
         if phi in memo:
             return memo[phi]
-        c = _spine_clause(phi)
+        c = min(phi.clauses, key=spine_key)
         polarity = dict(c)
         spine = sorted(polarity)
         g = {}

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from . import config
-from .assignments import Assignment, AssignmentSet, decode_table, product
+from .assignments import Assignment, AssignmentSet, check_order, decode_table, product
 from .errors import DiagramInvariantError, FormatError, ScopeError
 from .kernels import pattern
 
@@ -123,11 +123,13 @@ class Diagram:
     conjunction has the children ``lo[i]`` (left) and ``hi[i]`` (right); a
     sink's value, 0 or 1, is ``lo[i]``. ``var`` is None off decision nodes
     and ``hi`` is None on sinks. ``node(i)`` and ``nodes`` give the same
-    table as ``Node`` records.
+    table as ``Node`` records. Construction also sorts the nodes into
+    isomorphism classes (``iso_class``, ``merged_size``); the semantic
+    passes run once per class rather than once per node.
     """
 
     __slots__ = ("kind", "var", "lo", "hi", "source", "declared_vars",
-                 "_up", "_topo", "_vars_below", "_classes")
+                 "_topo", "_vars_below", "_iso", "_iso_table", "_verdicts")
 
     def __init__(self, nodes, source, declared_vars=None):
         """From ``Node`` records in id order."""
@@ -162,10 +164,9 @@ class Diagram:
             raise FormatError(f"source {source!r} is not a node id")
         self.source = source
         # ``topo()`` is computed when first asked for, unless the cycle check
-        # needs it now; the passes below only need some children-first order
+        # needs it now; classifying only needs some children-first order
         self._topo = None if ascending else _toposort(kind, lo, hi)
-        self._up = range(n) if ascending else self._topo
-        self._vars_below = self._tested_below()
+        self._classify(range(n) if ascending else self._topo)
         tested = self._vars_below[source]
         if declared_vars is not None:
             declared_vars = frozenset(declared_vars)
@@ -178,31 +179,58 @@ class Diagram:
             if declared_vars == tested:
                 declared_vars = None  # repeating the tested set declares nothing
         self.declared_vars = declared_vars
-        self._classes = {}  # validate's verdicts, keyed by None or the order's names
+        self._verdicts = {}  # validate's verdicts, keyed by None or the order's names
 
-    def _tested_below(self):
-        """Per node, the variables tested at or below it, in one children-first
-        pass. Equal sets are one shared object: a node's set is looked up by
-        its test and its children's sets, so a union is computed once per
-        distinct combination, however many nodes repeat it."""
+    def _classify(self, up):
+        """Hash-cons the nodes into isomorphism classes in one children-first
+        pass, and read off each node's tested variables.
+
+        A class is keyed by a sink's value, or by a node's variable (None
+        on a conjunction) and its children's classes, so two nodes share a
+        class iff their subdiagrams are equal once isomorphic subdiagrams are
+        merged. Classes are numbered as first met, so class order is
+        children-first too. ``_iso`` holds each node's class; ``_iso_table``
+        holds the per-class kind, var, lo, hi and tested-set columns, lo and
+        hi naming classes (a sink class's value is its lo). Equal tested sets
+        are one shared object: a union is computed once per distinct (var,
+        lo set, hi set), however many classes repeat it."""
         kind, var, lo, hi = self.kind, self.var, self.lo, self.hi
         empty = frozenset()
-        below = [empty] * len(kind)
-        unions = {}  # (var, lo set, hi set) or (None, left set, right set) -> union
+        iso = [0] * len(kind)
+        ids = {}  # sink value, or (var, lo class, hi class) -> class
+        ckind, cvar, clo, chi, ctested = [], [], [], [], []
+        unions = {}  # (var, lo set, hi set) -> union, for classes repeating one
         shared = {empty: empty}
-        for i in self._up:
-            if not kind[i]:
-                continue
-            x, one, two = var[i], below[lo[i]], below[hi[i]]
-            key = (x, one, two)
-            acc = unions.get(key)
-            if acc is None:
-                acc = one | two
-                if x is not None:
-                    acc |= {x}
-                acc = unions[key] = shared.setdefault(acc, acc)
-            below[i] = acc
-        return tuple(below)
+        for i in up:
+            k = kind[i]
+            if k:
+                x, one, two = var[i], iso[lo[i]], iso[hi[i]]
+                key = (x, one, two)
+            else:
+                x, one, two = None, lo[i], None
+                key = one
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(ckind)
+                acc = empty
+                if k:
+                    sets = (x, ctested[one], ctested[two])
+                    acc = unions.get(sets)
+                    if acc is None:
+                        acc = sets[1] | sets[2]
+                        if x is not None:
+                            acc |= {x}
+                        acc = unions[sets] = shared.setdefault(acc, acc)
+                ckind.append(k)
+                cvar.append(x)
+                clo.append(one)
+                chi.append(two)
+                ctested.append(acc)
+            iso[i] = c
+        self._iso = tuple(iso)
+        self._iso_table = (tuple(ckind), tuple(cvar), tuple(clo), tuple(chi),
+                           tuple(ctested))
+        self._vars_below = tuple(map(ctested.__getitem__, iso))
 
     @property
     def size(self):
@@ -215,6 +243,17 @@ class Diagram:
 
     def vars_below(self, node_id):
         return self._vars_below[node_id]
+
+    @property
+    def merged_size(self):
+        """The number of isomorphism classes: the size once isomorphic
+        subdiagrams are merged."""
+        return len(self._iso_table[0])
+
+    def iso_class(self, node_id):
+        """The node's isomorphism class; two nodes share one iff their
+        subdiagrams are equal once isomorphic subdiagrams are merged."""
+        return self._iso[node_id]
 
     def topo(self):
         """Children-first node order; ``copy_nodes`` numbers copies in it."""
@@ -368,8 +407,8 @@ def validate(b, order=None):
     kept on it; a failed check raises again on every call.
     """
     names = None if order is None else tuple(getattr(order, "names", order))
-    if names in b._classes:
-        return b._classes[names]
+    if names in b._verdicts:
+        return b._verdicts[names]
     kind, var, lo, hi, below = b.kind, b.var, b.lo, b.hi, b._vars_below
     inner = [i for i, k in enumerate(kind) if k]
     decisions = [i for i in inner if kind[i] == DECISION]
@@ -417,7 +456,7 @@ def validate(b, order=None):
     else:
         ordered = _infer_order(b, decisions)
     is_ordered = ordered is not None
-    return b._classes.setdefault(names, DiagramClass(
+    return b._verdicts.setdefault(names, DiagramClass(
         is_and_fbdd=True,
         is_fbdd=not has_and,
         is_obdd=is_ordered and not has_and,
@@ -460,37 +499,38 @@ def _infer_order(b, decisions):
 
 
 def accepted(b):
-    """The accepted-set recursion, bottom-up; members may be partial."""
+    """The accepted-set recursion, bottom-up over the isomorphism classes;
+    members may be partial."""
     config.check_scale(len(b.vars), config.BRUTE_FORCE_VAR_CAP, "variables")
-    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
-    sets = {}
-    for i in b._up:
-        if kind[i] == SINK:
-            sets[i] = AssignmentSet([Assignment()]) if lo[i] else AssignmentSet()
-        elif kind[i] == DECISION:
-            zero = product(sets[lo[i]], AssignmentSet([Assignment({var[i]: 0})]))
-            one = product(sets[hi[i]], AssignmentSet([Assignment({var[i]: 1})]))
-            sets[i] = zero | one
+    kind, var, lo, hi, _ = b._iso_table
+    sets = []
+    for c, k in enumerate(kind):
+        if k == SINK:
+            sets.append(AssignmentSet([Assignment()]) if lo[c] else AssignmentSet())
+        elif k == DECISION:
+            zero = product(sets[lo[c]], AssignmentSet([Assignment({var[c]: 0})]))
+            one = product(sets[hi[c]], AssignmentSet([Assignment({var[c]: 1})]))
+            sets.append(zero | one)
         else:
-            sets[i] = product(sets[lo[i]], sets[hi[i]])
-    return sets[b.source]
+            sets.append(product(sets[lo[c]], sets[hi[c]]))
+    return sets[b._iso[b.source]]
 
 
 def evaluate(b, a):
-    """One pass over the DAG; requires a total assignment over vars(b)."""
+    """One pass over the isomorphism classes; requires a total assignment
+    over vars(b)."""
     if not b.vars <= a.vars:
         raise ScopeError(f"assignment leaves {sorted(b.vars - a.vars)} unset")
-    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
-    val = [0] * len(kind)
-    for i in b._up:
-        k = kind[i]
+    kind, var, lo, hi, _ = b._iso_table
+    val = []
+    for c, k in enumerate(kind):
         if k == SINK:
-            val[i] = lo[i]
+            val.append(lo[c])
         elif k == DECISION:
-            val[i] = val[hi[i]] if a[var[i]] else val[lo[i]]
+            val.append(val[hi[c]] if a[var[c]] else val[lo[c]])
         else:
-            val[i] = val[lo[i]] & val[hi[i]]
-    return val[b.source]
+            val.append(val[lo[c]] & val[hi[c]])
+    return val[b._iso[b.source]]
 
 
 def satisfying_set(b, universe=None):
@@ -503,35 +543,34 @@ def satisfying_set(b, universe=None):
 
 
 def truth_table(b, order):
-    """Model indicator bitset over an ordered universe covering vars(b).
+    """Model indicator bitset over an ordered universe covering vars(b),
+    each name once.
 
     This is diagram-route semantics (the extension reading of the accepted
     sets), vectorized; it shares no code path with the clause-route tables.
     """
-    order = list(order)
-    if not b.vars <= set(order):
-        raise ScopeError("order must cover the tested variables")
+    order = check_order(order, b.vars)
     config.check_scale(len(order), config.BRUTE_FORCE_VAR_CAP, "variables")
     n = len(order)
     size = 1 << n
     full = (1 << size) - 1
     pats = {name: pattern(n, p) for p, name in enumerate(order)}
-    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
-    tt = [0] * len(kind)
-    for i in b._up:
-        k = kind[i]
+    kind, var, lo, hi, _ = b._iso_table
+    tt = []
+    for c, k in enumerate(kind):
         if k == SINK:
-            tt[i] = full if lo[i] else 0
+            tt.append(full if lo[c] else 0)
         elif k == DECISION:
-            pat = pats[var[i]]
-            tt[i] = (pat & tt[hi[i]]) | ((full ^ pat) & tt[lo[i]])
+            pat = pats[var[c]]
+            tt.append((pat & tt[hi[c]]) | ((full ^ pat) & tt[lo[c]]))
         else:
-            tt[i] = tt[lo[i]] & tt[hi[i]]
-    return tt[b.source]
+            tt.append(tt[lo[c]] & tt[hi[c]])
+    return tt[b._iso[b.source]]
 
 
 def count_models(b, universe=None):
-    """Exact satisfying-assignment count over the universe, one DAG pass.
+    """Exact satisfying-assignment count over the universe, one pass over the
+    isomorphism classes (isomorphic nodes have equal counts).
 
     Per node the count is over vars(B_u): each decision branch scales by the
     free variables it skips, a conjunction multiplies its children, and the
@@ -544,21 +583,20 @@ def count_models(b, universe=None):
     universe = frozenset(universe) if universe is not None else b.vars
     if not b.vars <= universe:
         raise ScopeError(f"universe misses {sorted(b.vars - universe)}")
-    kind, var, lo, hi, below = b.kind, b.var, b.lo, b.hi, b._vars_below
-    counts = [0] * len(kind)
-    for i in b._up:
-        k = kind[i]
+    kind, var, lo, hi, below = b._iso_table
+    counts = []
+    for c, k in enumerate(kind):
         if k == SINK:
-            counts[i] = lo[i]
+            counts.append(lo[c])
         elif k == DECISION:
-            x, zero, one = var[i], lo[i], hi[i]
-            mine = len(below[i])
+            x, zero, one = var[c], lo[c], hi[c]
+            mine = len(below[c])
             lo_free = mine - len(below[zero]) - (x not in below[zero])
             hi_free = mine - len(below[one]) - (x not in below[one])
-            counts[i] = (counts[zero] << lo_free) + (counts[one] << hi_free)
+            counts.append((counts[zero] << lo_free) + (counts[one] << hi_free))
         else:
-            counts[i] = counts[lo[i]] * counts[hi[i]]
-    return counts[b.source] << (len(universe) - len(b.vars))
+            counts.append(counts[lo[c]] * counts[hi[c]])
+    return counts[b._iso[b.source]] << (len(universe) - len(b.vars))
 
 
 def path_assignment(b, node_ids):

@@ -376,7 +376,7 @@ class TestRun:
                 for f in sorted(files):
                     p = os.path.join(root, f)
                     rel = os.path.relpath(p, bundle)
-                    tree[rel] = hashlib.sha256(open(p, "rb").read()).hexdigest()
+                    tree[rel] = hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
             digests.append(tree)
             cert = json.loads((bundle / "cert.json").read_text())
             assert cert["bound"] == 3

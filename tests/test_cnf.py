@@ -85,6 +85,14 @@ class TestModels:
         with pytest.raises(ScopeError):
             C.models(phi_example(), {"x1"})
 
+    def test_truth_table_order_names_each_variable_once(self):
+        phi = C.Cnf([[("a", 1)]])
+        assert C.truth_table(phi, ["a", "z"]) == 0b1100
+        with pytest.raises(ScopeError, match="repeats"):
+            C.truth_table(phi, ["a", "a"])
+        with pytest.raises(ScopeError, match="misses"):
+            C.truth_table(phi, ["b"])
+
 
 class TestReduce:
     def test_satisfied_clause_dropped(self):

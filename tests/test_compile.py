@@ -78,13 +78,13 @@ def dt_total_eval(dt, a):
 
 
 def plain_decision_tree(phi):
-    """The falsifying-spine recursion without shared subtrees: the oracle for
-    the memoised ``decision_tree``."""
+    """The falsifying-spine recursion without shared subtrees or cached
+    clause keys: the oracle for the memoised ``decision_tree``."""
     if not phi.clauses:
         return CP.DTLeaf(True)
     if frozenset() in phi.clauses:
         return CP.DTLeaf(False)
-    c = CP._spine_clause(phi)
+    c = min(phi.clauses, key=lambda c: (tuple(sorted(n for n, _ in c)), C.clause_key(c)))
     polarity = dict(c)
     spine = sorted(polarity)
     g = {}

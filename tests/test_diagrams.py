@@ -241,6 +241,15 @@ class TestCount:
             D.count_models(figure_diagram(), {"x1"})
 
 
+def test_truth_table_order_names_each_variable_once():
+    b = a_and_b()
+    assert D.truth_table(b, ["a", "b"]) == 0b1000
+    with pytest.raises(ScopeError, match="repeats"):
+        D.truth_table(b, ["a", "a", "b"])
+    with pytest.raises(ScopeError, match="misses"):
+        D.truth_table(b, ["a"])
+
+
 class TestPathAssignment:
     def test_single_node(self):
         d = figure_diagram()
@@ -594,3 +603,104 @@ class TestColumnarCore:
         b = D.DiagramBuilder()
         wider = b.finalize(D.graft(b, d), declared_vars=set(d.vars) | {"x9"})
         assert wider != d and D.to_json(wider) != D.to_json(d)
+
+
+# ---------------------------------------------------------------------------
+# isomorphism classes against pairwise comparison
+
+
+def isomorphic_by_pairs(b):
+    """(u, v) -> whether the subdiagrams below u and v are isomorphic: equal
+    records but for the child ids, and pairwise isomorphic children. Pairs
+    are compared recursively, hashing no subdiagram."""
+    nodes = b.nodes
+    memo = {}
+
+    def iso(u, v):
+        if (u, v) not in memo:
+            one, two = nodes[u], nodes[v]
+            memo[u, v] = (one.kind == two.kind and one.var == two.var
+                          and one.value == two.value
+                          and all(map(iso, one.children(), two.children())))
+        return memo[u, v]
+
+    return iso
+
+
+def evaluate_by_nodes(nodes, node_id, a):
+    """A diagram's value under a total assignment, by recursion from a node
+    over the node records."""
+    node = nodes[node_id]
+    if node.kind == "sink":
+        return node.value
+    if node.kind == "decision":
+        return evaluate_by_nodes(nodes, node.hi if a[node.var] else node.lo, a)
+    return evaluate_by_nodes(nodes, node.left, a) & evaluate_by_nodes(nodes, node.right, a)
+
+
+def assert_classes_are_isomorphism(b):
+    iso = isomorphic_by_pairs(b)
+    classes = [b.iso_class(i) for i in range(b.size)]
+    for u in range(b.size):
+        for v in range(b.size):
+            assert (classes[u] == classes[v]) == iso(u, v)
+    assert sorted(set(classes)) == list(range(b.merged_size))
+
+
+def assert_semantics_match_node_walk(b, universe):
+    nodes = b.nodes
+    models = AssignmentSet(a for a in cube(universe) if evaluate_by_nodes(nodes, b.source, a))
+    assert D.satisfying_set(b, universe) == models
+    assert [D.evaluate(b, a) for a in cube(universe)] == [
+        evaluate_by_nodes(nodes, b.source, a) for a in cube(universe)]
+    acc = D.accepted(b)
+    assert AssignmentSet(a for a in cube(universe) if any(m <= a for m in acc)) == models
+
+
+class TestIsomorphismClasses:
+    @pytest.mark.parametrize("p_and", [0.0, 0.35])
+    def test_random_diagrams_and_renumbered_copies(self, p_and):
+        rng = random.Random(95)
+        for _ in range(60):
+            names = [f"x{i}" for i in range(rng.randint(1, 6))]
+            d, _ = random_and_obdd(rng, names, p_and=p_and)
+            r = renumbered(d, rng)
+            assert r.merged_size == d.merged_size <= d.size
+            for b in (d, r):
+                assert_classes_are_isomorphism(b)
+                assert_semantics_match_node_walk(b, set(names) | {"z"})
+
+    def test_graft_duplicates_join_their_originals_classes(self):
+        rng = random.Random(96)
+        for _ in range(40):
+            d, names = random_and_obdd(rng, [f"x{i}" for i in range(6)])
+            b = D.DiagramBuilder()
+            first = D.copy_nodes(b, d, d.source)
+            second = D.copy_nodes(b, d, d.source)
+            twice = b.finalize(b.decision("y", first[d.source], second[d.source]))
+            assert twice.merged_size == d.merged_size + 1
+            for i in range(d.size):
+                assert twice.iso_class(first[i]) == twice.iso_class(second[i])
+                for j in range(d.size):
+                    assert ((twice.iso_class(first[i]) == twice.iso_class(first[j]))
+                            == (d.iso_class(i) == d.iso_class(j)))
+            for b in (twice, renumbered(twice, rng)):
+                assert_classes_are_isomorphism(b)
+            universe = set(names) | {"y"}
+            topo = toposort_by_nodes(twice.nodes)
+            assert D.count_models(twice, universe) == count_models_by_nodes(
+                twice.nodes, twice.source, topo, vars_below_by_nodes(twice.nodes, topo),
+                universe)
+            assert_semantics_match_node_walk(twice, universe)
+
+    def test_compiled_diagrams(self):
+        from ddlab.compile import grid_junction_diagram, psi_layer_obdd
+        for b in (grid_junction_diagram(2), grid_junction_diagram(3), psi_layer_obdd(2)):
+            assert_classes_are_isomorphism(b)
+
+    def test_merged_sizes_pinned(self, vc5_tree):
+        from ddlab.compile import grid_junction_diagram, psi_layer_obdd
+        assert vc5_tree.merged_size == 317
+        assert [grid_junction_diagram(n).merged_size for n in (2, 3, 4, 5, 6, 8)] == [
+            12, 27, 53, 87, 129, 237]
+        assert [psi_layer_obdd(n).merged_size for n in (2, 3, 4, 6)] == [31, 102, 218, 566]
