@@ -503,16 +503,16 @@ def accepted(b):
     members may be partial."""
     config.check_scale(len(b.vars), config.BRUTE_FORCE_VAR_CAP, "variables")
     kind, var, lo, hi, _ = b._iso_table
-    sets = []
+    sets = [None] * len(kind)
     for c, k in enumerate(kind):
         if k == SINK:
-            sets.append(AssignmentSet([Assignment()]) if lo[c] else AssignmentSet())
+            sets[c] = AssignmentSet([Assignment()]) if lo[c] else AssignmentSet()
         elif k == DECISION:
             zero = product(sets[lo[c]], AssignmentSet([Assignment({var[c]: 0})]))
             one = product(sets[hi[c]], AssignmentSet([Assignment({var[c]: 1})]))
-            sets.append(zero | one)
+            sets[c] = zero | one
         else:
-            sets.append(product(sets[lo[c]], sets[hi[c]]))
+            sets[c] = product(sets[lo[c]], sets[hi[c]])
     return sets[b._iso[b.source]]
 
 
@@ -522,14 +522,14 @@ def evaluate(b, a):
     if not b.vars <= a.vars:
         raise ScopeError(f"assignment leaves {sorted(b.vars - a.vars)} unset")
     kind, var, lo, hi, _ = b._iso_table
-    val = []
+    val = [0] * len(kind)
     for c, k in enumerate(kind):
         if k == SINK:
-            val.append(lo[c])
+            val[c] = lo[c]
         elif k == DECISION:
-            val.append(val[hi[c]] if a[var[c]] else val[lo[c]])
+            val[c] = val[hi[c]] if a[var[c]] else val[lo[c]]
         else:
-            val.append(val[lo[c]] & val[hi[c]])
+            val[c] = val[lo[c]] & val[hi[c]]
     return val[b._iso[b.source]]
 
 
@@ -556,15 +556,15 @@ def truth_table(b, order):
     full = (1 << size) - 1
     pats = {name: pattern(n, p) for p, name in enumerate(order)}
     kind, var, lo, hi, _ = b._iso_table
-    tt = []
+    tt = [0] * len(kind)
     for c, k in enumerate(kind):
         if k == SINK:
-            tt.append(full if lo[c] else 0)
+            tt[c] = full if lo[c] else 0
         elif k == DECISION:
             pat = pats[var[c]]
-            tt.append((pat & tt[hi[c]]) | ((full ^ pat) & tt[lo[c]]))
+            tt[c] = (pat & tt[hi[c]]) | ((full ^ pat) & tt[lo[c]])
         else:
-            tt.append(tt[lo[c]] & tt[hi[c]])
+            tt[c] = tt[lo[c]] & tt[hi[c]]
     return tt[b._iso[b.source]]
 
 
@@ -584,18 +584,18 @@ def count_models(b, universe=None):
     if not b.vars <= universe:
         raise ScopeError(f"universe misses {sorted(b.vars - universe)}")
     kind, var, lo, hi, below = b._iso_table
-    counts = []
+    counts = [0] * len(kind)
     for c, k in enumerate(kind):
         if k == SINK:
-            counts.append(lo[c])
+            counts[c] = lo[c]
         elif k == DECISION:
             x, zero, one = var[c], lo[c], hi[c]
             mine = len(below[c])
             lo_free = mine - len(below[zero]) - (x not in below[zero])
             hi_free = mine - len(below[one]) - (x not in below[one])
-            counts.append((counts[zero] << lo_free) + (counts[one] << hi_free))
+            counts[c] = (counts[zero] << lo_free) + (counts[one] << hi_free)
         else:
-            counts.append(counts[lo[c]] * counts[hi[c]])
+            counts[c] = counts[lo[c]] * counts[hi[c]]
     return counts[b._iso[b.source]] << (len(universe) - len(b.vars))
 
 
