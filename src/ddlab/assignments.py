@@ -192,17 +192,20 @@ def cube(names):
                          for bits in itertools.product((0, 1), repeat=len(names)))
 
 
-def check_order(order, needed):
-    """``order`` as a list; a ScopeError unless it names no variable twice
-    and every variable of ``needed``. A truth table over it has one position
-    per name."""
-    order = list(order)
-    if len(set(order)) != len(order):
-        raise ScopeError(f"order repeats {sorted({x for x in order if order.count(x) > 1})}")
-    missing = needed - set(order)
-    if missing:
-        raise ScopeError(f"order misses {sorted(missing)}")
-    return order
+def check_order(order, needed, exact=False):
+    """The names of ``order`` (a list, a tuple or a ``LinearOrder``) as a
+    tuple: the one check of an order, a ScopeError unless it names no
+    variable twice and every variable of the set ``needed``, and with
+    ``exact`` no other."""
+    names = tuple(order)
+    seen = set(names)
+    if len(seen) != len(names):
+        raise ScopeError(f"order repeats {sorted({x for x in names if names.count(x) > 1})}")
+    if not seen.issuperset(needed):
+        raise ScopeError(f"order misses {sorted(set(needed) - seen)}")
+    if exact and len(seen) != len(needed):
+        raise ScopeError(f"order names foreign variables {sorted(seen - set(needed))}")
+    return names
 
 
 def decode_table(order, table):

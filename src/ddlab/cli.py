@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import graphs, verbs
-from .errors import DdlabError, FormatError
+from .errors import MALFORMED, DdlabError, FormatError
 from .version import BUILD_ID
 
 
@@ -245,7 +245,7 @@ def main(argv=None):
         return _fail(FormatError("sampled search requires --seed"), 2)
     try:
         args.func(args)
-    except (FormatError, ValueError, OSError) as exc:
+    except MALFORMED as exc:
         return _fail(exc, 2)
     except DdlabError as exc:
         return _fail(exc, 1)

@@ -125,7 +125,7 @@ class Diagram:
     and ``hi`` is None on sinks. ``node(i)`` and ``nodes`` give the same
     table as ``Node`` records. Construction also sorts the nodes into
     isomorphism classes (``iso_class``, ``merged_size``); the semantic
-    passes run once per class rather than once per node.
+    passes run once per class reachable from the source, not per node.
     """
 
     __slots__ = ("kind", "var", "lo", "hi", "source", "declared_vars",
@@ -191,9 +191,11 @@ class Diagram:
         merged. Classes are numbered as first met, so class order is
         children-first too. ``_iso`` holds each node's class; ``_iso_table``
         holds the per-class kind, var, lo, hi and tested-set columns, lo and
-        hi naming classes (a sink class's value is its lo). Equal tested sets
-        are one shared object: a union is computed once per distinct (var,
-        lo set, hi set), however many classes repeat it."""
+        hi naming classes (a sink class's value is its lo), and the classes
+        the semantic passes visit: those reachable from the source, children
+        first, as a range when that is all of them. Equal tested sets are one
+        shared object: a union is computed once per distinct (var, lo set, hi
+        set), however many classes repeat it."""
         kind, var, lo, hi = self.kind, self.var, self.lo, self.hi
         empty = frozenset()
         iso = [0] * len(kind)
@@ -227,9 +229,15 @@ class Diagram:
                 chi.append(two)
                 ctested.append(acc)
             iso[i] = c
+        reached = [False] * len(ckind)
+        reached[iso[self.source]] = True
+        for c in range(len(ckind) - 1, -1, -1):
+            if reached[c] and ckind[c]:
+                reached[clo[c]] = reached[chi[c]] = True
         self._iso = tuple(iso)
         self._iso_table = (tuple(ckind), tuple(cvar), tuple(clo), tuple(chi),
-                           tuple(ctested))
+                           tuple(ctested), range(len(ckind)) if all(reached)
+                           else tuple([c for c, r in enumerate(reached) if r]))
         self._vars_below = tuple(map(ctested.__getitem__, iso))
 
     @property
@@ -406,7 +414,7 @@ def validate(b, order=None):
     The diagram is immutable, so a verdict is computed once per order and
     kept on it; a failed check raises again on every call.
     """
-    names = None if order is None else tuple(getattr(order, "names", order))
+    names = None if order is None else tuple(order)
     if names in b._verdicts:
         return b._verdicts[names]
     kind, var, lo, hi, below = b.kind, b.var, b.lo, b.hi, b._vars_below
@@ -440,10 +448,8 @@ def validate(b, order=None):
                 "read-once", i, f"variable {var[i]!r} tested again below node {i}")
     has_and = AND in kind
     if names is not None:
+        check_order(names, b.vars)
         pos = {x: k for k, x in enumerate(names)}
-        missing = b.vars - set(pos)
-        if missing:
-            raise ScopeError(f"order misses tested variables {sorted(missing)}")
         for i in decisions:
             for c in (lo[i], hi[i]):
                 late = [y for y in below[c] if pos[y] <= pos[var[i]]]
@@ -499,15 +505,15 @@ def _infer_order(b, decisions):
 
 
 def accepted(b):
-    """The accepted-set recursion, bottom-up over the isomorphism classes;
-    members may be partial."""
+    """The accepted-set recursion, bottom-up over the reachable isomorphism
+    classes; members may be partial."""
     config.check_scale(len(b.vars), config.BRUTE_FORCE_VAR_CAP, "variables")
-    kind, var, lo, hi, _ = b._iso_table
+    kind, var, lo, hi, _, live = b._iso_table
     sets = [None] * len(kind)
-    for c, k in enumerate(kind):
-        if k == SINK:
+    for c in live:
+        if kind[c] == SINK:
             sets[c] = AssignmentSet([Assignment()]) if lo[c] else AssignmentSet()
-        elif k == DECISION:
+        elif kind[c] == DECISION:
             zero = product(sets[lo[c]], AssignmentSet([Assignment({var[c]: 0})]))
             one = product(sets[hi[c]], AssignmentSet([Assignment({var[c]: 1})]))
             sets[c] = zero | one
@@ -517,16 +523,16 @@ def accepted(b):
 
 
 def evaluate(b, a):
-    """One pass over the isomorphism classes; requires a total assignment
-    over vars(b)."""
+    """One pass over the reachable isomorphism classes; requires a total
+    assignment over vars(b)."""
     if not b.vars <= a.vars:
         raise ScopeError(f"assignment leaves {sorted(b.vars - a.vars)} unset")
-    kind, var, lo, hi, _ = b._iso_table
+    kind, var, lo, hi, _, live = b._iso_table
     val = [0] * len(kind)
-    for c, k in enumerate(kind):
-        if k == SINK:
+    for c in live:
+        if kind[c] == SINK:
             val[c] = lo[c]
-        elif k == DECISION:
+        elif kind[c] == DECISION:
             val[c] = val[hi[c]] if a[var[c]] else val[lo[c]]
         else:
             val[c] = val[lo[c]] & val[hi[c]]
@@ -555,12 +561,12 @@ def truth_table(b, order):
     size = 1 << n
     full = (1 << size) - 1
     pats = {name: pattern(n, p) for p, name in enumerate(order)}
-    kind, var, lo, hi, _ = b._iso_table
+    kind, var, lo, hi, _, live = b._iso_table
     tt = [0] * len(kind)
-    for c, k in enumerate(kind):
-        if k == SINK:
+    for c in live:
+        if kind[c] == SINK:
             tt[c] = full if lo[c] else 0
-        elif k == DECISION:
+        elif kind[c] == DECISION:
             pat = pats[var[c]]
             tt[c] = (pat & tt[hi[c]]) | ((full ^ pat) & tt[lo[c]])
         else:
@@ -570,7 +576,7 @@ def truth_table(b, order):
 
 def count_models(b, universe=None):
     """Exact satisfying-assignment count over the universe, one pass over the
-    isomorphism classes (isomorphic nodes have equal counts).
+    reachable isomorphism classes (isomorphic nodes have equal counts).
 
     Per node the count is over vars(B_u): each decision branch scales by the
     free variables it skips, a conjunction multiplies its children, and the
@@ -583,12 +589,12 @@ def count_models(b, universe=None):
     universe = frozenset(universe) if universe is not None else b.vars
     if not b.vars <= universe:
         raise ScopeError(f"universe misses {sorted(b.vars - universe)}")
-    kind, var, lo, hi, below = b._iso_table
+    kind, var, lo, hi, below, live = b._iso_table
     counts = [0] * len(kind)
-    for c, k in enumerate(kind):
-        if k == SINK:
+    for c in live:
+        if kind[c] == SINK:
             counts[c] = lo[c]
-        elif k == DECISION:
+        elif kind[c] == DECISION:
             x, zero, one = var[c], lo[c], hi[c]
             mine = len(below[c])
             lo_free = mine - len(below[zero]) - (x not in below[zero])

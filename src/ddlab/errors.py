@@ -64,3 +64,8 @@ class DecompositionError(DdlabError):
         super().__init__(f"{rule}: {message}")
         self.rule = rule
         self.where = where
+
+
+# What a command or a bundle step exits 2 on, as malformed input; a missing
+# argument is a KeyError, a wrongly typed one (``"n": null``) a TypeError
+MALFORMED = (FormatError, ScopeError, ValueError, OSError, KeyError, TypeError)

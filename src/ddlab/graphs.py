@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import config
+from .assignments import check_order
 from .errors import DecompositionError, PreconditionError, ScopeError, SoundnessError
 
 
@@ -78,10 +79,8 @@ class LinearOrder:
     __slots__ = ("names", "_pos")
 
     def __init__(self, names):
-        self.names = tuple(names)
+        self.names = check_order(names, ())
         self._pos = {n: i for i, n in enumerate(self.names)}
-        if len(self._pos) != len(self.names):
-            raise ValueError("order repeats a name")
 
     def position(self, name):
         return self._pos[name]
@@ -103,10 +102,6 @@ class LinearOrder:
 
     def prefix(self, k):
         return frozenset(self.names[:k])
-
-    def restricted(self, keep):
-        keep = set(keep)
-        return LinearOrder(n for n in self.names if n in keep)
 
     def __repr__(self):
         return f"LinearOrder({list(self.names)!r})"
@@ -388,8 +383,7 @@ def crossing_width(g, pi, mode="matching"):
     Returns ``(size, (cut, Matching))``; the witness matching carries its
     bipartition sides. Exhaustive over the |V|-1 prefix cuts.
     """
-    if set(pi.names) != set(g.vertices):
-        raise ScopeError("order must cover exactly the vertex set")
+    check_order(pi, g.vertices, exact=True)
     best = frozenset()
     best_cut = 1
     for k in range(1, len(pi)):
@@ -506,8 +500,7 @@ def extract_neat(g, pi_star):
     and has at least ceil(lsimw(g)/2) edges.
     """
     dg = double(g)
-    if set(pi_star.names) != set(dg.vertices):
-        raise ScopeError("order must cover the doubled vertex set")
+    check_order(pi_star, dg.vertices, exact=True)
     ind = {}
     for v in sorted(g.vertices):
         ind[v] = 1 if pi_star.position(tag(v, 1)) < pi_star.position(tag(v, 2)) else 2
@@ -655,9 +648,7 @@ def pathwidth_exact(g):
 
 def decomposition_from_elimination(g, order):
     """Tree decomposition induced by an elimination order (fill-in bags)."""
-    order = list(order)
-    if set(order) != set(g.vertices):
-        raise ScopeError("elimination order must cover the vertex set")
+    order = check_order(order, g.vertices, exact=True)
     pos = {v: i for i, v in enumerate(order)}
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
     bags = {}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import config, kernels
 from .alignment import frontier
-from .assignments import Assignment, AssignmentSet
+from .assignments import Assignment, AssignmentSet, check_order
 from .cnf import encode, evaluate as cnf_evaluate, truth_table as cnf_truth_table
 from .diagrams import (DiagramBuilder, to_json,
                        truth_table as diagram_truth_table, validate)
@@ -99,8 +99,7 @@ def make_experiment(graph, pairs, engine, order=None):
         u_block = sorted(u for u, _ in pairs)
     if order is None:
         order = LinearOrder(u_block + sorted(set(space.vertices) - set(u_block)))
-    if set(order.names) != set(space.vertices):
-        raise PreconditionError("order must cover the formula's variables")
+    check_order(order, space.vertices, exact=True)
     u_pos = [order.position(u) for u in u_block]
     prefix_len = max(u_pos) + 1
     w_vars = ([tag(w, 2) for _, w in pairs] if engine == "and-obdd"
@@ -256,6 +255,7 @@ def certify(b, pi, exp):
     Injectivity is a theorem for valid inputs, so a collision raises rather
     than producing a failed certificate.
     """
+    pi = tuple(pi)  # the names, made once for the 2|F| validate calls below
     cls = validate(b, pi)
     if exp.engine == "and-obdd" and not cls.is_and_obdd:
         raise SoundnessError("diagram is not an ordered and-decomposable diagram")
@@ -294,24 +294,19 @@ def certify(b, pi, exp):
 
 def obdd_size(phi, order):
     """Reduced-OBDD node count for one order, via the kernels."""
-    names = list(order.names if isinstance(order, LinearOrder) else order)
-    if set(names) != set(phi.vars):
-        raise PreconditionError("order must cover exactly the formula's variables")
+    names = check_order(order, phi.vars, exact=True)
     config.check_scale(len(names), config.OBDD_SIZING_CAP, "variables for OBDD sizing")
     return kernels.obdd_size_for_order(len(names), encode(phi, names))
 
 
-def obdd_for_order(phi, order, universe=None):
+def obdd_for_order(phi, order):
     """The reduced OBDD for one order, as an actual diagram.
 
     Hash-conses on (position, residual truth table), skipping positions the
     residual does not depend on; that is exactly the canonical reduced form,
     so its node count is minimal for the order.
     """
-    names = list(order.names if isinstance(order, LinearOrder) else order)
-    universe = frozenset(universe) if universe is not None else phi.vars
-    if set(names) != set(universe) or not phi.vars <= universe:
-        raise PreconditionError("order must cover the build universe")
+    names = check_order(order, phi.vars, exact=True)
     n = len(names)
     table = cnf_truth_table(phi, names)
     builder = DiagramBuilder()

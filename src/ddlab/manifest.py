@@ -14,7 +14,7 @@ import json
 import os
 
 from . import verbs
-from .errors import DdlabError, FormatError
+from .errors import MALFORMED, DdlabError, FormatError
 from .version import BUILD_ID
 
 
@@ -27,11 +27,6 @@ class StepFailure(DdlabError):
 
 class MalformedStep(StepFailure, FormatError):
     """A step failed on malformed input, so it exits 2 as the CLI would."""
-
-
-# causes that make a step malformed; a missing argument is a KeyError on its
-# args, a wrongly typed one (``"n": null``) a TypeError
-_MALFORMED = (FormatError, ValueError, OSError, KeyError, TypeError)
 
 
 def _resolve(bundle, rel):
@@ -89,7 +84,7 @@ def run_experiment(manifest_path, out_dir):
                         os.makedirs(os.path.dirname(path(args[key])), exist_ok=True)
                 info, _ = verbs.run(verb, args, path)
             except Exception as exc:
-                failure = MalformedStep if isinstance(exc, _MALFORMED) else StepFailure
+                failure = MalformedStep if isinstance(exc, MALFORMED) else StepFailure
                 raise failure(name, exc) from exc
             rows.append({"name": name, "verb": verb, "info": info})
     except StepFailure as exc:

@@ -192,7 +192,7 @@ def eval(args, path):
 def validate(args, path):
     """The diagram's class, as a one-line JSON report."""
     diagram = path.diagram(args["diagram"])
-    order = graphs.read_order(path.text(args["order"])).names if args.get("order") else None
+    order = graphs.read_order(path.text(args["order"])) if args.get("order") else None
     cls = diagrams.validate(diagram, order)
     info = {"fbdd": cls.is_fbdd, "obdd": cls.is_obdd, "and_obdd": cls.is_and_obdd}
     report = dict(info, and_fbdd=cls.is_and_fbdd,

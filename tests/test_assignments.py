@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ddlab import alignment, cnf, diagrams, graphs, lowerbound
 from ddlab.assignments import (Assignment, AssignmentSet, breaks, cube, decode_table, product,
                                product_all, project, project_set, restrict_set)
 from ddlab.errors import DomainOverlapError, ScopeError, UniformityError
@@ -517,3 +518,62 @@ class TestNoBreakProposition:
 def test_project_set_shrinks_universe():
     h = cube(["a", "b"])
     assert project_set(h, {"a"}) == cube(["a"])
+
+
+# ---------------------------------------------------------------------------
+# the one order check behind every entry point that takes an order
+
+PATH = graphs.Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+PATH_CNF = cnf.Cnf([[("a", 1), ("b", 1)], [("b", 1), ("c", 1)]])
+PATH_OBDD = lowerbound.obdd_for_order(PATH_CNF, ["a", "b", "c"])
+ABC = ["a", "b", "c"]
+
+# (entry point, a call taking the order as a list, a good order, whether a
+# name outside the variables is accepted); a LinearOrder checks repeats only,
+# having no variables to miss
+ORDER_ENTRY_POINTS = [
+    ("LinearOrder", graphs.LinearOrder, ABC, True),
+    ("crossing_width", lambda o: graphs.crossing_width(PATH, graphs.LinearOrder(o)), ABC,
+     False),
+    ("extract_neat", lambda o: graphs.extract_neat(PATH, graphs.LinearOrder(o)),
+     sorted(graphs.double(PATH).vertices), False),
+    ("decomposition_from_elimination",
+     lambda o: graphs.decomposition_from_elimination(PATH, o), ABC, False),
+    ("make_experiment",
+     lambda o: lowerbound.make_experiment(PATH, [("a", "b")], "obdd", graphs.LinearOrder(o)),
+     ABC, False),
+    ("obdd_size", lambda o: lowerbound.obdd_size(PATH_CNF, o), ABC, False),
+    ("obdd_for_order", lambda o: lowerbound.obdd_for_order(PATH_CNF, o), ABC, False),
+    ("cnf.truth_table", lambda o: cnf.truth_table(PATH_CNF, o), ABC, True),
+    ("diagrams.truth_table", lambda o: diagrams.truth_table(PATH_OBDD, o), ABC, True),
+    ("validate", lambda o: diagrams.validate(PATH_OBDD, o), ABC, True),
+    ("frontier", lambda o: alignment.frontier(PATH_OBDD, o, Assignment()), ABC, True),
+]
+
+
+@pytest.mark.parametrize("call,good,foreign_ok", [row[1:] for row in ORDER_ENTRY_POINTS],
+                         ids=[row[0] for row in ORDER_ENTRY_POINTS])
+def test_every_order_entry_point_rejects_a_bad_order(call, good, foreign_ok):
+    call(good)
+    with pytest.raises(ScopeError, match="repeats"):
+        call(good[:2] + good[:1] + good[2:])  # [a, b, a, c] on the path
+    if call is graphs.LinearOrder:
+        call(good[:-1])
+    else:
+        with pytest.raises(ScopeError, match="misses"):
+            call(good[:-1])
+    if foreign_ok:
+        call(good + ["z"])
+    else:
+        with pytest.raises(ScopeError, match="foreign"):
+            call(good + ["z"])
+
+
+def test_repeated_names_no_longer_give_answers():
+    a_or_b = cnf.Cnf([[("a", 1), ("b", 1)]])
+    with pytest.raises(ScopeError, match="repeats"):
+        lowerbound.obdd_size(a_or_b, ["a", "b", "a"])  # sized as 4 before
+    b = lowerbound.obdd_for_order(a_or_b, ["a", "b"])
+    with pytest.raises(ScopeError, match="repeats"):
+        diagrams.validate(b, ["b", "a", "b"])  # an OBDD "for" ('b', 'a', 'b') before
+    assert diagrams.validate(b, ["a", "b"]).is_obdd

@@ -719,3 +719,76 @@ def test_nothing_is_kept_past_a_run(tmp_path, parses):
     man.write_text(json.dumps({"name": "second", "steps": [count]}))
     second = manifest.run_experiment(str(man), str(bundle))
     assert len(parses) == 1 and second["steps"] == first["steps"][-1:]
+
+
+# A sink source and an unreachable decision node on y: the loader takes it,
+# and only validate rejects it. (CLI arguments, step verb, step arguments,
+# exit status, what the CLI prints: stdout for 0, the error message for 1.)
+UNREACHABLE = {"nodes": [{"id": 0, "kind": "sink", "value": 1},
+                         {"id": 1, "kind": "decision", "var": "y", "lo": 0, "hi": 0}],
+               "source": 0}
+UNREACHABLE_RUNS = [
+    (["count", "--diagram", "u.json"], "count", {"diagram": "u.json"}, 0, "1\n"),
+    (["eval", "--diagram", "u.json", "--assignment", ""], "eval",
+     {"diagram": "u.json", "assignment": ""}, 0, "1\n"),
+    (["validate", "--diagram", "u.json"], "validate", {"diagram": "u.json"}, 1,
+     "single-source: expected the single source 0, found [1]"),
+    (["align", "--diagram", "u.json", "--assignment", ""], "align",
+     {"diagram": "u.json", "assignment": "", "out": "text.out"}, 0,
+     json.dumps({"incomplete": [], "kept_edges": [], "kept_nodes": [0]}, indent=2,
+                sort_keys=True) + "\n"),
+    (["restrict", "--diagram", "u.json", "--var", "y", "--bit", "1", "--out", "text.out"],
+     "restrict", {"diagram": "u.json", "var": "y", "bit": 1, "out": "text.out"}, 0,
+     "wrote text.out: 2 nodes\n"),
+    (["export-dot", "--diagram", "u.json"], "export-dot",
+     {"diagram": "u.json", "out": "text.out"}, 0,
+     'digraph diagram {\n  n0 [label="T", shape=box];\n  n1 [label="y", shape=circle];\n'
+     "  n1 -> n0 [style=dashed, label=0];\n  n1 -> n0 [label=1];\n}\n"),
+]
+
+
+@pytest.mark.parametrize("argv,verb,args,code,shown", UNREACHABLE_RUNS,
+                         ids=[r[1] for r in UNREACHABLE_RUNS])
+def test_every_verb_on_a_diagram_with_an_unreachable_node(tmp_path, capsys, monkeypatch,
+                                                          argv, verb, args, code, shown):
+    monkeypatch.chdir(tmp_path)
+    put("u.json", json.dumps(UNREACHABLE))
+    got, out, err = run(argv, capsys)
+    assert got == code and "Traceback" not in err
+    if code:
+        assert json.loads(err.splitlines()[0])["message"] == shown
+    else:
+        assert out == shown
+    bundle = tmp_path / "b"
+    bundle.mkdir()
+    put("b/u.json", json.dumps(UNREACHABLE))
+    put("m.json", json.dumps({"name": "one", "steps": [
+        {"name": "step", "verb": verb, "args": args}]}))
+    got, _, err = run(["run", "--manifest", "m.json", "--out-dir", "b"], capsys)
+    assert got == code and "Traceback" not in err
+    summary = json.loads((bundle / "summary.json").read_text())
+    if code:
+        assert shown in summary["failed"]["error"]
+    elif verb in ("count", "eval"):
+        assert list(summary["steps"][0]["info"].values()) == [1]
+    elif verb == "restrict":
+        assert summary["steps"][0]["info"] == {"size": 2}
+        assert json.loads((bundle / "text.out").read_text())["nodes"] == UNREACHABLE["nodes"]
+    else:
+        assert (bundle / "text.out").read_text() == shown
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["validate", "--diagram", "ab.json", "--order", "repeat.txt"], "order repeats ['a']"),
+    (["validate", "--diagram", "ab.json", "--order", "short.txt"], "order misses ['b']"),
+    (["eval", "--diagram", "ab.json", "--assignment", "a=1"], "assignment leaves ['b'] unset"),
+    (["count", "--diagram", "ab.json", "--universe", "a"], "universe misses ['b']"),
+], ids=["order-repeats", "order-misses", "partial-assignment", "short-universe"])
+def test_scope_errors_are_malformed_input(tmp_path, capsys, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
+    put("ab.json", json.dumps(A_AND_B))
+    put("repeat.txt", "a\nb\na\n")
+    put("short.txt", "a\n")
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert json.loads(err.splitlines()[0]) == {"error": "ScopeError", "message": error}

@@ -704,3 +704,52 @@ class TestIsomorphismClasses:
         assert [grid_junction_diagram(n).merged_size for n in (2, 3, 4, 5, 6, 8)] == [
             12, 27, 53, 87, 129, 237]
         assert [psi_layer_obdd(n).merged_size for n in (2, 3, 4, 6)] == [31, 102, 218, 566]
+
+
+# ---------------------------------------------------------------------------
+# the semantic passes visit the classes reachable from the source only
+
+
+def with_unreachable_nodes(d, rng, names):
+    """``d`` with one to three nodes no path from the source reaches, each over
+    nodes already there: decisions on its variables or on w, outside them, and
+    conjunctions."""
+    nodes = list(d.nodes)
+    for _ in range(rng.randint(1, 3)):
+        kids = rng.randrange(len(nodes)), rng.randrange(len(nodes))
+        if rng.random() < 0.8:
+            nodes.append(D.decision(rng.choice(names + ["w"]), *kids))
+        else:
+            nodes.append(D.conj(*kids))
+    return D.Diagram(nodes, d.source)
+
+
+class TestUnreachableNodes:
+    def test_sink_source_over_an_unreachable_decision(self):
+        b = D.Diagram([D.sink(1), D.decision("y", 0, 0)], 0)
+        assert b.vars == frozenset() and b.merged_size == 2
+        assert D.evaluate(b, Assignment()) == 1
+        assert D.truth_table(b, []) == 1
+        assert D.satisfying_set(b) == AssignmentSet([Assignment()])
+        assert D.accepted(b) == AssignmentSet([Assignment()])
+        assert D.count_models(b) == 1 and D.count_models(b, {"x"}) == 2
+        with pytest.raises(DiagramInvariantError) as exc:
+            D.validate(b)
+        assert exc.value.rule == "single-source"
+
+    @pytest.mark.parametrize("p_and", [0.0, 0.35])
+    def test_passes_match_the_node_walks(self, p_and):
+        rng = random.Random(97)
+        for _ in range(60):
+            names = [f"x{i}" for i in range(rng.randint(1, 6))]
+            d, _ = random_and_obdd(rng, names, p_and=p_and)
+            b = with_unreachable_nodes(d, rng, names)
+            universe = set(names) | {"z"}
+            assert b.vars == d.vars and b.size > d.size
+            nodes = b.nodes
+            topo = toposort_by_nodes(nodes)
+            assert D.count_models(b, universe) == count_models_by_nodes(
+                nodes, b.source, topo, vars_below_by_nodes(nodes, topo), universe)
+            assert_semantics_match_node_walk(b, universe)
+            order = sorted(universe)
+            assert D.truth_table(b, order) == D.truth_table(d, order)
