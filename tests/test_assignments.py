@@ -569,11 +569,11 @@ def test_every_order_entry_point_rejects_a_bad_order(call, good, foreign_ok):
             call(good + ["z"])
 
 
-def test_repeated_names_no_longer_give_answers():
+def test_obdd_size_and_validate_reject_a_repeated_name():
     a_or_b = cnf.Cnf([[("a", 1), ("b", 1)]])
     with pytest.raises(ScopeError, match="repeats"):
-        lowerbound.obdd_size(a_or_b, ["a", "b", "a"])  # sized as 4 before
+        lowerbound.obdd_size(a_or_b, ["a", "b", "a"])
     b = lowerbound.obdd_for_order(a_or_b, ["a", "b"])
     with pytest.raises(ScopeError, match="repeats"):
-        diagrams.validate(b, ["b", "a", "b"])  # an OBDD "for" ('b', 'a', 'b') before
+        diagrams.validate(b, ["b", "a", "b"])
     assert diagrams.validate(b, ["a", "b"]).is_obdd
