@@ -173,7 +173,7 @@ def build_parser():
     p.add_argument("--orientation", choices=["hor", "vert"], default="hor")
     p.add_argument("--junction", action="store_true")
     p.add_argument("--vtree-out")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("count", help="count satisfying assignments of a diagram")

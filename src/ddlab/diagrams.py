@@ -636,33 +636,46 @@ class _Quoted(dict):
         return quoted
 
 
-def to_json(b):
-    """The diagram as JSON text, written in one pass.
+# nodes per piece that ``json_chunks`` yields
+JSON_BLOCK = 2048
 
-    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)`` plus
-    a newline, where doc holds the source, the sorted declared (else tested)
-    variables and one entry per node in id order.
-    """
+
+def json_chunks(b):
+    """The diagram's JSON text in pieces, each node entry written once and
+    no piece holding more than ``JSON_BLOCK`` nodes; joined, they are
+    ``to_json(b)``."""
     quoted = _Quoted()
-    entries = []
-    for i, k, x, a, c in zip(range(len(b.kind)), b.kind, b.var, b.lo, b.hi):
-        if k == DECISION:
-            entries.append(f'    {{\n      "hi": {c},\n      "id": {i},\n'
-                           f'      "kind": "decision",\n      "lo": {a},\n'
-                           f'      "var": {quoted[x]}\n    }}')
-        elif k == AND:
-            entries.append(f'    {{\n      "id": {i},\n      "kind": "and",\n'
-                           f'      "left": {a},\n      "right": {c}\n    }}')
-        else:
-            entries.append(f'    {{\n      "id": {i},\n      "kind": "sink",\n'
-                           f'      "value": {a}\n    }}')
+    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
+    yield '{\n  "nodes": [\n'
+    for start in range(0, len(kind), JSON_BLOCK):
+        stop = start + JSON_BLOCK
+        entries = []
+        for i, k, x, a, c in zip(range(start, stop), kind[start:stop], var[start:stop],
+                                 lo[start:stop], hi[start:stop]):
+            if k == DECISION:
+                entries.append(f'    {{\n      "hi": {c},\n      "id": {i},\n'
+                               f'      "kind": "decision",\n      "lo": {a},\n'
+                               f'      "var": {quoted[x]}\n    }}')
+            elif k == AND:
+                entries.append(f'    {{\n      "id": {i},\n      "kind": "and",\n'
+                               f'      "left": {a},\n      "right": {c}\n    }}')
+            else:
+                entries.append(f'    {{\n      "id": {i},\n      "kind": "sink",\n'
+                               f'      "value": {a}\n    }}')
+        yield (",\n" if start else "") + ",\n".join(entries)
     names = sorted(b.declared_vars if b.declared_vars is not None else b.vars)
     if names:
         listed = "[\n" + ",\n".join(f"    {quoted[x]}" for x in names) + "\n  ]"
     else:
         listed = "[]"
-    return ('{\n  "nodes": [\n' + ",\n".join(entries)
-            + f'\n  ],\n  "source": {b.source},\n  "vars": {listed}\n}}\n')
+    yield f'\n  ],\n  "source": {b.source},\n  "vars": {listed}\n}}\n'
+
+
+def to_json(b):
+    """The diagram as JSON text: the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True)`` plus a newline, where doc holds the source, the sorted
+    declared (else tested) variables and one entry per node in id order."""
+    return "".join(json_chunks(b))
 
 
 def from_json(text):
@@ -689,7 +702,7 @@ def from_json(text):
 
 def save(b, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(b))
+        fh.writelines(json_chunks(b))
 
 
 def load(path):

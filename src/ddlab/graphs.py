@@ -383,7 +383,7 @@ def crossing_width(g, pi, mode="matching"):
     Returns ``(size, (cut, Matching))``; the witness matching carries its
     bipartition sides. Exhaustive over the |V|-1 prefix cuts.
     """
-    check_order(pi, g.vertices, exact=True)
+    pi = LinearOrder(check_order(pi, g.vertices, exact=True))
     best = frozenset()
     best_cut = 1
     for k in range(1, len(pi)):
@@ -500,7 +500,7 @@ def extract_neat(g, pi_star):
     and has at least ceil(lsimw(g)/2) edges.
     """
     dg = double(g)
-    check_order(pi_star, dg.vertices, exact=True)
+    pi_star = LinearOrder(check_order(pi_star, dg.vertices, exact=True))
     ind = {}
     for v in sorted(g.vertices):
         ind[v] = 1 if pi_star.position(tag(v, 1)) < pi_star.position(tag(v, 2)) else 2

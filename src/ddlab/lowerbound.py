@@ -24,7 +24,7 @@ from . import config, kernels
 from .alignment import frontier
 from .assignments import Assignment, AssignmentSet, check_order
 from .cnf import encode, evaluate as cnf_evaluate, truth_table as cnf_truth_table
-from .diagrams import (DiagramBuilder, to_json,
+from .diagrams import (DiagramBuilder, json_chunks,
                        truth_table as diagram_truth_table, validate)
 from .errors import PreconditionError, SoundnessError
 from .formulas import psi_formula, vc_formula
@@ -99,7 +99,7 @@ def make_experiment(graph, pairs, engine, order=None):
         u_block = sorted(u for u, _ in pairs)
     if order is None:
         order = LinearOrder(u_block + sorted(set(space.vertices) - set(u_block)))
-    check_order(order, space.vertices, exact=True)
+    order = LinearOrder(check_order(order, space.vertices, exact=True))
     u_pos = [order.position(u) for u in u_block]
     prefix_len = max(u_pos) + 1
     w_vars = ([tag(w, 2) for _, w in pairs] if engine == "and-obdd"
@@ -277,9 +277,12 @@ def certify(b, pi, exp):
     if b.size < bound:
         raise SoundnessError(
             f"diagram of size {b.size} beats the certified bound {bound}")
+    digest = hashlib.sha256()
+    for piece in json_chunks(b):
+        digest.update(piece.encode())
     return Certificate(
         experiment=exp.describe(),
-        diagram_sha256=hashlib.sha256(to_json(b).encode()).hexdigest(),
+        diagram_sha256=digest.hexdigest(),
         diagram_size=b.size,
         fooling_size=len(fools),
         u_map=tuple(u_map),

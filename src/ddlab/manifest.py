@@ -9,7 +9,6 @@ out of the artifacts).
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 
@@ -37,6 +36,7 @@ def _resolve(bundle, rel):
 
 
 def _hash_tree(bundle):
+    sha256 = verbs.Paths().sha256
     out = {}
     for root, _, files in os.walk(bundle):
         for name in files:
@@ -44,8 +44,7 @@ def _hash_tree(bundle):
             rel = os.path.relpath(path, bundle)
             if rel in ("summary.json", "summary.txt"):
                 continue
-            with open(path, "rb") as fh:
-                out[rel] = hashlib.sha256(fh.read()).hexdigest()
+            out[rel] = sha256(path)
     return dict(sorted(out.items()))
 
 

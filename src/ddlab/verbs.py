@@ -17,6 +17,7 @@ when that key is given.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from . import alignment
@@ -33,16 +34,16 @@ class Paths:
 
     ``path(rel)`` maps a path argument to its file: ``resolve(rel)``, or
     ``rel`` itself without ``resolve``; ``text`` reads that file and
-    ``write`` writes it. A diagram written through ``write``
-    is kept with its text; ``diagram`` hands it back, unparsed, while the
-    file still holds exactly that text, and parses the file otherwise. The
-    command line makes one ``Paths()`` per verb and a bundle run one per
-    run, so nothing is kept past the run.
+    ``write`` writes it. A diagram written through ``write`` is kept with
+    the sha256 of the bytes written; ``diagram`` hands it back, unparsed,
+    while the file's bytes still have that sha256, and parses the file
+    otherwise. The command line makes one ``Paths()`` per verb and a bundle
+    run one per run, so nothing is kept past the run.
     """
 
     def __init__(self, resolve=None):
         self._resolve = resolve
-        self._written = {}  # file -> (text, Diagram) of the last diagram written there
+        self._written = {}  # file -> (sha256, Diagram) of the last diagram written there
 
     def __call__(self, rel):
         return rel if self._resolve is None else self._resolve(rel)
@@ -53,22 +54,32 @@ class Paths:
         with open(self(rel), encoding="utf-8", newline="") as fh:
             return fh.read()
 
+    def sha256(self, rel):
+        """The sha256 hex digest of the file ``rel`` names, read in blocks."""
+        digest = hashlib.sha256()
+        with open(self(rel), "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
+        return digest.hexdigest()
+
     def write(self, rel, text, diagram=None):
-        """Write ``text`` to the file ``rel`` names; ``diagram``, when given,
-        is what the text encodes."""
+        """Write ``text``, a string or the pieces of one, to the file ``rel``
+        names as UTF-8; ``diagram``, when given, is what the text encodes."""
         file = self(rel)
-        with open(file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        digest = hashlib.sha256()
+        with open(file, "wb") as fh:
+            for data in map(str.encode, (text,) if isinstance(text, str) else text):
+                fh.write(data)
+                digest.update(data)
         if diagram is not None:
-            self._written[file] = text, diagram
+            self._written[file] = digest.hexdigest(), diagram
 
     def diagram(self, rel):
         """The diagram in the file ``rel`` names."""
-        text = self.text(rel)
         kept = self._written.get(self(rel))
-        if kept is not None and kept[0] == text:
+        if kept is not None and kept[0] == self.sha256(rel):
             return kept[1]
-        return diagrams.from_json(text)
+        return diagrams.from_json(self.text(rel))
 
 
 def _listed(value, key):
@@ -273,11 +284,12 @@ VERBS = {fn.__name__.replace("_", "-"): fn
 
 
 def run(verb, args, path):
-    """Run one verb, writing its artifact's text to ``args["out"]`` when that
-    key is given; returns the info and that text."""
+    """Run one verb, writing its artifact to ``args["out"]`` when that key is
+    given; returns the info and, when there is no ``out``, the artifact's
+    text. A diagram goes to ``out`` in pieces, its text never made whole."""
     info, made = VERBS[verb](args, path)
     diagram = made if isinstance(made, diagrams.Diagram) else None
-    text = made if diagram is None else diagrams.to_json(diagram)
-    if text is not None and "out" in args:
-        path.write(args["out"], text, diagram)
-    return info, text
+    if made is None or "out" not in args:
+        return info, made if diagram is None else diagrams.to_json(diagram)
+    path.write(args["out"], made if diagram is None else diagrams.json_chunks(diagram), diagram)
+    return info, None

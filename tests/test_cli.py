@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -458,6 +459,8 @@ PARITY = [
     ("compile --method dtree --cnf vc2.cnf --out cli.json", "compile",
      {"method": "dtree", "cnf": "vc2.cnf", "out": "b.json"},
      "wrote cli.json: {size} nodes\n"),
+    ("compile --method dtree --cnf vc2.cnf", "compile",
+     {"method": "dtree", "cnf": "vc2.cnf", "out": "text.out"}, "{text}"),
     ("compile --method primal --cnf vc2.cnf --decomp d.txt --out cli.json "
      "--vtree-out cli.vtree", "compile",
      {"method": "primal", "cnf": "vc2.cnf", "decomp": "d.txt", "out": "b.json",
@@ -641,6 +644,69 @@ def test_paths_hand_back_what_they_wrote_while_the_bytes_match(tmp_path, parses)
     again = path.diagram(file)
     assert again is not d and again == d and len(parses) == 1
     assert verbs.Paths().diagram(file) == d and len(parses) == 2
+
+
+def written_diagram(tmp_path):
+    """A Paths that wrote a two-node diagram in pieces, the file and the diagram."""
+    path = verbs.Paths()
+    b = D.DiagramBuilder()
+    d = b.finalize(b.decision("x", b.sink(0), b.sink(1)))
+    file = str(tmp_path / "d.json")
+    path.write(file, D.json_chunks(d), d)
+    return path, file, d
+
+
+def test_an_untouched_file_hands_back_the_diagram_written(tmp_path, parses):
+    path, file, d = written_diagram(tmp_path)
+    assert pathlib.Path(file).read_text() == D.to_json(d)
+    assert path.diagram(file) is d and path.diagram(file) is d and parses == []
+
+
+def test_a_same_length_edit_is_parsed(tmp_path, parses):
+    path, file, d = written_diagram(tmp_path)
+    data = pathlib.Path(file).read_bytes()
+    edited = data.replace(b'"value": 0', b'"value": 1')  # one byte flipped
+    assert len(edited) == len(data) and edited != data
+    pathlib.Path(file).write_bytes(edited)
+    again = path.diagram(file)
+    assert D.count_models(d) == 1 and D.count_models(again) == 2 and len(parses) == 1
+
+
+def test_a_diagram_overwritten_with_plain_text_is_parsed(tmp_path, parses):
+    path, file, d = written_diagram(tmp_path)
+    path.write(file, json.dumps(A_AND_B))
+    again = path.diagram(file)
+    assert again.vars == {"a", "b"} and D.count_models(again) == 1 and len(parses) == 1
+
+
+def test_a_missing_diagram_file_fails_as_any_missing_file(tmp_path, capsys):
+    path, file, d = written_diagram(tmp_path)
+    os.remove(file)
+    for reader in (path, verbs.Paths()):  # kept or not
+        with pytest.raises(FileNotFoundError):
+            reader.diagram(file)
+    code, _, err = run(["count", "--diagram", file], capsys)
+    assert code == 2 and json.loads(err.splitlines()[0])["error"] == "FileNotFoundError"
+
+
+def test_writing_a_large_diagram_makes_no_copy_of_its_text(tmp_path, monkeypatch):
+    # the vc(grid 5) decision tree, whose JSON is 8 MB: the writer holds one
+    # block of it at a time (tracemalloc counts Python allocations only)
+    from ddlab import formulas as F
+    from ddlab import graphs as G
+    monkeypatch.chdir(tmp_path)
+    put("vc5.cnf", C.write_dimacs(F.vc_formula(G.grid(5).graph)))
+    path = verbs.Paths()
+    tracemalloc.start()
+    try:
+        info, text = verbs.run("compile", {"method": "dtree", "cnf": "vc5.cnf",
+                                           "out": "t.json"}, path)
+        live, peak = tracemalloc.get_traced_memory()  # live holds the diagram
+    finally:
+        tracemalloc.stop()
+    assert info == {"size": 71186} and text is None
+    assert os.path.getsize("t.json") == 8_022_098
+    assert peak - live < 3_000_000
 
 
 REUSE_STEPS = [

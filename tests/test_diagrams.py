@@ -432,6 +432,79 @@ class TestWriterOracle:
         assert D.from_json(text) == d
 
 
+def to_json_one_pass(b):
+    """The one-pass writer that built the whole text at once: the oracle for
+    the pieces of ``json_chunks``."""
+    quoted = D._Quoted()
+    entries = []
+    for i, k, x, a, c in zip(range(len(b.kind)), b.kind, b.var, b.lo, b.hi):
+        if k == D.DECISION:
+            entries.append(f'    {{\n      "hi": {c},\n      "id": {i},\n'
+                           f'      "kind": "decision",\n      "lo": {a},\n'
+                           f'      "var": {quoted[x]}\n    }}')
+        elif k == D.AND:
+            entries.append(f'    {{\n      "id": {i},\n      "kind": "and",\n'
+                           f'      "left": {a},\n      "right": {c}\n    }}')
+        else:
+            entries.append(f'    {{\n      "id": {i},\n      "kind": "sink",\n'
+                           f'      "value": {a}\n    }}')
+    names = sorted(b.declared_vars if b.declared_vars is not None else b.vars)
+    if names:
+        listed = "[\n" + ",\n".join(f"    {quoted[x]}" for x in names) + "\n  ]"
+    else:
+        listed = "[]"
+    return ('{\n  "nodes": [\n' + ",\n".join(entries)
+            + f'\n  ],\n  "source": {b.source},\n  "vars": {listed}\n}}\n')
+
+
+def assert_chunks_match_one_pass(b):
+    pieces = list(D.json_chunks(b))
+    assert "".join(pieces) == D.to_json(b) == to_json_one_pass(b)
+    per_piece = [piece.count('\n      "id": ') for piece in pieces]
+    assert sum(per_piece) == b.size and max(per_piece) <= D.JSON_BLOCK
+
+
+class TestJsonChunks:
+    @pytest.mark.parametrize("block", [1, 3, 2048])
+    @pytest.mark.parametrize("p_and", [0.0, 0.35])
+    def test_random_diagrams(self, monkeypatch, block, p_and):
+        monkeypatch.setattr(D, "JSON_BLOCK", block)
+        rng = random.Random(95)
+        for _ in range(100):
+            names = [f"x{i}" for i in range(rng.randint(1, 7))]
+            d, _ = random_and_obdd(rng, names, p_and=p_and)
+            assert_chunks_match_one_pass(d)
+            assert_chunks_match_one_pass(renumbered(d, rng))
+
+    def test_the_writer_oracle_corpus(self):
+        b = D.DiagramBuilder()
+        wider = b.finalize(b.decision("x", b.sink(0), b.sink(1)), declared_vars={"w", "x"})
+        b = D.DiagramBuilder()
+        f, t = b.sink(0), b.sink(1)
+        escaped = b.finalize(b.decision('q"uote', f, b.decision("é\u2227\\", f, t)))
+        for d in (figure_diagram(), a_and_b(), wider, escaped,
+                  D.Diagram([D.sink(1), D.decision("y", 0, 0)], 0)):
+            assert_chunks_match_one_pass(d)
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_a_lone_sink(self, value):
+        b = D.DiagramBuilder()
+        d = b.finalize(b.sink(value))
+        assert_chunks_match_one_pass(d)
+        assert len(list(D.json_chunks(d))) == 3  # head, the one node, tail
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_node_counts_at_the_block_edge(self, offset):
+        d = chain_diagram(D.JSON_BLOCK + offset - 2)  # two sinks below the chain
+        assert d.size == D.JSON_BLOCK + offset
+        assert_chunks_match_one_pass(d)
+        assert len(list(D.json_chunks(d))) == (4 if offset == 1 else 3)
+
+    def test_vc_grid5_tree(self, vc5_tree):
+        assert_chunks_match_one_pass(vc5_tree)
+        assert len(list(D.json_chunks(vc5_tree))) == 2 + -(-vc5_tree.size // D.JSON_BLOCK)
+
+
 def test_equal_variable_sets_are_shared():
     rng = random.Random(92)
     for _ in range(50):

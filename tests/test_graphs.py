@@ -119,6 +119,24 @@ class TestWidthMin:
         assert w2 <= w3
 
 
+@pytest.mark.parametrize("kind", [list, tuple, G.LinearOrder])
+def test_crossing_width_takes_any_order(kind):
+    g = path_graph("abc")
+    for perm in itertools.permutations("abc"):
+        for mode in ("matching", "induced-matching"):
+            assert (G.crossing_width(g, kind(perm), mode)
+                    == G.crossing_width(g, G.LinearOrder(perm), mode))
+
+
+@pytest.mark.parametrize("kind", [list, tuple, G.LinearOrder])
+def test_extract_neat_takes_any_order(kind):
+    g = matching_graph(2)
+    names = sorted(G.double(g).vertices)
+    for _ in range(6):
+        random.Random(len(names)).shuffle(names)
+        assert G.extract_neat(g, kind(names)) == G.extract_neat(g, G.LinearOrder(names))
+
+
 class TestExtractNeat:
     def test_single_edge_any_order(self, single_edge):
         for perm in itertools.permutations(sorted(G.double(single_edge).vertices)):

@@ -52,6 +52,24 @@ class TestExperiments:
             LB.make_experiment(g, [("u1", "w1"), ("u2", "w2")], "obdd", order)
 
 
+@pytest.mark.parametrize("kind", [list, tuple, LinearOrder])
+def test_make_experiment_takes_any_order(kind):
+    path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    pairs = [(f"u{i}", f"w{i}") for i in (1, 2, 3)]
+    for g, pairs, engine, names in [
+            (path, [("a", "b")], "obdd", ["a", "b", "c"]),
+            (path, [("a", "b")], "obdd", ["c", "a", "b"]),
+            (matching_graph(3), pairs, "and-obdd",
+             ["u3#1", "u1#1", "u2#1"] + sorted(f"{v}#{c}" for v in ("w1", "w2", "w3")
+                                               for c in (1, 2))
+             + ["u1#2", "u2#2", "u3#2"])]:
+        exp = LB.make_experiment(g, pairs, engine, kind(names))
+        assert exp == LB.make_experiment(g, pairs, engine, LinearOrder(names))
+        assert exp.order == LinearOrder(names)
+        assert LB.fooling_set(exp) == LB.fooling_set(
+            LB.make_experiment(g, pairs, engine, LinearOrder(names)))
+
+
 class TestFoolingSet:
     def test_and_obdd_counts(self):
         for q in (3, 4):
