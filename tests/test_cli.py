@@ -459,7 +459,7 @@ PARITY = [
     ("compile --method dtree --cnf vc2.cnf --out cli.json", "compile",
      {"method": "dtree", "cnf": "vc2.cnf", "out": "b.json"},
      "wrote cli.json: {size} nodes\n"),
-    ("compile --method dtree --cnf vc2.cnf", "compile",
+    ("compile --cnf vc2.cnf --method dtree", "compile",
      {"method": "dtree", "cnf": "vc2.cnf", "out": "text.out"}, "{text}"),
     ("compile --method primal --cnf vc2.cnf --decomp d.txt --out cli.json "
      "--vtree-out cli.vtree", "compile",

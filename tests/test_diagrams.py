@@ -435,13 +435,12 @@ class TestWriterOracle:
 def to_json_one_pass(b):
     """The one-pass writer that built the whole text at once: the oracle for
     the pieces of ``json_chunks``."""
-    quoted = D._Quoted()
     entries = []
     for i, k, x, a, c in zip(range(len(b.kind)), b.kind, b.var, b.lo, b.hi):
         if k == D.DECISION:
             entries.append(f'    {{\n      "hi": {c},\n      "id": {i},\n'
                            f'      "kind": "decision",\n      "lo": {a},\n'
-                           f'      "var": {quoted[x]}\n    }}')
+                           f'      "var": {json.dumps(x)}\n    }}')
         elif k == D.AND:
             entries.append(f'    {{\n      "id": {i},\n      "kind": "and",\n'
                            f'      "left": {a},\n      "right": {c}\n    }}')
@@ -450,7 +449,7 @@ def to_json_one_pass(b):
                            f'      "value": {a}\n    }}')
     names = sorted(b.declared_vars if b.declared_vars is not None else b.vars)
     if names:
-        listed = "[\n" + ",\n".join(f"    {quoted[x]}" for x in names) + "\n  ]"
+        listed = "[\n" + ",\n".join(f"    {json.dumps(x)}" for x in names) + "\n  ]"
     else:
         listed = "[]"
     return ('{\n  "nodes": [\n' + ",\n".join(entries)
