@@ -4,7 +4,9 @@ An :class:`Assignment` is a finite map from variable names to bits; an
 :class:`AssignmentSet` is a finite set of assignments together with the union
 of their variable sets. The operations here are the set algebra the rest of
 the package is verified against: Cartesian product over disjoint universes,
-projection, restriction, and the rectangle "breaks" test.
+projection, restriction, and the rectangle "breaks" test. Variable orders
+are :class:`LinearOrder` tuples, each made by the one order check,
+``check_order``.
 """
 
 from __future__ import annotations
@@ -192,12 +194,36 @@ def cube(names):
                          for bits in itertools.product((0, 1), repeat=len(names)))
 
 
+class LinearOrder(tuple):
+    """A permutation of a ground set: the tuple of its names. Every one is
+    made by ``check_order``; ``LinearOrder(names)`` is ``check_order(names, ())``."""
+
+    def __new__(cls, names):
+        return check_order(names, ())
+
+    @property
+    def names(self):
+        return self
+
+    def position(self, name):
+        """The index of ``name``; the lookup table is built on first use."""
+        if "_pos" not in self.__dict__:
+            self._pos = {n: i for i, n in enumerate(self)}
+        return self._pos[name]
+
+    def prefix(self, k):
+        return frozenset(self[:k])
+
+    def __repr__(self):
+        return f"LinearOrder({list(self)!r})"
+
+
 def check_order(order, needed, exact=False):
-    """The names of ``order`` (a list, a tuple or a ``LinearOrder``) as a
-    tuple: the one check of an order, a ScopeError unless it names no
+    """``order`` (any iterable of names) as a ``LinearOrder``, itself when it
+    is one: the one check of an order, a ScopeError unless it names no
     variable twice and every variable of the set ``needed``, and with
     ``exact`` no other."""
-    names = tuple(order)
+    names = order if type(order) is LinearOrder else tuple.__new__(LinearOrder, order)
     seen = set(names)
     if len(seen) != len(names):
         raise ScopeError(f"order repeats {sorted({x for x in names if names.count(x) > 1})}")

@@ -8,12 +8,11 @@ malformed input. Every randomized verb takes an explicit seed.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 
-from . import graphs, verbs
+from . import diagrams, verbs
 from .errors import MALFORMED, DdlabError, FormatError
 from .version import BUILD_ID
 
@@ -22,16 +21,6 @@ def _fail(exc, code):
     doc = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
     return code
-
-
-class _Args(dict):
-    """A verb's arguments from the command line; a missing one is malformed
-    input, named by its flag."""
-
-    what = ""
-
-    def __missing__(self, key):
-        raise FormatError(f"{self.what} needs --{key.replace('_', '-')}")
 
 
 def _split_names(text):
@@ -68,9 +57,10 @@ def _read_matching(text):
 def _verb_args(ns, path):
     """The arguments as a bundle step holds them: the lists that the command
     line takes as text (comma lists, a matching file) become lists."""
-    args = _Args((k, v) for k, v in vars(ns).items()
-                 if v is not None and k not in ("func", "verb", "lbverb"))
-    args.what = f"--method {ns.method}" if ns.verb == "compile" else f"ddlab {ns.verb}"
+    what = f"--method {ns.method}" if ns.verb == "compile" else f"ddlab {ns.verb}"
+    args = verbs.Args(((k, v) for k, v in vars(ns).items()
+                       if v is not None and k not in ("func", "verb", "lbverb")),
+                      what, flags=True)
     if "universe" in args:
         args["universe"] = _split_names(args["universe"])
     if "long" in args:
@@ -102,33 +92,20 @@ def cmd_verb(ns):
     path = verbs.Paths()
     args = _verb_args(ns, path)
     start = time.perf_counter()
-    info, text = verbs.run(verb, args, path)
+    info, made = verbs.run(verb, args, path)
     elapsed = (time.perf_counter() - start) * 1000.0
     field, wrote = _SHOW.get(verb, (None, None))
     if field is not None:
         print(info[field])
     if "out" not in args:
-        if text is not None:
-            sys.stdout.write(text)
+        if isinstance(made, diagrams.Diagram):
+            sys.stdout.writelines(diagrams.json_chunks(made))
+        elif made is not None:
+            sys.stdout.write(made)
     elif wrote is not None:
         print(wrote.format(out=args["out"], **info))
-    if verb == "gen" and args["meta"]:
-        _write_meta(args, info, path)
     if verb == "certify":
         print(json.dumps({"wall_clock_ms": elapsed}, sort_keys=True), file=sys.stderr)
-
-
-def _write_meta(args, info, path):
-    """The provenance of a generated formula, next to it."""
-    _, source = verbs.formula(args, path)
-    grid = isinstance(source, graphs.GridGraph)
-    graph = source.graph if grid else source
-    meta = dict(info, build=BUILD_ID, family=args["family"],
-                graph_sha256=hashlib.sha256(graphs.write_graph(graph).encode()).hexdigest(),
-                partition={"e1": sorted(sorted(e) for e in source.hor),
-                           "e2": sorted(sorted(e) for e in source.vert)} if grid else None)
-    path.write(args.get("out", "formula.cnf") + ".meta.json",
-               json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_run(args):
@@ -145,9 +122,6 @@ def build_parser():
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--sample", type=int)
     search.add_argument("--seed", type=int)
-    search.add_argument("--order-cap", type=int,
-                        help="exhaustive order search cap on the vertices (width) "
-                             "or variables (minobdd), default 8")
     experiment = argparse.ArgumentParser(add_help=False)
     experiment.add_argument("--graph", required=True)
     experiment.add_argument("--matching", required=True)
@@ -241,8 +215,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sample", None) is not None and getattr(args, "seed", None) is None:
-        return _fail(FormatError("sampled search requires --seed"), 2)
     try:
         args.func(args)
     except MALFORMED as exc:

@@ -1,9 +1,8 @@
 """Caps for the brute-force oracles.
 
 Every enumeration in this package is desk scale on purpose; the caps make the
-scale explicit. They are constants, not per-call options: only the exhaustive
-order searches (``lowerbound.min_obdd`` and ``graphs.width_min``) take a cap
-argument, which ``--order-cap`` and the bundle argument ``order_cap`` set.
+scale explicit. They are constants, not per-call options: no search takes a
+cap argument.
 """
 
 from .errors import ScaleError

@@ -67,5 +67,5 @@ class DecompositionError(DdlabError):
 
 
 # What a command or a bundle step exits 2 on, as malformed input; a missing
-# argument is a KeyError, a wrongly typed one (``"n": null``) a TypeError
-MALFORMED = (FormatError, ScopeError, ValueError, OSError, KeyError, TypeError)
+# argument is a FormatError, a wrongly typed one (``"n": null``) a TypeError
+MALFORMED = (FormatError, ScopeError, ValueError, OSError, TypeError)

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 
 from . import config
-from .assignments import check_order
-from .errors import DecompositionError, PreconditionError, ScopeError, SoundnessError
+from .assignments import LinearOrder, check_order
+from .errors import DecompositionError, FormatError, PreconditionError, ScopeError, SoundnessError
 
 
 def edge(a, b):
@@ -71,40 +71,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(<{len(self.vertices)} vertices, {len(self.edges)} edges>)"
-
-
-class LinearOrder:
-    """A permutation of a ground set, with O(1) position lookup."""
-
-    __slots__ = ("names", "_pos")
-
-    def __init__(self, names):
-        self.names = check_order(names, ())
-        self._pos = {n: i for i, n in enumerate(self.names)}
-
-    def position(self, name):
-        return self._pos[name]
-
-    def __contains__(self, name):
-        return name in self._pos
-
-    def __len__(self):
-        return len(self.names)
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearOrder) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
-
-    def prefix(self, k):
-        return frozenset(self.names[:k])
-
-    def __repr__(self):
-        return f"LinearOrder({list(self.names)!r})"
 
 
 @dataclass(frozen=True)
@@ -383,7 +349,7 @@ def crossing_width(g, pi, mode="matching"):
     Returns ``(size, (cut, Matching))``; the witness matching carries its
     bipartition sides. Exhaustive over the |V|-1 prefix cuts.
     """
-    pi = LinearOrder(check_order(pi, g.vertices, exact=True))
+    pi = check_order(pi, g.vertices, exact=True)
     best = frozenset()
     best_cut = 1
     for k in range(1, len(pi)):
@@ -440,23 +406,51 @@ def best_order(n, cost, combine):
     return best(0)
 
 
-def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None,
-              cap=config.EXHAUSTIVE_ORDER_CAP):
+def sample_order(n, count, seed, value):
+    """The first order of least value among ``count`` seeded shuffles of the
+    ranks 1..n (n >= 1), as ``(value, ranks)``.
+
+    ``value(ranks, bound)`` returns the value of the order ``ranks``, a list
+    of the ranks 1..n, or None once that value reaches ``bound``: the least
+    value so far, None for the first order. A cut-off order has value at
+    least the best, so it could never have replaced it: the search still
+    returns the first order of the least value. ``shuffle`` never reads the
+    values it moves, so the draws and the permutation are those of
+    shuffling any n sorted items with the same seed.
+    """
+    if count is None or seed is None:
+        raise ValueError("sampled search needs count and seed")
+    if count < 1:
+        raise ValueError(f"sampled search needs a count of at least 1, not {count}")
+    rng = random.Random(seed)
+    best = None
+    for _ in range(count):
+        ranks = list(range(1, n + 1))
+        rng.shuffle(ranks)
+        got = value(ranks, None if best is None else best[0])
+        if got is not None and (best is None or got < best[0]):
+            best = got, ranks
+    return best
+
+
+def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None):
     """Minimum crossing width over vertex orders.
 
     ``mode`` selects induced (lsim) or plain (lmm) matchings. Exhaustive
     search runs ``best_order``, equivalent to trying every order (cut values
-    depend only on the prefix set); sampling shuffles with a seeded RNG.
-    Returns ``(width, LinearOrder)``.
+    depend only on the prefix set); sampled search runs ``sample_order``
+    over the sorted vertices. Returns ``(width, LinearOrder)``.
     """
-    inner = {"lsim": "induced-matching", "lmm": "matching"}[mode]
+    inner = {"lsim": "induced-matching", "lmm": "matching"}.get(mode)
+    if inner is None:
+        raise FormatError(f"unknown mode {mode!r}")
     verts = sorted(g.vertices)
     n = len(verts)
     if n == 0:
         return 0, LinearOrder(())
     cache = {}
     if search == "exhaustive":
-        config.check_scale(n, cap, "vertices for exhaustive order search")
+        config.check_scale(n, config.EXHAUSTIVE_ORDER_CAP, "vertices for exhaustive order search")
 
         def cut(placed, v):
             placed |= 1 << v
@@ -466,23 +460,18 @@ def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None,
         width, index = best_order(n, cut, max)
         return width, LinearOrder(verts[i] for i in index)
     if search == "sampled":
-        if count is None or seed is None:
-            raise ValueError("sampled search needs count and seed")
-        if count < 1:
-            raise ValueError(f"sampled search needs a count of at least 1, not {count}")
-        rng = random.Random(seed)
-        best = None
-        for _ in range(count):
-            names = list(verts)
-            rng.shuffle(names)
+
+        def width_of(ranks, bound):
+            names = [verts[r - 1] for r in ranks]
             w = 0
             for k in range(1, n):
                 w = max(w, _cut_value(g, frozenset(names[:k]), inner, cache))
-                if best is not None and w >= best[0]:
-                    break
-            if best is None or w < best[0]:
-                best = (w, LinearOrder(names))
-        return best
+                if bound is not None and w >= bound:
+                    return None
+            return w
+
+        width, ranks = sample_order(n, count, seed, width_of)
+        return width, LinearOrder(verts[r - 1] for r in ranks)
     raise ValueError(f"unknown search {search!r}")
 
 
@@ -500,7 +489,7 @@ def extract_neat(g, pi_star):
     and has at least ceil(lsimw(g)/2) edges.
     """
     dg = double(g)
-    pi_star = LinearOrder(check_order(pi_star, dg.vertices, exact=True))
+    pi_star = check_order(pi_star, dg.vertices, exact=True)
     ind = {}
     for v in sorted(g.vertices):
         ind[v] = 1 if pi_star.position(tag(v, 1)) < pi_star.position(tag(v, 2)) else 2

@@ -17,18 +17,17 @@ import hashlib
 import itertools
 import json
 import operator
-import random
 from dataclasses import dataclass
 
 from . import config, kernels
 from .alignment import frontier
-from .assignments import Assignment, AssignmentSet, check_order
+from .assignments import Assignment, AssignmentSet, LinearOrder, check_order
 from .cnf import encode, evaluate as cnf_evaluate, truth_table as cnf_truth_table
 from .diagrams import (DiagramBuilder, json_chunks,
                        truth_table as diagram_truth_table, validate)
 from .errors import PreconditionError, SoundnessError
 from .formulas import psi_formula, vc_formula
-from .graphs import LinearOrder, best_order, double, is_induced_matching, neatly_crosses, tag
+from .graphs import best_order, double, is_induced_matching, neatly_crosses, sample_order, tag
 from .version import BUILD_ID
 
 
@@ -98,8 +97,8 @@ def make_experiment(graph, pairs, engine, order=None):
         space = graph
         u_block = sorted(u for u, _ in pairs)
     if order is None:
-        order = LinearOrder(u_block + sorted(set(space.vertices) - set(u_block)))
-    order = LinearOrder(check_order(order, space.vertices, exact=True))
+        order = u_block + sorted(set(space.vertices) - set(u_block))
+    order = check_order(order, space.vertices, exact=True)
     u_pos = [order.position(u) for u in u_block]
     prefix_len = max(u_pos) + 1
     w_vars = ([tag(w, 2) for _, w in pairs] if engine == "and-obdd"
@@ -255,7 +254,6 @@ def certify(b, pi, exp):
     Injectivity is a theorem for valid inputs, so a collision raises rather
     than producing a failed certificate.
     """
-    pi = tuple(pi)  # the names, made once for the 2|F| validate calls below
     cls = validate(b, pi)
     if exp.engine == "and-obdd" and not cls.is_and_obdd:
         raise SoundnessError("diagram is not an ordered and-decomposable diagram")
@@ -334,20 +332,16 @@ def obdd_for_order(phi, order):
     return builder.finalize(node_for(0, table))
 
 
-def min_obdd(phi, search="exhaustive", count=None, seed=None,
-             cap=config.EXHAUSTIVE_ORDER_CAP, verify=False):
+def min_obdd(phi, search="exhaustive", count=None, seed=None, verify=False):
     """Minimal (or sampled-minimal) OBDD size with a realizing order.
 
     The exhaustive search is the Friedman-Supowit subset DP, ``best_order``
     summing ``_level_nodes``; of the optimal orders it returns the
     lexicographically first, the one a scan of all n! orders keeps.
 
-    The sampled search sizes each order with the best size so far as the
-    kernel's bound, so an order stops being sized once it cannot beat it.
-    A cut-off order has size at least the best, so it could never have
-    replaced it: the search still returns the first order of the least size.
-    It shuffles ranks, not names: ``shuffle`` never reads the values, so the
-    draws and the permutation are those of shuffling the sorted names.
+    The sampled search is ``sample_order`` over the ranks of the sorted
+    names. It sizes each order with the best size so far as the kernel's
+    bound, so an order stops being sized once it cannot beat it.
     """
     names = sorted(phi.vars)
     n = len(names)
@@ -355,30 +349,17 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None,
         return 1, LinearOrder(())
     config.check_scale(n, config.OBDD_SIZING_CAP, "variables for OBDD sizing")
     if search == "exhaustive":
-        config.check_scale(n, cap, "variables for exhaustive order search")
+        config.check_scale(n, config.EXHAUSTIVE_ORDER_CAP, "variables for exhaustive order search")
         cost = _level_nodes(n, cnf_truth_table(phi, names))
         size, index = best_order(n, cost, operator.add)
         order = [names[v] for v in index]
     elif search == "sampled":
-        if count is None or seed is None:
-            raise ValueError("sampled search needs count and seed")
-        if count < 1:
-            raise ValueError(f"sampled search needs a count of at least 1, not {count}")
-        rng = random.Random(seed)
         # encode once over the ranks of the sorted names; the kernel places
         # each order's positions itself
         base = encode(phi, names)
-        ranks = range(1, n + 1)
-        best = None
-        for _ in range(count):
-            shuffled = list(ranks)
-            rng.shuffle(shuffled)
-            size = kernels.obdd_size_for_order(
-                n, base, None if best is None else best[0], shuffled)
-            if size is not None:
-                best = (size, shuffled)
-        size, best_ranks = best
-        order = [names[rank - 1] for rank in best_ranks]
+        size, ranks = sample_order(n, count, seed, lambda ranks, bound:
+                                   kernels.obdd_size_for_order(n, base, bound, ranks))
+        order = [names[rank - 1] for rank in ranks]
     else:
         raise ValueError(f"unknown search {search!r}")
     if verify:

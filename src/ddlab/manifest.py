@@ -81,7 +81,7 @@ def run_experiment(manifest_path, out_dir):
                 for key in verbs.OUTPUTS:  # only files written get directories
                     if args.get(key):
                         os.makedirs(os.path.dirname(path(args[key])), exist_ok=True)
-                info, _ = verbs.run(verb, args, path)
+                info, _ = verbs.run(verb, verbs.Args(args, verb), path)
             except Exception as exc:
                 failure = MalformedStep if isinstance(exc, MALFORMED) else StepFailure
                 raise failure(name, exc) from exc

@@ -6,13 +6,14 @@ strings, and lists where a verb takes several names. ``path`` is a
 argument names a file as given on the command line, inside the bundle
 directory for a bundle step; ``path.text(rel)`` reads the text such a file
 holds and ``path.diagram(rel)`` the diagram. The file-format readers parse
-that text and the writers return text. A missing argument is a ``KeyError``
-on ``args``.
+that text and the writers return text. Both routes hand a verb its
+arguments as an :class:`Args`, so a missing one is a ``FormatError`` that
+names it.
 
 Each verb returns ``(info, made)``: ``info`` is what a bundle summary records
 for the step, ``made`` the verb's main artifact, a ``Diagram`` or text, or
 None when it has none. ``run`` writes the artifact's text to ``args["out"]``
-when that key is given.
+when that key is given, and otherwise hands the artifact back.
 """
 
 from __future__ import annotations
@@ -23,9 +24,25 @@ import json
 from . import alignment
 from . import cnf as cnf_mod
 from . import compile as compile_mod
-from . import config, diagrams, formulas, graphs, lowerbound
+from . import diagrams, formulas, graphs, lowerbound
 from .assignments import Assignment, as_bit
 from .errors import FormatError
+from .version import BUILD_ID
+
+
+class Args(dict):
+    """A verb's arguments, from the command line or a bundle step. A missing
+    one is malformed input: a FormatError saying that ``what`` needs it,
+    named as a flag when ``flags`` is set (the command line) and as a key
+    otherwise (a bundle step)."""
+
+    def __init__(self, values, what, flags=False):
+        super().__init__(values)
+        self.what, self.flags = what, flags
+
+    def __missing__(self, key):
+        name = "--" + key.replace("_", "-") if self.flags else repr(key)
+        raise FormatError(f"{self.what} needs {name}")
 
 
 class Paths:
@@ -108,12 +125,10 @@ def _search(args):
     if "sample" in args:
         info = {"sample": int(args["sample"]), "seed": int(args["seed"])}
         return {"search": "sampled", "count": info["sample"], "seed": info["seed"]}, info
-    cap = args.get("order_cap")
-    cap = config.EXHAUSTIVE_ORDER_CAP if cap is None else cap
-    return {"cap": cap}, {"order_cap": cap}
+    return {}, {}
 
 
-def formula(args, path):
+def _formula(args, path):
     """The formula ``gen`` builds and the graph it is built on: the
     ``GridGraph`` for the junction families, the plain graph otherwise."""
     family = args["family"]
@@ -121,10 +136,12 @@ def formula(args, path):
         gg = graphs.grid(int(args["grid"]))
         kind = "vc" if family == "vc-junction" else "psi"
         return formulas.junction_formula(gg.graph, gg.hor, gg.vert, kind), gg
+    maker = {"vc": formulas.vc_formula, "psi": formulas.psi_formula,
+             "star": formulas.star_formula}.get(family)
+    if maker is None:
+        raise FormatError(f"unknown family {family!r}")
     graph = _graph(args, path)
-    makers = {"vc": formulas.vc_formula, "psi": formulas.psi_formula,
-              "star": formulas.star_formula}
-    return makers[family](graph), graph
+    return maker(graph), graph
 
 
 def write(args, path):
@@ -134,9 +151,20 @@ def write(args, path):
 
 
 def gen(args, path):
-    """A formula family as DIMACS."""
-    phi, _ = formula(args, path)
-    return {"variables": len(phi.vars), "clauses": len(phi)}, cnf_mod.write_dimacs(phi)
+    """A formula family as DIMACS; with ``meta``, its provenance goes to
+    ``<out>.meta.json``."""
+    phi, source = _formula(args, path)
+    info = {"variables": len(phi.vars), "clauses": len(phi)}
+    if args.get("meta"):
+        grid = isinstance(source, graphs.GridGraph)
+        graph = source.graph if grid else source
+        meta = dict(info, build=BUILD_ID, family=args["family"],
+                    graph_sha256=hashlib.sha256(graphs.write_graph(graph).encode()).hexdigest(),
+                    partition={"e1": sorted(sorted(e) for e in source.hor),
+                               "e2": sorted(sorted(e) for e in source.vert)} if grid else None)
+        path.write(args.get("out", "formula.cnf") + ".meta.json",
+                   json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return info, cnf_mod.write_dimacs(phi)
 
 
 def compile(args, path):
@@ -285,11 +313,11 @@ VERBS = {fn.__name__.replace("_", "-"): fn
 
 def run(verb, args, path):
     """Run one verb, writing its artifact to ``args["out"]`` when that key is
-    given; returns the info and, when there is no ``out``, the artifact's
-    text. A diagram goes to ``out`` in pieces, its text never made whole."""
+    given; returns the info and, when there is no ``out``, the artifact
+    itself. A diagram goes to ``out`` in pieces, its text never made whole."""
     info, made = VERBS[verb](args, path)
-    diagram = made if isinstance(made, diagrams.Diagram) else None
     if made is None or "out" not in args:
-        return info, made if diagram is None else diagrams.to_json(diagram)
+        return info, made
+    diagram = made if isinstance(made, diagrams.Diagram) else None
     path.write(args["out"], made if diagram is None else diagrams.json_chunks(diagram), diagram)
     return info, None

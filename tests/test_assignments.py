@@ -4,8 +4,8 @@ import random
 import pytest
 
 from ddlab import alignment, cnf, diagrams, graphs, lowerbound
-from ddlab.assignments import (Assignment, AssignmentSet, breaks, cube, decode_table, product,
-                               product_all, project, project_set, restrict_set)
+from ddlab.assignments import (Assignment, AssignmentSet, breaks, check_order, cube, decode_table,
+                               product, product_all, project, project_set, restrict_set)
 from ddlab.errors import DomainOverlapError, ScopeError, UniformityError
 
 
@@ -533,14 +533,13 @@ ABC = ["a", "b", "c"]
 # having no variables to miss
 ORDER_ENTRY_POINTS = [
     ("LinearOrder", graphs.LinearOrder, ABC, True),
-    ("crossing_width", lambda o: graphs.crossing_width(PATH, graphs.LinearOrder(o)), ABC,
-     False),
-    ("extract_neat", lambda o: graphs.extract_neat(PATH, graphs.LinearOrder(o)),
+    ("crossing_width", lambda o: graphs.crossing_width(PATH, o), ABC, False),
+    ("extract_neat", lambda o: graphs.extract_neat(PATH, o),
      sorted(graphs.double(PATH).vertices), False),
     ("decomposition_from_elimination",
      lambda o: graphs.decomposition_from_elimination(PATH, o), ABC, False),
     ("make_experiment",
-     lambda o: lowerbound.make_experiment(PATH, [("a", "b")], "obdd", graphs.LinearOrder(o)),
+     lambda o: lowerbound.make_experiment(PATH, [("a", "b")], "obdd", o),
      ABC, False),
     ("obdd_size", lambda o: lowerbound.obdd_size(PATH_CNF, o), ABC, False),
     ("obdd_for_order", lambda o: lowerbound.obdd_for_order(PATH_CNF, o), ABC, False),
@@ -577,3 +576,19 @@ def test_obdd_size_and_validate_reject_a_repeated_name():
     with pytest.raises(ScopeError, match="repeats"):
         diagrams.validate(b, ["b", "a", "b"])
     assert diagrams.validate(b, ["a", "b"]).is_obdd
+
+
+@pytest.mark.parametrize("kind", [list, tuple, iter, graphs.LinearOrder])
+def test_check_order_returns_the_one_order_type(kind):
+    order = check_order(kind(ABC), {"a", "b"})
+    assert type(order) is graphs.LinearOrder and order == tuple(ABC)
+    assert order.names is order and order.position("c") == 2
+    assert order.prefix(2) == {"a", "b"}
+    assert check_order(order, ()) is order
+
+
+def test_a_linear_order_is_the_tuple_of_its_names():
+    order = graphs.LinearOrder(ABC)
+    assert order == tuple(ABC) and hash(order) == hash(tuple(ABC))
+    assert {tuple(ABC): 1}[order] == 1 and len(order) == 3 and "b" in order
+    assert graphs.LinearOrder(()) == ()

@@ -264,7 +264,31 @@ class TestRun:
 
     def test_count_without_diagram_is_exit_2(self, tmp_path, capsys):
         code, message = self.run_step(tmp_path, capsys, "count", {})
-        assert code == 2 and "KeyError" in message and "diagram" in message
+        assert code == 2 and "FormatError" in message and "diagram" in message
+
+    def test_missing_argument_is_named_as_a_flag_or_a_key(self, tmp_path, capsys):
+        code, message = self.run_step(tmp_path, capsys, "width", {"grid": 2, "sample": 10})
+        assert code == 2 and "width needs 'seed'" in message
+        code, _, err = run(["width", "--grid", "2", "--sample", "10"], capsys)
+        assert code == 2 and "needs --seed" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("verb,args,what", [
+        ("gen", {"family": "cycle", "grid": 2, "out": "f.cnf"}, "unknown family 'cycle'"),
+        ("width", {"grid": 2, "mode": "bandwidth"}, "unknown mode 'bandwidth'")])
+    def test_unknown_family_or_mode_is_exit_2(self, tmp_path, capsys, verb, args, what):
+        code, message = self.run_step(tmp_path, capsys, verb, args)
+        assert code == 2 and "FormatError" in message and what in message
+
+    def test_a_key_error_inside_a_verb_is_a_failure_not_bad_input(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def broken(args, path):
+            return {}[("no", "such", "key")]
+
+        monkeypatch.setitem(verbs.VERBS, "count", broken)
+        code, message = self.run_step(tmp_path, capsys, "count", {"diagram": "d.json"})
+        assert code == 1 and "KeyError" in message
+        with pytest.raises(KeyError):  # the command shows the traceback
+            cli.main(["count", "--diagram", "d.json"])
 
     def test_wrongly_typed_argument_is_exit_2(self, tmp_path, capsys):
         code, message = self.run_step(tmp_path, capsys, "compile",
@@ -447,6 +471,9 @@ PARITY = [
     ("gen --family psi --grid 2 --out cli.cnf", "gen",
      {"family": "psi", "grid": 2, "out": "b.cnf"},
      "wrote cli.cnf: {variables} variables, {clauses} clauses\n"),
+    ("gen --family psi --grid 2 --meta --out cli.cnf", "gen",
+     {"family": "psi", "grid": 2, "meta": True, "out": "b.cnf"},
+     "wrote cli.cnf: {variables} variables, {clauses} clauses\n"),
     ("gen --family star --graph g.txt --out cli.cnf", "gen",
      {"family": "star", "graph": "g.txt", "out": "b.cnf"},
      "wrote cli.cnf: {variables} variables, {clauses} clauses\n"),
@@ -563,10 +590,11 @@ def test_cli_and_bundle_step_agree(tmp_path, capsys, monkeypatch, argv, verb, ar
     code, _, _ = run(["run", "--manifest", str(man), "--out-dir", str(bundle)], capsys)
     assert code == 0
     info = json.loads((bundle / "summary.json").read_text())["steps"][0]["info"]
-    written = sorted(p.suffix for p in bundle.glob("cli.*"))
-    assert written == sorted(p.suffix for p in bundle.glob("b.*"))
-    for suffix in written:
-        assert (bundle / f"cli{suffix}").read_bytes() == (bundle / f"b{suffix}").read_bytes()
+    # the files' names after the cli/b prefix, so that cli.cnf.meta.json counts
+    written = sorted(p.name[len("cli"):] for p in bundle.glob("cli.*"))
+    assert written == sorted(p.name[len("b"):] for p in bundle.glob("b.*"))
+    for rest in written:
+        assert (bundle / f"cli{rest}").read_bytes() == (bundle / f"b{rest}").read_bytes()
     text = (bundle / "text.out").read_text() if "{text}" in stdout else None
     assert out == stdout.format(text=text, **info)
 
@@ -707,6 +735,28 @@ def test_writing_a_large_diagram_makes_no_copy_of_its_text(tmp_path, monkeypatch
     assert info == {"size": 71186} and text is None
     assert os.path.getsize("t.json") == 8_022_098
     assert peak - live < 3_000_000
+
+
+@pytest.mark.parametrize("out,made", [(None, []), ("d.json", ["json_chunks"])])
+def test_a_diagram_step_without_out_makes_no_json(tmp_path, capsys, monkeypatch, out, made):
+    # the runner drops what a step hands back, so a diagram nobody writes
+    # is never rendered
+    from ddlab import formulas as F
+    from ddlab import graphs as G
+    calls = []
+    for name in ("to_json", "json_chunks"):
+        real = getattr(D, name)
+        monkeypatch.setattr(D, name, lambda b, real=real, name=name: calls.append(name) or real(b))
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "vc2.cnf").write_text(C.write_dimacs(F.vc_formula(G.grid(2).graph)))
+    args = {"method": "dtree", "cnf": "vc2.cnf"}
+    if out is not None:
+        args["out"] = out
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps({"name": "one", "steps": [
+        {"name": "dtree", "verb": "compile", "args": args}]}))
+    code, _, _ = run(["run", "--manifest", str(man), "--out-dir", str(tmp_path / "b")], capsys)
+    assert code == 0 and calls == made
 
 
 REUSE_STEPS = [

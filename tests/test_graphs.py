@@ -119,6 +119,66 @@ class TestWidthMin:
         assert w2 <= w3
 
 
+def unbounded_sampled_width(g, mode, count, seed):
+    """The sampled search without the bound: the same shuffles of the sorted
+    vertices, every order's crossing width taken over all its cuts, the
+    first order of the least width kept."""
+    inner = {"lsim": "induced-matching", "lmm": "matching"}[mode]
+    rng = random.Random(seed)
+    best = None
+    for _ in range(count):
+        names = sorted(g.vertices)
+        rng.shuffle(names)
+        width = G.crossing_width(g, names, inner)[0]
+        if best is None or width < best[0]:
+            best = (width, G.LinearOrder(names))
+    return best
+
+
+class TestSampleOrder:
+    def test_sampled_width_matches_the_unbounded_search(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 9), edge_prob=rng.random(), no_isolated=False)
+            for mode in ("lsim", "lmm"):
+                for seed in (0, 3, 17):
+                    assert G.width_min(g, mode, search="sampled", count=25, seed=seed) == \
+                        unbounded_sampled_width(g, mode, 25, seed)
+
+    def recorded(self, values, cut_off):
+        """A value function handing out ``values`` in turn, recording each
+        call's order and bound; with ``cut_off`` a value at the bound is None."""
+        calls = []
+        it = iter(values)
+
+        def value(ranks, bound):
+            got = next(it)
+            calls.append((list(ranks), bound))
+            return None if cut_off and bound is not None and got >= bound else got
+
+        return value, calls
+
+    @pytest.mark.parametrize("cut_off", [False, True])
+    def test_the_first_least_value_wins_and_cut_offs_never_replace_it(self, cut_off):
+        values = [5, 3, 4, 3, 2, 9, 2, 6]
+        value, calls = self.recorded(values, cut_off)
+        best, ranks = G.sample_order(5, len(values), 7, value)
+        assert best == 2 and ranks == calls[4][0]  # the fifth order, not the seventh
+        assert [bound for _, bound in calls] == [None, 5, 3, 3, 3, 2, 2, 2]
+        rng = random.Random(7)
+        for order, _ in calls:  # the shuffles of the ranks 1..5, in turn
+            expected = [1, 2, 3, 4, 5]
+            rng.shuffle(expected)
+            assert order == expected
+
+    @pytest.mark.parametrize("count,seed", [(0, 1), (-3, 1), (None, 1), (5, None)])
+    def test_a_bad_count_or_no_seed_raises(self, count, seed):
+        value, calls = self.recorded([1], False)
+        with pytest.raises(ValueError, match="count"):
+            G.sample_order(3, count, seed, value)
+        assert calls == []
+
+
 @pytest.mark.parametrize("kind", [list, tuple, G.LinearOrder])
 def test_crossing_width_takes_any_order(kind):
     g = path_graph("abc")

@@ -126,3 +126,30 @@ def test_only_the_file_routes_open_files(path):
     allowed = OPENERS.get(path.name, set())
     stray = [f for f in opening_definitions(path.read_text()) if f[1] not in allowed]
     assert stray == [], f"{path.name} opens files outside verbs.Paths"
+
+
+def imported_modules(source):
+    """The top-level module of every import statement, anywhere in the module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def classes_defined(source):
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)}
+
+
+def test_only_graphs_draws_random_numbers():
+    # one seeded order search, graphs.sample_order, for every sampled search
+    users = [p.name for p in MODULES if "random" in imported_modules(p.read_text())]
+    assert users == ["graphs.py"]
+
+
+def test_only_assignments_defines_the_order_type():
+    # one order type, made by the one order check next to it
+    owners = [p.name for p in MODULES if "LinearOrder" in classes_defined(p.read_text())]
+    assert owners == ["assignments.py"]
