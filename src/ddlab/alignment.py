@@ -101,7 +101,7 @@ def frontier(b, pi, g):
     and the union of incomplete paths is a tree. Their failure indicates an
     invalid input diagram and raises a soundness error.
     """
-    names = tuple(pi)
+    names = pi if isinstance(pi, tuple) else tuple(pi)
     validate(b, names)
     _require_prefix(g, names)
     bound = g.vars

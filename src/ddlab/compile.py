@@ -14,6 +14,7 @@ relies on exactly that.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .assignments import Assignment
@@ -70,7 +71,7 @@ def dt_to_diagram(t):
     slice of an expansion that created no sink, shifting the ids inside the
     slice and keeping the sink ids, which lie below it.
     """
-    kind, var, lo, hi = [], [], [], []
+    kind, var, lo, hi = array("b"), [], array("l"), array("l")
     sinks = {}
     spans = {}  # id(DTTest) -> (start, end) of a sink-free expansion
 
@@ -83,7 +84,7 @@ def dt_to_diagram(t):
                 kind.append(SINK)
                 var.append(None)
                 lo.append(value)
-                hi.append(None)
+                hi.append(-1)
             return i
         start = len(kind)
         span = spans.get(id(node))
@@ -106,7 +107,10 @@ def dt_to_diagram(t):
             spans[id(node)] = (start, len(kind))
         return len(kind) - 1
 
-    source = build(t)
+    try:
+        source = build(t)
+    finally:
+        del build  # the closure refers to itself: a cycle until deleted
     return Diagram.from_columns(kind, var, lo, hi, source)
 
 
@@ -159,7 +163,10 @@ def decision_tree(phi):
         memo[phi] = node
         return node
 
-    return tree(phi)
+    try:
+        return tree(phi)
+    finally:
+        del tree  # the closure refers to itself: a cycle until deleted
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +449,10 @@ def _compile_rooted(phi, rooted, builder):
             memo[key] = ladder(b, dict(iface), todo)
         return memo[key]
 
-    return entry(rooted.root, {})
+    try:
+        return entry(rooted.root, {})
+    finally:
+        del leaf, ladder, entry  # closures that refer to each other: a cycle until deleted
 
 
 def vtree_from_decomposition_rooted(rooted, extra_vars=()):
@@ -450,7 +460,10 @@ def vtree_from_decomposition_rooted(rooted, extra_vars=()):
         child_parts = _left_comb([part(c) for c in rooted.children[b]])
         return _right_comb([*rooted.local(b), child_parts])
 
-    nested = _right_comb([*sorted(extra_vars), part(rooted.root)])
+    try:
+        nested = _right_comb([*sorted(extra_vars), part(rooted.root)])
+    finally:
+        del part  # the closure refers to itself: a cycle until deleted
     return None if nested is None else Vtree(nested)
 
 
@@ -485,7 +498,10 @@ def compile_split(phi, long_clauses, d):
             return lo
         return builder.decision(t.var, lo, hi)
 
-    source = walk(dt, {})
+    try:
+        source = walk(dt, {})
+    finally:
+        del walk  # the closure refers to itself: a cycle until deleted
     body = builder.finalize(source)
     untested = sorted(phi.vars - body.vars)
     if not untested:

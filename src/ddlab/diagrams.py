@@ -18,6 +18,7 @@ assignment satisfies the diagram when it extends some accepted assignment.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 
 from . import config
@@ -83,10 +84,31 @@ def _columns(records):
             kind.append(SINK)
             var.append(None)
             lo.append(e["value"])
-            hi.append(None)
+            hi.append(-1)
         else:
             raise FormatError(f"node {i} has unknown kind {k!r}")
     return kind, var, lo, hi
+
+
+def _check(kind, var, lo, hi):
+    """Raise on the first node, in id order, that is not well formed: a
+    decision or conjunction whose children are not int ids of nodes, a
+    decision variable that is not a string, a kind other than the three
+    codes, or a sink whose value is not 0 or 1 or whose hi is not -1."""
+    n = len(kind)
+    for i, k, x, a, b in zip(range(n), kind, var, lo, hi):
+        if k == DECISION or k == AND:
+            for c in (a, b):
+                if type(c) is not int or not 0 <= c < n:
+                    raise FormatError(f"node {i} references missing child {c!r}")
+            if k == DECISION and not isinstance(x, str):
+                raise FormatError(f"node {i} tests {x!r}; variable names are strings")
+        elif k != SINK:
+            raise FormatError(f"node {i} has unknown kind code {k!r}")
+        elif type(a) is not int or a not in (0, 1):
+            raise FormatError(f"sink {i} has value {a!r}; a sink is 0 or 1")
+        elif type(b) is not int or b != -1:
+            raise FormatError(f"sink {i} has hi {b!r}; a sink's hi is -1")
 
 
 def _toposort(kind, lo, hi):
@@ -114,6 +136,68 @@ def _toposort(kind, lo, hi):
     return tuple(out)
 
 
+def _classify(kind, var, lo, hi, topo=None):
+    """Hash-cons the nodes into isomorphism classes in one children-first
+    pass, and read off each class's tested variables.
+
+    Without ``topo`` the pass runs in id order and also checks each node as
+    ``_check`` does; it returns None at the first node that fails, or whose
+    child ids are not below its own, so that the caller can run ``_check``
+    for the error and pass a ``topo`` order. With ``topo`` the nodes were
+    checked and the pass runs in that order.
+
+    A class is keyed by a sink's value, or by a node's variable (None on a
+    conjunction) and its children's classes, so two nodes share a class iff
+    their subdiagrams are equal once isomorphic subdiagrams are merged.
+    Classes are numbered as first met, so class order is children-first too.
+    Returns each node's class and the per-class kind, var, lo, hi and
+    tested-set columns, lo and hi naming classes (a sink class's value is its
+    lo). Equal tested sets are one shared object: a union is computed once per
+    distinct (var, lo set, hi set), however many classes repeat it."""
+    n = len(kind)
+    empty = frozenset()
+    iso = array("l", [0]) * n
+    ids = {}  # sink value, or (var, lo class, hi class) -> class
+    ckind, cvar, clo, chi, ctested = [], [], [], [], []
+    unions = {}  # (var, lo set, hi set) -> union, for classes repeating one
+    shared = {empty: empty}
+    rows = (zip(range(n), kind, var, lo, hi) if topo is None
+            else ((i, kind[i], var[i], lo[i], hi[i]) for i in topo))
+    for i, k, x, a, b in rows:
+        if k:
+            if topo is None and not (
+                    type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i
+                    and (isinstance(x, str) if k == DECISION else k == AND)):
+                return None
+            one, two = iso[a], iso[b]
+            key = (x, one, two)
+        else:
+            if topo is None and not (k == SINK and type(a) is int and a in (0, 1)
+                                     and type(b) is int and b == -1):
+                return None
+            x, one, two = None, a, -1
+            key = one
+        c = ids.get(key)
+        if c is None:
+            c = ids[key] = len(ckind)
+            acc = empty
+            if k:
+                sets = (x, ctested[one], ctested[two])
+                acc = unions.get(sets)
+                if acc is None:
+                    acc = sets[1] | sets[2]
+                    if x is not None:
+                        acc |= {x}
+                    acc = unions[sets] = shared.setdefault(acc, acc)
+            ckind.append(k)
+            cvar.append(x)
+            clo.append(one)
+            chi.append(two)
+            ctested.append(acc)
+        iso[i] = c
+    return iso, (ckind, cvar, clo, chi, ctested)
+
+
 class Diagram:
     """An immutable node table with a designated source, kept as parallel
     columns indexed by node id.
@@ -121,15 +205,17 @@ class Diagram:
     ``kind[i]`` is ``SINK``, ``DECISION`` or ``AND``. A decision node tests
     ``var[i]`` and has the 0-child ``lo[i]`` and the 1-child ``hi[i]``; a
     conjunction has the children ``lo[i]`` (left) and ``hi[i]`` (right); a
-    sink's value, 0 or 1, is ``lo[i]``. ``var`` is None off decision nodes
-    and ``hi`` is None on sinks. ``node(i)`` and ``nodes`` give the same
-    table as ``Node`` records. Construction also sorts the nodes into
-    isomorphism classes (``iso_class``, ``merged_size``); the semantic
-    passes run once per class reachable from the source, not per node.
+    sink's value, 0 or 1, is ``lo[i]`` and its ``hi[i]`` is -1. ``kind`` is
+    an ``array("b")``, ``lo`` and ``hi`` are ``array("l")``s and ``var`` is
+    a tuple, None off decision nodes. ``node(i)`` and ``nodes`` give the
+    same table as ``Node`` records. Construction also sorts the nodes into
+    isomorphism classes (``iso_class``, ``merged_size``), and keeps each
+    class's tested variables; the semantic passes run once per class
+    reachable from the source, not per node.
     """
 
     __slots__ = ("kind", "var", "lo", "hi", "source", "declared_vars",
-                 "_topo", "_vars_below", "_iso", "_iso_table", "_verdicts")
+                 "_topo", "_iso", "_iso_table", "_verdicts")
 
     def __init__(self, nodes, source, declared_vars=None):
         """From ``Node`` records in id order."""
@@ -139,35 +225,42 @@ class Diagram:
 
     @classmethod
     def from_columns(cls, kind, var, lo, hi, source, declared_vars=None):
-        """A diagram from its four columns, checked as ``Diagram()`` checks."""
+        """A diagram from its four columns, checked as ``Diagram()`` checks.
+        The columns are copied: no array of the diagram is one the caller
+        holds."""
         self = cls.__new__(cls)
         self._freeze(kind, var, lo, hi, source, declared_vars)
         return self
 
     def _freeze(self, kind, var, lo, hi, source, declared_vars):
-        self.kind, self.var, self.lo, self.hi = kind, var, lo, hi = (
-            tuple(kind), tuple(var), tuple(lo), tuple(hi))
+        var = tuple(var)
         n = len(kind)
-        ascending = True  # every child id below its parent's: id order is children-first
-        for i, k, x, a, b in zip(range(n), kind, var, lo, hi):
-            if k:
-                if not (type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i):
-                    for c in (a, b):
-                        if type(c) is not int or not 0 <= c < n:
-                            raise FormatError(f"node {i} references missing child {c!r}")
-                    ascending = False
-                if k == DECISION and not isinstance(x, str):
-                    raise FormatError(f"node {i} tests {x!r}; variable names are strings")
-            elif type(a) is not int or a not in (0, 1):
-                raise FormatError(f"sink {i} has value {a!r}; a sink is 0 or 1")
+        # ``topo()`` is computed when first asked for, unless classifying
+        # needs it now: when the ids are not children-first
+        self._topo = None
+        classes = _classify(kind, var, lo, hi)
+        if classes is None:
+            _check(kind, var, lo, hi)
+            self._topo = _toposort(kind, lo, hi)
+            classes = _classify(kind, var, lo, hi, self._topo)
         if type(source) is not int or not 0 <= source < n:
             raise FormatError(f"source {source!r} is not a node id")
         self.source = source
-        # ``topo()`` is computed when first asked for, unless the cycle check
-        # needs it now; classifying only needs some children-first order
-        self._topo = None if ascending else _toposort(kind, lo, hi)
-        self._classify(range(n) if ascending else self._topo)
-        tested = self._vars_below[source]
+        self.kind, self.var = array("b", kind), var
+        self.lo, self.hi = array("l", lo), array("l", hi)
+        iso, (ckind, cvar, clo, chi, ctested) = classes
+        self._iso = iso
+        reached = [False] * len(ckind)
+        reached[iso[source]] = True
+        for c in range(len(ckind) - 1, -1, -1):
+            if reached[c] and ckind[c]:
+                reached[clo[c]] = reached[chi[c]] = True
+        # the classes the semantic passes visit: those reachable from the
+        # source, children first, as a range when that is all of them
+        self._iso_table = (tuple(ckind), tuple(cvar), tuple(clo), tuple(chi),
+                           tuple(ctested), range(len(ckind)) if all(reached)
+                           else tuple([c for c, r in enumerate(reached) if r]))
+        tested = ctested[iso[source]]
         if declared_vars is not None:
             declared_vars = frozenset(declared_vars)
             odd = [x for x in declared_vars if not isinstance(x, str)]
@@ -181,65 +274,6 @@ class Diagram:
         self.declared_vars = declared_vars
         self._verdicts = {}  # validate's verdicts, keyed by None or the order's names
 
-    def _classify(self, up):
-        """Hash-cons the nodes into isomorphism classes in one children-first
-        pass, and read off each node's tested variables.
-
-        A class is keyed by a sink's value, or by a node's variable (None
-        on a conjunction) and its children's classes, so two nodes share a
-        class iff their subdiagrams are equal once isomorphic subdiagrams are
-        merged. Classes are numbered as first met, so class order is
-        children-first too. ``_iso`` holds each node's class; ``_iso_table``
-        holds the per-class kind, var, lo, hi and tested-set columns, lo and
-        hi naming classes (a sink class's value is its lo), and the classes
-        the semantic passes visit: those reachable from the source, children
-        first, as a range when that is all of them. Equal tested sets are one
-        shared object: a union is computed once per distinct (var, lo set, hi
-        set), however many classes repeat it."""
-        kind, var, lo, hi = self.kind, self.var, self.lo, self.hi
-        empty = frozenset()
-        iso = [0] * len(kind)
-        ids = {}  # sink value, or (var, lo class, hi class) -> class
-        ckind, cvar, clo, chi, ctested = [], [], [], [], []
-        unions = {}  # (var, lo set, hi set) -> union, for classes repeating one
-        shared = {empty: empty}
-        for i in up:
-            k = kind[i]
-            if k:
-                x, one, two = var[i], iso[lo[i]], iso[hi[i]]
-                key = (x, one, two)
-            else:
-                x, one, two = None, lo[i], None
-                key = one
-            c = ids.get(key)
-            if c is None:
-                c = ids[key] = len(ckind)
-                acc = empty
-                if k:
-                    sets = (x, ctested[one], ctested[two])
-                    acc = unions.get(sets)
-                    if acc is None:
-                        acc = sets[1] | sets[2]
-                        if x is not None:
-                            acc |= {x}
-                        acc = unions[sets] = shared.setdefault(acc, acc)
-                ckind.append(k)
-                cvar.append(x)
-                clo.append(one)
-                chi.append(two)
-                ctested.append(acc)
-            iso[i] = c
-        reached = [False] * len(ckind)
-        reached[iso[self.source]] = True
-        for c in range(len(ckind) - 1, -1, -1):
-            if reached[c] and ckind[c]:
-                reached[clo[c]] = reached[chi[c]] = True
-        self._iso = tuple(iso)
-        self._iso_table = (tuple(ckind), tuple(cvar), tuple(clo), tuple(chi),
-                           tuple(ctested), range(len(ckind)) if all(reached)
-                           else tuple([c for c, r in enumerate(reached) if r]))
-        self._vars_below = tuple(map(ctested.__getitem__, iso))
-
     @property
     def size(self):
         """The size measure |B|: the number of nodes."""
@@ -247,10 +281,10 @@ class Diagram:
 
     @property
     def vars(self):
-        return self._vars_below[self.source]
+        return self._iso_table[4][self._iso[self.source]]
 
     def vars_below(self, node_id):
-        return self._vars_below[node_id]
+        return self._iso_table[4][self._iso[node_id]]
 
     @property
     def merged_size(self):
@@ -291,7 +325,8 @@ class Diagram:
                 and self.declared_vars == other.declared_vars)
 
     def __hash__(self):
-        return hash((self.kind, self.var, self.lo, self.hi, self.source))
+        return hash((self.kind.tobytes(), self.var, self.lo.tobytes(), self.hi.tobytes(),
+                     self.source))
 
     def __repr__(self):
         return f"Diagram(<{len(self.kind)} nodes, source {self.source}>)"
@@ -324,7 +359,7 @@ class DiagramBuilder:
         value = int(value)
         i = self._sinks.get(value)
         if i is None:
-            i = self._sinks[value] = self._add(SINK, None, value, None)
+            i = self._sinks[value] = self._add(SINK, None, value, -1)
         return i
 
     def decision(self, var, lo, hi):
@@ -355,7 +390,7 @@ class DiagramBuilder:
         return Diagram.from_columns(
             [kind[i] for i in keep], [var[i] for i in keep],
             [remap[lo[i]] if kind[i] else lo[i] for i in keep],
-            [remap[hi[i]] if kind[i] else None for i in keep],
+            [remap[hi[i]] if kind[i] else -1 for i in keep],
             remap[source], declared_vars)
 
 
@@ -414,12 +449,11 @@ def validate(b, order=None):
     The diagram is immutable, so a verdict is computed once per order and
     kept on it; a failed check raises again on every call.
     """
-    names = None if order is None else tuple(order)
+    names = order if order is None or isinstance(order, tuple) else tuple(order)
     if names in b._verdicts:
         return b._verdicts[names]
-    kind, var, lo, hi, below = b.kind, b.var, b.lo, b.hi, b._vars_below
+    kind, lo, hi = b.kind, b.lo, b.hi
     inner = [i for i, k in enumerate(kind) if k]
-    decisions = [i for i in inner if kind[i] == DECISION]
     has_parent = {lo[i] for i in inner}
     has_parent.update(hi[i] for i in inner)
     sources = [i for i in range(len(kind)) if i not in has_parent]
@@ -435,32 +469,45 @@ def validate(b, order=None):
         if len(ids) > 1:
             raise DiagramInvariantError(
                 "sink-form", tuple(ids), f"multiple sinks labelled {value}: {ids}")
-    for i in inner:
-        if kind[i] == AND:
-            shared = below[lo[i]] & below[hi[i]]
-            if shared:
-                raise DiagramInvariantError(
-                    "decomposability", i,
-                    f"conjunction {i} children share {sorted(shared)}")
-    for i in decisions:
-        if var[i] in below[lo[i]] or var[i] in below[hi[i]]:
-            raise DiagramInvariantError(
-                "read-once", i, f"variable {var[i]!r} tested again below node {i}")
-    has_and = AND in kind
+    # the other invariants depend on a node's isomorphism class alone, so
+    # each is checked once per class; a failure cites the least node id of
+    # all classes that fail it, the node a check in id order meets first
+    ckind, cvar, clo, chi, tested, _ = b._iso_table
+    first = b._iso.index
+    decisions = [c for c, k in enumerate(ckind) if k == DECISION]
+    bad = [(first(c), c) for c, k in enumerate(ckind)
+           if k == AND and tested[clo[c]] & tested[chi[c]]]
+    if bad:
+        i, c = min(bad)
+        raise DiagramInvariantError(
+            "decomposability", i,
+            f"conjunction {i} children share {sorted(tested[clo[c]] & tested[chi[c]])}")
+    bad = [first(c) for c in decisions
+           if cvar[c] in tested[clo[c]] or cvar[c] in tested[chi[c]]]
+    if bad:
+        i = min(bad)
+        raise DiagramInvariantError(
+            "read-once", i, f"variable {b.var[i]!r} tested again below node {i}")
+    has_and = AND in ckind
     if names is not None:
         check_order(names, b.vars)
         pos = {x: k for k, x in enumerate(names)}
-        for i in decisions:
-            for c in (lo[i], hi[i]):
-                late = [y for y in below[c] if pos[y] <= pos[var[i]]]
+        bad = []
+        for c in decisions:
+            x = cvar[c]
+            for child in (clo[c], chi[c]):
+                late = [y for y in tested[child] if pos[y] <= pos[x]]
                 if late:
-                    raise DiagramInvariantError(
-                        "order", i,
-                        f"{sorted(late)} tested below the {var[i]!r} node {i} "
-                        f"but not after it in the order")
+                    bad.append((first(c), x, late))
+                    break
+        if bad:
+            i, x, late = min(bad)
+            raise DiagramInvariantError(
+                "order", i,
+                f"{sorted(late)} tested below the {x!r} node {i} but not after it in the order")
         ordered = names
     else:
-        ordered = _infer_order(b, decisions)
+        ordered = _infer_order(b)
     is_ordered = ordered is not None
     return b._verdicts.setdefault(names, DiagramClass(
         is_and_fbdd=True,
@@ -471,13 +518,15 @@ def validate(b, order=None):
     ))
 
 
-def _infer_order(b, decisions):
+def _infer_order(b):
     """A linear order all paths obey, if the tested-before digraph is acyclic."""
+    kind, var, lo, hi, tested, _ = b._iso_table
     succ = {x: set() for x in b.vars}
-    for i in decisions:
-        later = succ[b.var[i]]
-        later |= b.vars_below(b.lo[i])
-        later |= b.vars_below(b.hi[i])
+    for c, k in enumerate(kind):
+        if k == DECISION:
+            later = succ[var[c]]
+            later |= tested[lo[c]]
+            later |= tested[hi[c]]
     for x, ys in succ.items():
         ys.discard(x)
     indeg = {x: 0 for x in succ}
@@ -649,19 +698,13 @@ def json_chunks(b):
     yield '{\n  "nodes": [\n'
     for start in range(0, len(kind), JSON_BLOCK):
         stop = start + JSON_BLOCK
-        entries = []
-        for i, k, x, a, c in zip(range(start, stop), kind[start:stop], var[start:stop],
-                                 lo[start:stop], hi[start:stop]):
-            if k == DECISION:
-                entries.append(f'    {{\n      "hi": {c},\n      "id": {i},\n'
-                               f'      "kind": "decision",\n      "lo": {a},\n'
-                               f'      "var": {quoted[x]}\n    }}')
-            elif k == AND:
-                entries.append(f'    {{\n      "id": {i},\n      "kind": "and",\n'
-                               f'      "left": {a},\n      "right": {c}\n    }}')
-            else:
-                entries.append(f'    {{\n      "id": {i},\n      "kind": "sink",\n'
-                               f'      "value": {a}\n    }}')
+        entries = [f'    {{\n      "hi": {c},\n      "id": {i},\n      "kind": "decision",\n'
+                   f'      "lo": {a},\n      "var": {quoted[x]}\n    }}' if k == DECISION else
+                   f'    {{\n      "id": {i},\n      "kind": "and",\n'
+                   f'      "left": {a},\n      "right": {c}\n    }}' if k else
+                   f'    {{\n      "id": {i},\n      "kind": "sink",\n      "value": {a}\n    }}'
+                   for i, k, x, a, c in zip(range(start, stop), kind[start:stop],
+                                            var[start:stop], lo[start:stop], hi[start:stop])]
         yield (",\n" if start else "") + ",\n".join(entries)
     names = sorted(b.declared_vars if b.declared_vars is not None else b.vars)
     if names:

@@ -285,8 +285,11 @@ def _max_bipartite_matching(cands, left_of):
                 return True
         return False
 
-    for u in left:
-        try_augment(u, set())
+    try:
+        for u in left:
+            try_augment(u, set())
+    finally:
+        del try_augment  # the closure refers to itself: a cycle until deleted
     return frozenset(e for _, e in match_right.values())
 
 
@@ -312,7 +315,10 @@ def _max_conflict_free(cands, conflict):
             recurse(idx + 1, chosen + [e], alive - conflict[e] - {e})
         recurse(idx + 1, chosen, alive - {e})
 
-    recurse(0, [], frozenset(cands))
+    try:
+        recurse(0, [], frozenset(cands))
+    finally:
+        del recurse  # the closure refers to itself: a cycle until deleted
     return frozenset(best)
 
 
@@ -403,7 +409,10 @@ def best_order(n, cost, combine):
         memo[placed] = out
         return out
 
-    return best(0)
+    try:
+        return best(0)
+    finally:
+        del best  # the closure refers to itself: a cycle until deleted
 
 
 def sample_order(n, count, seed, value):

@@ -329,7 +329,10 @@ def obdd_for_order(phi, order):
             memo[key] = builder.decision(names[p], node_for(p + 1, lo), node_for(p + 1, hi))
         return memo[key]
 
-    return builder.finalize(node_for(0, table))
+    try:
+        return builder.finalize(node_for(0, table))
+    finally:
+        del node_for  # the closure refers to itself: a cycle until deleted
 
 
 def min_obdd(phi, search="exhaustive", count=None, seed=None, verify=False):

@@ -40,9 +40,12 @@ class Args(dict):
         super().__init__(values)
         self.what, self.flags = what, flags
 
+    def name(self, key):
+        """``key`` as the user gave it: a flag or a key."""
+        return "--" + key.replace("_", "-") if self.flags else repr(key)
+
     def __missing__(self, key):
-        name = "--" + key.replace("_", "-") if self.flags else repr(key)
-        raise FormatError(f"{self.what} needs {name}")
+        raise FormatError(f"{self.what} needs {self.name(key)}")
 
 
 class Paths:
@@ -152,7 +155,10 @@ def write(args, path):
 
 def gen(args, path):
     """A formula family as DIMACS; with ``meta``, its provenance goes to
-    ``<out>.meta.json``."""
+    ``<out>.meta.json``, so ``meta`` needs ``out``."""
+    if args.get("meta") and "out" not in args:
+        raise FormatError(f"{args.name('meta')} needs {args.name('out')}: "
+                          f"the provenance file is named after it")
     phi, source = _formula(args, path)
     info = {"variables": len(phi.vars), "clauses": len(phi)}
     if args.get("meta"):
@@ -162,7 +168,7 @@ def gen(args, path):
                     graph_sha256=hashlib.sha256(graphs.write_graph(graph).encode()).hexdigest(),
                     partition={"e1": sorted(sorted(e) for e in source.hor),
                                "e2": sorted(sorted(e) for e in source.vert)} if grid else None)
-        path.write(args.get("out", "formula.cnf") + ".meta.json",
+        path.write(args["out"] + ".meta.json",
                    json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return info, cnf_mod.write_dimacs(phi)
 

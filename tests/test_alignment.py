@@ -338,6 +338,25 @@ class TestFrontier:
         (u,) = fr.l_nodes
         assert (u, d.source) in fr.tree_pairs()
 
+    def test_a_tuple_order_is_used_as_it_is(self):
+        class Counted(tuple):
+            """A tuple that counts the times it is iterated."""
+
+            iterations = 0
+
+            def __iter__(self):
+                Counted.iterations += 1
+                return super().__iter__()
+
+        d = figure_diagram()
+        order, g = Counted(FIGURE_ORDER), Assignment({"x2": 1})
+        fr = AL.frontier(d, order, g)
+        seen = Counted.iterations
+        # verdicts are shared with the plain tuple and the list of the names
+        assert D.validate(d, order) is D.validate(d, list(FIGURE_ORDER))
+        assert AL.frontier(d, order, g) == fr
+        assert Counted.iterations == seen
+
     def test_empty_assignment_decision_source(self):
         b = D.DiagramBuilder()
         t = b.sink(1)

@@ -56,6 +56,13 @@ class TestGen:
         phi = C.read_dimacs(out.read_text())
         assert len(phi.vars) == 5 and len(phi) == 4
 
+    def test_meta_without_out_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["gen", "--family", "vc", "--grid", "2", "--meta"], capsys)
+        message = json.loads(err)["message"]
+        assert code == 2 and out == "" and "--meta needs --out" in message
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCompileCountValidate:
     def test_grid_junction_count_and_class(self, tmp_path, capsys):
@@ -265,6 +272,13 @@ class TestRun:
     def test_count_without_diagram_is_exit_2(self, tmp_path, capsys):
         code, message = self.run_step(tmp_path, capsys, "count", {})
         assert code == 2 and "FormatError" in message and "diagram" in message
+
+    def test_gen_meta_without_out_is_exit_2(self, tmp_path, capsys):
+        code, message = self.run_step(tmp_path, capsys, "gen",
+                                      {"family": "vc", "grid": 2, "meta": True})
+        assert code == 2 and "FormatError" in message and "'meta' needs 'out'" in message
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "manifest.json", "summary.json"]
 
     def test_missing_argument_is_named_as_a_flag_or_a_key(self, tmp_path, capsys):
         code, message = self.run_step(tmp_path, capsys, "width", {"grid": 2, "sample": 10})

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from ddlab import compile as CP
 from ddlab import diagrams as D
 from ddlab import formulas as F
 from ddlab import graphs as G
+from ddlab import lowerbound as LB
 from ddlab.assignments import Assignment, cube
 from ddlab.errors import FormatError, PreconditionError
 
@@ -439,6 +441,54 @@ class TestRespects:
         from ddlab.errors import ScopeError
         with pytest.raises(ScopeError):
             CP.respects(diagram, CP.Vtree(("a", "b")))
+
+
+# ---------------------------------------------------------------------------
+# recursive builders leave no reference cycles
+
+
+def _psi3_split():
+    psi = F.psi_formula(G.grid(3).graph)
+    return psi, [c for c in psi.clauses if len(c) > 2], doubled_window_decomposition(3)
+
+
+def _vc4_primal():
+    grid4 = G.grid(4).graph
+    return F.vc_formula(grid4), G.decomposition_from_elimination(grid4, G.grid_order(4).names)
+
+
+# name -> a function making (call, its arguments); each call recurses
+# through closures that refer to themselves or to each other
+NO_CYCLE_CALLS = {
+    "decision_tree": lambda: (CP.decision_tree, (F.vc_formula(G.grid(4).graph),)),
+    "dt_to_diagram": lambda: (CP.dt_to_diagram,
+                              (CP.decision_tree(F.vc_formula(G.grid(4).graph)),)),
+    "compile_split": lambda: (CP.compile_split, _psi3_split()),
+    "compile_primal": lambda: (CP.compile_primal, _vc4_primal()),
+    "split_vtree": lambda: (CP.split_vtree, _psi3_split()),
+    "width_min lsim sampled": lambda: (G.width_min,
+                                       (G.grid(3).graph, "lsim", "sampled", 30, 5)),
+    "width_min lmm sampled": lambda: (G.width_min,
+                                      (G.grid(3).graph, "lmm", "sampled", 30, 5)),
+    "width_min exhaustive": lambda: (G.width_min, (G.grid(2).graph,)),
+    "obdd_for_order": lambda: (LB.obdd_for_order, (_vc4_primal()[0],
+                                                   G.grid_order(4).names)),
+}
+
+
+@pytest.mark.parametrize("name", NO_CYCLE_CALLS)
+def test_leaves_no_cyclic_garbage(name):
+    """With the cyclic collector off, the call frees all it made by
+    reference counting: the collector finds nothing after it."""
+    call, args = NO_CYCLE_CALLS[name]()
+    gc.disable()
+    try:
+        gc.collect()
+        made = call(*args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert made is not None
 
 
 @pytest.fixture

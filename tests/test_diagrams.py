@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -620,12 +623,31 @@ def assert_node_records_agree(b, nodes):
                         D.conj(b.lo[i], b.hi[i]))
 
 
-@pytest.fixture(scope="module")
-def vc5_tree():
-    from ddlab.compile import decision_tree, dt_to_diagram
+def vc_tree(n):
+    """The decision tree of the grid-n vertex-cover formula, not yet a diagram."""
+    from ddlab.compile import decision_tree
     from ddlab.formulas import vc_formula
     from ddlab.graphs import grid
-    return dt_to_diagram(decision_tree(vc_formula(grid(5).graph)))
+    return decision_tree(vc_formula(grid(n).graph))
+
+
+@pytest.fixture(scope="module")
+def vc5_tree():
+    from ddlab.compile import dt_to_diagram
+    return dt_to_diagram(vc_tree(5))
+
+
+def replayed(b):
+    """The diagram built again node by node through a DiagramBuilder."""
+    builder = D.DiagramBuilder()
+    for node in b.nodes:
+        if node.kind == "sink":
+            builder.sink(node.value)
+        elif node.kind == "decision":
+            builder.decision(node.var, node.lo, node.hi)
+        else:
+            builder.conj(node.left, node.right)
+    return builder.finalize(b.source, b.declared_vars)
 
 
 class TestColumnarCore:
@@ -665,6 +687,45 @@ class TestColumnarCore:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "0cdb6c28af92f787117eb8a5fda27fa4fec0361f8c7ed83bf491a19efe48368c")
         assert D.count_models(D.from_json(text)) == 55447
+
+    def test_vc_grid5_tree_live_size_pinned(self):
+        """Packed columns: the tree's 71,186 nodes take about 2.4 MB."""
+        from ddlab.compile import dt_to_diagram
+        dt = vc_tree(5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = dt_to_diagram(dt)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert d.size == 71186 and live < 4_000_000
+
+    def test_every_route_makes_the_same_packed_columns(self):
+        from ddlab.compile import dt_to_diagram
+        d = dt_to_diagram(vc_tree(4))
+        routes = [D.Diagram(d.nodes, d.source), D.from_json(D.to_json(d)), replayed(d)]
+        for b in [d, *routes]:
+            assert (b.kind.typecode, b.lo.typecode, b.hi.typecode) == ("b", "l", "l")
+            assert type(b.var) is tuple
+            assert all(h == -1 for k, h in zip(b.kind, b.hi) if k == D.SINK)
+        for b in routes:
+            assert b == d and hash(b) == hash(d)
+
+    def test_from_columns_copies_its_arrays(self):
+        kind, var = array("b", [D.SINK, D.SINK, D.DECISION]), [None, None, "x"]
+        lo, hi = array("l", [0, 1, 0]), array("l", [-1, -1, 1])
+        d = D.Diagram.from_columns(kind, var, lo, hi, 2)
+        assert not {id(kind), id(lo), id(hi)} & {id(d.kind), id(d.lo), id(d.hi)}
+        kind[2], lo[2], hi[2], var[2] = D.AND, 1, 0, None
+        assert d.nodes == (D.sink(0), D.sink(1), D.decision("x", 0, 1))
+        assert D.count_models(d) == 1
+
+    @pytest.mark.parametrize("hi", [None, 0, -1.0])
+    def test_a_sink_hi_other_than_minus_one_is_rejected(self, hi):
+        with pytest.raises(FormatError, match="a sink's hi is -1"):
+            D.Diagram.from_columns([D.SINK, D.SINK], [None, None], [0, 1], [-1, hi], 0)
 
     def test_unequal_diagrams_compare_unequal(self):
         d = figure_diagram()
