@@ -8,6 +8,7 @@ malformed input. Every randomized verb takes an explicit seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -57,7 +58,12 @@ def _read_matching(text):
 def _verb_args(ns, path):
     """The arguments as a bundle step holds them: the lists that the command
     line takes as text (comma lists, a matching file) become lists."""
-    what = f"--method {ns.method}" if ns.verb == "compile" else f"ddlab {ns.verb}"
+    if getattr(ns, "method", None) is not None:
+        what = f"--method {ns.method}"
+    elif ns.verb == "lb":
+        what = f"ddlab lb {ns.lbverb}"
+    else:
+        what = f"ddlab {ns.verb}"
     args = verbs.Args(((k, v) for k, v in vars(ns).items()
                        if v is not None and k not in ("func", "verb", "lbverb")),
                       what, flags=True)
@@ -114,76 +120,86 @@ def cmd_run(args):
     print(f"bundle {args.out_dir}: {len(summary['steps'])} steps")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Malformed arguments are malformed input: a FormatError, shown as the
+    one JSON line of every other, not as usage text."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(prog="ddlab", description=__doc__)
+    """The command's parser, built once per process on first use. It names
+    the flags; the verbs check their values."""
+    parser = _Parser(prog="ddlab", description=__doc__)
     parser.add_argument("--version", action="version", version=BUILD_ID)
     sub = parser.add_subparsers(dest="verb", required=True)
     # flag groups that two verbs share
     search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--sample", type=int)
-    search.add_argument("--seed", type=int)
+    search.add_argument("--sample")
+    search.add_argument("--seed")
     experiment = argparse.ArgumentParser(add_help=False)
-    experiment.add_argument("--graph", required=True)
-    experiment.add_argument("--matching", required=True)
+    experiment.add_argument("--graph")
+    experiment.add_argument("--matching")
     experiment.add_argument("--order")
-    experiment.add_argument("--engine", required=True, choices=["and-obdd", "obdd"])
+    experiment.add_argument("--engine")
 
     p = sub.add_parser("gen", help="generate a formula family as DIMACS")
-    p.add_argument("--family", required=True,
-                   choices=["vc", "psi", "star", "vc-junction", "psi-junction"])
-    p.add_argument("--grid", type=int)
+    p.add_argument("--family")
+    p.add_argument("--grid")
     p.add_argument("--graph")
     p.add_argument("--out")
     p.add_argument("--meta", action="store_true")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("compile", help="compile a diagram")
-    p.add_argument("--method", required=True,
-                   choices=["dtree", "primal", "split", "grid-junction", "psi-layer"])
+    p.add_argument("--method")
     p.add_argument("--cnf")
     p.add_argument("--decomp")
     p.add_argument("--long")
-    p.add_argument("--n", type=int)
-    p.add_argument("--orientation", choices=["hor", "vert"], default="hor")
+    p.add_argument("--n")
+    p.add_argument("--orientation")
     p.add_argument("--junction", action="store_true")
     p.add_argument("--vtree-out")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("count", help="count satisfying assignments of a diagram")
-    p.add_argument("--diagram", required=True)
+    p.add_argument("--diagram")
     p.add_argument("--universe")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("eval", help="evaluate a diagram on a total assignment")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--assignment", required=True)
+    p.add_argument("--diagram")
+    p.add_argument("--assignment")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("validate", help="check diagram invariants and class")
-    p.add_argument("--diagram", required=True)
+    p.add_argument("--diagram")
     p.add_argument("--order")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("align", help="alignment or frontier report")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--assignment", required=True)
+    p.add_argument("--diagram")
+    p.add_argument("--assignment")
     p.add_argument("--order")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("restrict", help="restrict a diagram by one variable")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--var", required=True)
-    p.add_argument("--bit", type=int, required=True, choices=[0, 1])
+    p.add_argument("--diagram")
+    p.add_argument("--var")
+    # an int, as a bundle step gives it: the verb refuses the string "1"
+    p.add_argument("--bit", type=int)
     p.add_argument("--no-essential-check", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("width", parents=[search], help="minimum crossing width over orders")
     p.add_argument("--graph")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--mode", choices=["lsim", "lmm"], default="lsim")
+    p.add_argument("--grid")
+    p.add_argument("--mode")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("lb", help="lower-bound experiments")
@@ -191,17 +207,17 @@ def build_parser():
     q = lbsub.add_parser("fool", parents=[experiment], help="print the fooling set")
     q.set_defaults(func=cmd_verb)
     q = lbsub.add_parser("certify", parents=[experiment], help="injectivity certificate")
-    q.add_argument("--diagram", required=True)
+    q.add_argument("--diagram")
     q.add_argument("--out")
     q.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("minobdd", parents=[search], help="minimal OBDD size oracle")
-    p.add_argument("--cnf", required=True)
+    p.add_argument("--cnf")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("export-dot", help="Graphviz export")
-    p.add_argument("--diagram", required=True)
+    p.add_argument("--diagram")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verb)
 
@@ -213,9 +229,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except MALFORMED as exc:
         return _fail(exc, 2)

@@ -585,9 +585,10 @@ def grid_junction_diagram(n):
 
 
 def psi_interleaved_order(n, orientation="hor"):
-    """Copy-interleaved dictionary (or transposed) order of the doubled grid."""
+    """Copy-interleaved dictionary order of the doubled grid, row by row or
+    column by column as ``grid_order`` reads ``orientation``."""
     names = []
-    for v in grid_order(n, transposed=(orientation == "vert")):
+    for v in grid_order(n, orientation):
         names.append(tag(v, 1))
         names.append(tag(v, 2))
     return LinearOrder(names)
@@ -603,7 +604,7 @@ def psi_layer_obdd(n, orientation="hor"):
     """
     if n < 2:
         raise ValueError("layered grid formula needs n >= 2")
-    traversal = list(grid_order(n, transposed=(orientation == "vert")))
+    traversal = grid_order(n, orientation)
     layers = []
     for k, v in enumerate(traversal):
         layers.append(("first", k, tag(v, 1)))
@@ -687,6 +688,8 @@ def respects(b, vt, mode="conjunction-only"):
     some vtree split (children testing nothing pass). Returns ``(ok,
     witness)`` with the first violating node id.
     """
+    if mode not in ("conjunction-only", "decision-dnnf"):
+        raise FormatError(f"unknown mode {mode!r}")
     if not b.vars <= vt.vars:
         raise ScopeError(f"vtree misses {sorted(b.vars - vt.vars)}")
     splits = vt.internal_splits()
@@ -710,6 +713,4 @@ def respects(b, vt, mode="conjunction-only"):
                 below = b.vars_below(c)
                 if below and not split_exists(x, below):
                     return False, i
-    elif mode != "conjunction-only":
-        raise ValueError(f"unknown mode {mode!r}")
     return True, None

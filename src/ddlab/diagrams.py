@@ -68,11 +68,13 @@ def _columns(records):
     """The kind, var, lo and hi columns of a node table given as records in
     id order: JSON objects, or Nodes read through their fields."""
     kind, var, lo, hi = [], [], [], []
+    names = {}  # one string per distinct name: parsed JSON holds one per node
     for i, e in enumerate(records):
         k = e["kind"]
         if k == "decision":
             kind.append(DECISION)
-            var.append(e["var"])
+            x = e["var"]
+            var.append(names.setdefault(x, x) if type(x) is str else x)
             lo.append(e["lo"])
             hi.append(e["hi"])
         elif k == "and":

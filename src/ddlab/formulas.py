@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .cnf import Cnf, clause_labels
 from .errors import PreconditionError
-from .graphs import Decomposition, check_edge_partition, double, grid, grid_order, tag
+from .graphs import Decomposition, check_edge_partition, double, edge, grid, grid_order, tag
 
 JUNCTION = "jn"
 
@@ -82,8 +82,10 @@ def psi_path_decomposition(n, orientation="hor"):
     """
     if n < 2:
         raise ValueError("needs n >= 2")
+    traversal = grid_order(n, orientation)
     gg = grid(n)
-    part = gg.hor if orientation == "hor" else gg.vert
+    # the traversal's first step is an edge of the part it walks along
+    part = gg.hor if edge(*traversal[:2]) in gg.hor else gg.vert
     phi = psi_formula(gg.graph.subgraph_of_edges(part))
     by_clause = {c: name for name, c in clause_labels(phi)}
 
@@ -92,7 +94,6 @@ def psi_path_decomposition(n, orientation="hor"):
 
     long1 = by_clause[frozenset((tag(v, 1), 0) for v in gg.graph.vertices)]
     long2 = by_clause[frozenset((tag(v, 2), 0) for v in gg.graph.vertices)]
-    traversal = list(grid_order(n, transposed=(orientation == "vert")))
     bags = {}
     tree = set()
     for k, v in enumerate(traversal):

@@ -178,11 +178,14 @@ def grid(n):
     return GridGraph(Graph(vertices, hor | vert), frozenset(hor), frozenset(vert))
 
 
-def grid_order(n, transposed=False):
-    """Dictionary (row-major) vertex order; transposed flips the roles."""
-    if transposed:
+def grid_order(n, orientation="hor"):
+    """Dictionary vertex order: row by row (``hor``) or column by column
+    (``vert``)."""
+    if orientation == "hor":
+        return LinearOrder(grid_name(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    if orientation == "vert":
         return LinearOrder(grid_name(i, j) for j in range(1, n + 1) for i in range(1, n + 1))
-    return LinearOrder(grid_name(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    raise FormatError(f"unknown orientation {orientation!r}")
 
 
 def tag(v, copy):
@@ -265,11 +268,11 @@ def neatly_crosses(order, edges):
     return None
 
 
-def _max_bipartite_matching(cands, left_of):
-    """Deterministic augmenting-path maximum matching among candidate edges.
-
-    ``left_of[e]`` is the prefix-side endpoint of edge e. Returns the edges.
+def _max_matching(g, cands, prefix):
+    """Deterministic augmenting-path maximum matching among the crossing
+    edges ``cands``, each with one endpoint in ``prefix``. Returns the edges.
     """
+    left_of = {e: next(iter(e & prefix)) for e in cands}
     left = sorted({left_of[e] for e in cands})
     adj = {u: sorted({tuple(sorted(e)) for e in cands if left_of[e] == u}) for u in left}
     match_right = {}
@@ -293,13 +296,24 @@ def _max_bipartite_matching(cands, left_of):
     return frozenset(e for _, e in match_right.values())
 
 
-def _max_conflict_free(cands, conflict):
-    """Maximum conflict-free edge subset, deterministic witness.
+def _max_induced_matching(g, cands, prefix):
+    """Maximum induced matching of ``g`` among the crossing edges ``cands``,
+    deterministic witness: the largest set of them no two of which share a
+    vertex or are joined by an edge of ``g``.
 
     Branch and bound over the sorted candidate list; ties prefer the
     lexicographically smaller edge tuple set.
     """
     cands = sorted(cands, key=lambda e: tuple(sorted(e)))
+    conflict = {e: set() for e in cands}
+    for i, e in enumerate(cands):
+        ne = set(e)
+        for v in e:
+            ne.update(g.neighbors(v))
+        for f in cands[i + 1:]:
+            if f & ne:
+                conflict[e].add(f)
+                conflict[f].add(e)
     best = []
 
     def recurse(idx, chosen, alive):
@@ -322,45 +336,28 @@ def _max_conflict_free(cands, conflict):
     return frozenset(best)
 
 
-def _conflicts(g, cands):
-    conflict = {e: set() for e in cands}
-    cl = sorted(cands, key=lambda e: tuple(sorted(e)))
-    for i, e in enumerate(cl):
-        ne = set()
-        for v in e:
-            ne.update(g.neighbors(v))
-        ne.update(e)
-        for f in cl[i + 1:]:
-            if f & ne:
-                conflict[e].add(f)
-                conflict[f].add(e)
-    return {e: frozenset(s) for e, s in conflict.items()}
+def _picker(mode):
+    """The function that picks the crossing matchings a width mode counts:
+    induced ones for lsim, plain ones for lmm."""
+    pick = {"lsim": _max_induced_matching, "lmm": _max_matching}.get(mode)
+    if pick is None:
+        raise FormatError(f"unknown mode {mode!r}")
+    return pick
 
 
-def _pick(g, cands, prefix, mode):
-    if not cands:
-        return frozenset()
-    if mode == "matching":
-        left_of = {e: next(iter(e & prefix)) for e in cands}
-        return _max_bipartite_matching(cands, left_of)
-    if mode == "induced-matching":
-        conflict = _conflicts(g, cands)
-        return _max_conflict_free(cands, conflict)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def crossing_width(g, pi, mode="matching"):
+def crossing_width(g, pi, mode="lmm"):
     """Largest (induced) matching crossing the order, with a witness.
 
     Returns ``(size, (cut, Matching))``; the witness matching carries its
     bipartition sides. Exhaustive over the |V|-1 prefix cuts.
     """
+    pick = _picker(mode)
     pi = check_order(pi, g.vertices, exact=True)
     best = frozenset()
     best_cut = 1
     for k in range(1, len(pi)):
         prefix = pi.prefix(k)
-        m = _pick(g, [e for e in g.edges if len(e & prefix) == 1], prefix, mode)
+        m = pick(g, [e for e in g.edges if len(e & prefix) == 1], prefix)
         if len(m) > len(best):
             best, best_cut = m, k
     prefix = pi.prefix(best_cut)
@@ -370,11 +367,11 @@ def crossing_width(g, pi, mode="matching"):
     return len(best), (best_cut, witness)
 
 
-def _cut_value(g, subset, mode, cache):
+def _cut_value(g, subset, pick, cache):
     key = frozenset(subset)
     if key not in cache:
         cands = [e for e in g.edges if len(e & key) == 1]
-        cache[key] = len(_pick(g, cands, key, mode))
+        cache[key] = len(pick(g, cands, key))
     return cache[key]
 
 
@@ -450,9 +447,9 @@ def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None):
     depend only on the prefix set); sampled search runs ``sample_order``
     over the sorted vertices. Returns ``(width, LinearOrder)``.
     """
-    inner = {"lsim": "induced-matching", "lmm": "matching"}.get(mode)
-    if inner is None:
-        raise FormatError(f"unknown mode {mode!r}")
+    pick = _picker(mode)
+    if search not in ("exhaustive", "sampled"):
+        raise FormatError(f"unknown search {search!r}")
     verts = sorted(g.vertices)
     n = len(verts)
     if n == 0:
@@ -464,24 +461,22 @@ def width_min(g, mode="lsim", search="exhaustive", count=None, seed=None):
         def cut(placed, v):
             placed |= 1 << v
             prefix = frozenset(verts[i] for i in range(n) if placed >> i & 1)
-            return _cut_value(g, prefix, inner, cache)
+            return _cut_value(g, prefix, pick, cache)
 
         width, index = best_order(n, cut, max)
         return width, LinearOrder(verts[i] for i in index)
-    if search == "sampled":
 
-        def width_of(ranks, bound):
-            names = [verts[r - 1] for r in ranks]
-            w = 0
-            for k in range(1, n):
-                w = max(w, _cut_value(g, frozenset(names[:k]), inner, cache))
-                if bound is not None and w >= bound:
-                    return None
-            return w
+    def width_of(ranks, bound):
+        names = [verts[r - 1] for r in ranks]
+        w = 0
+        for k in range(1, n):
+            w = max(w, _cut_value(g, frozenset(names[:k]), pick, cache))
+            if bound is not None and w >= bound:
+                return None
+        return w
 
-        width, ranks = sample_order(n, count, seed, width_of)
-        return width, LinearOrder(verts[r - 1] for r in ranks)
-    raise ValueError(f"unknown search {search!r}")
+    width, ranks = sample_order(n, count, seed, width_of)
+    return width, LinearOrder(verts[r - 1] for r in ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +498,7 @@ def extract_neat(g, pi_star):
     for v in sorted(g.vertices):
         ind[v] = 1 if pi_star.position(tag(v, 1)) < pi_star.position(tag(v, 2)) else 2
     pi = LinearOrder(sorted(g.vertices, key=lambda v: pi_star.position(tag(v, ind[v]))))
-    size, (cut, witness) = crossing_width(g, pi, mode="induced-matching")
+    size, (cut, witness) = crossing_width(g, pi, mode="lsim")
     if size == 0:
         return Matching(frozenset())
     prefix = pi.prefix(cut)

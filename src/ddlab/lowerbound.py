@@ -25,7 +25,7 @@ from .assignments import Assignment, AssignmentSet, LinearOrder, check_order
 from .cnf import encode, evaluate as cnf_evaluate, truth_table as cnf_truth_table
 from .diagrams import (DiagramBuilder, json_chunks,
                        truth_table as diagram_truth_table, validate)
-from .errors import PreconditionError, SoundnessError
+from .errors import FormatError, PreconditionError, SoundnessError
 from .formulas import psi_formula, vc_formula
 from .graphs import best_order, double, is_induced_matching, neatly_crosses, sample_order, tag
 from .version import BUILD_ID
@@ -38,23 +38,12 @@ class FoolingExperiment:
     engine: str  # "and-obdd" | "obdd"
     order: LinearOrder
     prefix_len: int
+    u_vars: tuple  # the prefix-side variables carrying the fooling bits, in pair order
+    w_vars: tuple  # their w-side partners, in pair order
 
     @property
     def q(self):
         return len(self.pairs)
-
-    @property
-    def u_vars(self):
-        """The prefix-side variables carrying the fooling bits."""
-        if self.engine == "and-obdd":
-            return tuple(tag(u, 1) for u, _ in self.pairs)
-        return tuple(u for u, _ in self.pairs)
-
-    @property
-    def w_vars(self):
-        if self.engine == "and-obdd":
-            return tuple(tag(w, 2) for _, w in self.pairs)
-        return tuple(w for _, w in self.pairs)
 
     @functools.cached_property
     def prefix_vars(self):
@@ -79,75 +68,68 @@ class FoolingExperiment:
         }
 
 
+# per engine: the fewest ones a fooling assignment has on the u side (the
+# and-obdd engine needs two ones beside its one zero)
+_FEWEST_ONES = {"and-obdd": 2, "obdd": 0}
+
+
 def make_experiment(graph, pairs, engine, order=None):
     """Build and verify an experiment; no order means the canonical bad one
     (all u-side variables first, everything else after, each block sorted)."""
+    if engine not in _FEWEST_ONES:
+        raise FormatError(f"unknown engine {engine!r}")
     pairs = tuple((u, w) for u, w in pairs)
     edges = [frozenset(p) for p in pairs]
-    if engine not in ("and-obdd", "obdd"):
-        raise ValueError(f"unknown engine {engine!r}")
     if not set(edges) <= graph.edges:
         raise PreconditionError("matching pairs must be edges of the graph")
     if not is_induced_matching(graph, edges):
         raise PreconditionError("the pairs must form an induced matching")
     if engine == "and-obdd":
         space = double(graph)
-        u_block = sorted(tag(u, 1) for u, _ in pairs)
+        u_vars = tuple(tag(u, 1) for u, _ in pairs)
+        w_vars = tuple(tag(w, 2) for _, w in pairs)
     else:
         space = graph
-        u_block = sorted(u for u, _ in pairs)
+        u_vars = tuple(u for u, _ in pairs)
+        w_vars = tuple(w for _, w in pairs)
     if order is None:
+        u_block = sorted(u_vars)
         order = u_block + sorted(set(space.vertices) - set(u_block))
     order = check_order(order, space.vertices, exact=True)
-    u_pos = [order.position(u) for u in u_block]
-    prefix_len = max(u_pos) + 1
-    w_vars = ([tag(w, 2) for _, w in pairs] if engine == "and-obdd"
-              else [w for _, w in pairs])
-    if min(order.position(w) for w in w_vars) < prefix_len:
+    prefix_len = max(map(order.position, u_vars)) + 1
+    if min(map(order.position, w_vars)) < prefix_len:
         raise PreconditionError("every u-side element must precede every w-side element")
-    exp = FoolingExperiment(graph, pairs, engine, order, prefix_len)
     if engine == "and-obdd":
-        lifted = frozenset(frozenset((tag(u, 1), tag(w, 2))) for u, w in pairs)
+        lifted = frozenset(map(frozenset, zip(u_vars, w_vars)))
         if not is_induced_matching(space, lifted):
             raise PreconditionError("lifted matching is not induced in the doubled graph")
         if neatly_crosses(order, lifted) is None:
             raise PreconditionError("matching does not neatly cross the order")
-    return exp
+    return FoolingExperiment(graph, pairs, engine, order, prefix_len, u_vars, w_vars)
 
 
 def fooling_set(exp):
-    """All fooling assignments over the experiment's prefix."""
-    u_vars = exp.u_vars
-    fixed = [(v, 1) for v in sorted(exp.prefix_vars - set(u_vars))]
-    out = []
-    if exp.engine == "and-obdd":
-        if exp.q < 3:
-            raise PreconditionError(
-                "the and-obdd engine needs q >= 3: one zero and two ones "
-                "cannot coexist on fewer positions")
-        for bits in itertools.product((0, 1), repeat=exp.q):
-            if sum(bits) >= 2 and sum(bits) <= exp.q - 1:
-                out.append(Assignment(fixed + list(zip(u_vars, bits))))
-    else:
-        if exp.q < 1:
-            raise PreconditionError("the obdd engine needs q >= 1")
-        for bits in itertools.product((0, 1), repeat=exp.q):
-            if sum(bits) <= exp.q - 1:
-                out.append(Assignment(fixed + list(zip(u_vars, bits))))
-    return AssignmentSet(out)
+    """All fooling assignments over the experiment's prefix: its other
+    variables at 1, and from the engine's fewest ones to q - 1 ones on the
+    u side."""
+    fewest = _FEWEST_ONES[exp.engine]
+    if exp.q <= fewest:
+        raise PreconditionError(
+            f"the {exp.engine} engine needs q > {fewest}: a fooling assignment "
+            f"has at least {fewest} ones and one zero")
+    fixed = [(v, 1) for v in sorted(exp.prefix_vars - set(exp.u_vars))]
+    return AssignmentSet(Assignment(fixed + list(zip(exp.u_vars, bits)))
+                         for bits in itertools.product((0, 1), repeat=exp.q)
+                         if fewest <= sum(bits) <= exp.q - 1)
 
 
 def is_fooling(exp, g):
     prefix = exp.prefix_vars
     if g.vars != prefix:
         return False
-    u_vars = set(exp.u_vars)
-    if any(g[v] != 1 for v in prefix - u_vars):
+    if any(g[v] != 1 for v in prefix - set(exp.u_vars)):
         return False
-    ones = sum(g[v] for v in u_vars)
-    if exp.engine == "and-obdd":
-        return ones >= 2 and ones <= exp.q - 1
-    return ones <= exp.q - 1
+    return _FEWEST_ONES[exp.engine] <= sum(g[v] for v in exp.u_vars) <= exp.q - 1
 
 
 def unbreakable(exp, g):
@@ -161,19 +143,15 @@ def unbreakable(exp, g):
         raise PreconditionError("unbreakable sets belong to the and-obdd engine")
     if not is_fooling(exp, g):
         raise PreconditionError("assignment is not fooling for this experiment")
-    index_set = tuple(i for i, (u, _) in enumerate(exp.pairs, start=1)
-                      if g[tag(u, 1)] == 1)
-    ub = frozenset(tag(w, 2) for i, (_, w) in enumerate(exp.pairs, start=1)
-                   if i in index_set)
-    space = double(exp.graph)
+    index_set = tuple(i for i, u in enumerate(exp.u_vars, start=1) if g[u] == 1)
+    ub = frozenset(exp.w_vars[i - 1] for i in index_set)
 
     def extender(subset):
         subset = frozenset(subset)
         if not subset <= frozenset(index_set):
             raise PreconditionError("subset must consist of the one-indices")
-        zeros = {tag(w, 2) for i, (_, w) in enumerate(exp.pairs, start=1) if i in subset}
-        full = dict.fromkeys(space.vertices, 1)
-        full.update({v: 0 for v in zeros})
+        full = dict.fromkeys(exp.order, 1)
+        full.update((exp.w_vars[i - 1], 0) for i in subset)
         full.update(dict(g))
         return Assignment(full.items())
 
@@ -185,6 +163,16 @@ def unbreakable(exp, g):
                 raise SoundnessError(
                     f"extension for subset {subset} evaluates to {sat}")
     return index_set, ub, extender
+
+
+def _check_class(b, pi, exp):
+    """Validate the diagram against the order, as the class the experiment's
+    engine reads."""
+    cls = validate(b, pi)
+    if exp.engine == "and-obdd" and not cls.is_and_obdd:
+        raise SoundnessError("diagram is not an ordered and-decomposable diagram")
+    if exp.engine == "obdd" and not cls.is_obdd:
+        raise SoundnessError("diagram is not an OBDD")
 
 
 def _check_computes(b, phi):
@@ -199,12 +187,7 @@ def _check_computes(b, phi):
 def locate(b, pi, exp, g, check_input=True):
     """The unique frontier node owning the unbreakable set (and-obdd engine)
     or the singleton frontier node (obdd engine)."""
-    cls = validate(b, pi)
-    if exp.engine == "and-obdd":
-        if not cls.is_and_obdd:
-            raise SoundnessError("diagram is not an ordered and-decomposable diagram")
-    elif not cls.is_obdd:
-        raise SoundnessError("diagram is not an OBDD")
+    _check_class(b, pi, exp)
     if check_input:
         _check_computes(b, exp.formula())
     if not is_fooling(exp, g):
@@ -254,11 +237,7 @@ def certify(b, pi, exp):
     Injectivity is a theorem for valid inputs, so a collision raises rather
     than producing a failed certificate.
     """
-    cls = validate(b, pi)
-    if exp.engine == "and-obdd" and not cls.is_and_obdd:
-        raise SoundnessError("diagram is not an ordered and-decomposable diagram")
-    if exp.engine == "obdd" and not cls.is_obdd:
-        raise SoundnessError("diagram is not an OBDD")
+    _check_class(b, pi, exp)
     _check_computes(b, exp.formula())
     # each assignment rendered once: the sort key, the collision map and u_map
     fools = sorted(((g.render(), g) for g in fooling_set(exp)), key=operator.itemgetter(0))
@@ -346,6 +325,8 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None, verify=False):
     names. It sizes each order with the best size so far as the kernel's
     bound, so an order stops being sized once it cannot beat it.
     """
+    if search not in ("exhaustive", "sampled"):
+        raise FormatError(f"unknown search {search!r}")
     names = sorted(phi.vars)
     n = len(names)
     if n == 0:
@@ -356,15 +337,13 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None, verify=False):
         cost = _level_nodes(n, cnf_truth_table(phi, names))
         size, index = best_order(n, cost, operator.add)
         order = [names[v] for v in index]
-    elif search == "sampled":
+    else:
         # encode once over the ranks of the sorted names; the kernel places
         # each order's positions itself
         base = encode(phi, names)
         size, ranks = sample_order(n, count, seed, lambda ranks, bound:
                                    kernels.obdd_size_for_order(n, base, bound, ranks))
         order = [names[rank - 1] for rank in ranks]
-    else:
-        raise ValueError(f"unknown search {search!r}")
     if verify:
         built = obdd_for_order(phi, order)
         if built.size != size:

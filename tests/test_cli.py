@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -177,6 +178,16 @@ class TestEvalAlignRestrict:
         assert code == 0 and out.strip() == "9"
 
 
+    def test_restrict_without_out_prints_what_out_writes(self, tmp_path, capsys):
+        d = tmp_path / "gj.json"
+        run(["compile", "--method", "grid-junction", "--n", "2", "--out", str(d)], capsys)
+        argv = ["restrict", "--diagram", str(d), "--var", "jn", "--bit", "1"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        run(argv + ["--out", str(tmp_path / "r.json")], capsys)
+        assert out.encode() == (tmp_path / "r.json").read_bytes()
+
+
 class TestLb:
     def write_experiment(self, tmp_path):
         from ddlab.graphs import write_graph
@@ -211,6 +222,14 @@ class TestLb:
         doc = json.loads(cert.read_text())
         assert doc["bound"] == 7 and doc["injective"]
         assert "wall_clock_ms" in json.loads(err.splitlines()[-1])
+
+    def test_certify_without_diagram_names_the_command(self, tmp_path, capsys):
+        g, m = self.write_experiment(tmp_path)
+        code, _, err = run(["lb", "certify", "--graph", str(g), "--matching", str(m),
+                            "--engine", "obdd"], capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": "FormatError",
+                                   "message": "ddlab lb certify needs --diagram"}
 
     def test_minobdd_requires_seed(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
@@ -292,6 +311,20 @@ class TestRun:
     def test_unknown_family_or_mode_is_exit_2(self, tmp_path, capsys, verb, args, what):
         code, message = self.run_step(tmp_path, capsys, verb, args)
         assert code == 2 and "FormatError" in message and what in message
+
+    @pytest.mark.parametrize("argv,verb,args", [
+        (["compile", "--method", "psi-layer", "--n", "2", "--orientation", "vertical"],
+         "compile", {"method": "psi-layer", "n": 2, "orientation": "vertical"}),
+        (["width", "--grid", "2", "--mode", "bandwidth"],
+         "width", {"grid": 2, "mode": "bandwidth"}),
+    ], ids=["orientation", "mode"])
+    def test_a_bad_word_is_the_same_error_on_both_routes(self, tmp_path, capsys,
+                                                         argv, verb, args):
+        code, out, err = run(argv, capsys)
+        doc = json.loads(err)
+        assert code == 2 and out == "" and doc["error"] == "FormatError"
+        code, message = self.run_step(tmp_path, capsys, verb, args)
+        assert code == 2 and message.endswith(f"(FormatError): {doc['message']}")
 
     def test_a_key_error_inside_a_verb_is_a_failure_not_bad_input(self, tmp_path, capsys,
                                                                   monkeypatch):
@@ -471,6 +504,41 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "ddlab" in capsys.readouterr().out
+
+
+def test_help_flag(capsys):
+    for argv in (["--help"], ["lb", "certify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ddlab")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--bogus", "1"], [], ["lb"], ["restrict", "--bit", "x"],
+], ids=["unknown-flag", "no-command", "no-lb-command", "bit-not-an-int"])
+def test_malformed_arguments_are_one_json_line(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and "usage:" not in err
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "FormatError"
+
+
+def test_a_second_call_leaves_no_argparse_garbage(capsys):
+    """The parser is built once per process: argparse's objects refer to
+    each other, so each parser built per call is garbage for the cyclic
+    collector."""
+    cli.main(["width", "--grid", "2"])
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cli.main(["width", "--grid", "2"])
+        gc.collect()
+        left = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 # One shared verb through the command line and through a one-step bundle on

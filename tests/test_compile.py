@@ -415,6 +415,17 @@ class TestPsiLayer:
         assert D.validate(diagram).is_fbdd
 
 
+def mixing_conjunction():
+    """(a AND b) AND (c AND d), and a vtree that splits a from b: the
+    conjunctions do not respect it."""
+    b = D.DiagramBuilder()
+    t = b.sink(1)
+    f = b.sink(0)
+    ab = b.conj(b.decision("a", f, t), b.decision("b", f, t))
+    cd = b.conj(b.decision("c", f, t), b.decision("d", f, t))
+    return b.finalize(b.conj(ab, cd)), CP.Vtree(((("a", "c"), ("b", "d"))))
+
+
 class TestRespects:
     def test_fbdd_respects_anything_conjunction_only(self):
         rng = random.Random(7)
@@ -424,14 +435,7 @@ class TestRespects:
         assert CP.respects(b, vt, "conjunction-only") == (True, None)
 
     def test_mixing_conjunction_fails_with_witness(self):
-        b = D.DiagramBuilder()
-        t = b.sink(1)
-        f = b.sink(0)
-        ab = b.conj(b.decision("a", f, t), b.decision("b", f, t))
-        cd = b.conj(b.decision("c", f, t), b.decision("d", f, t))
-        diagram = b.finalize(b.conj(ab, cd))
-        bad_vt = CP.Vtree(((("a", "c"), ("b", "d"))))
-        ok, witness = CP.respects(diagram, bad_vt, "conjunction-only")
+        ok, witness = CP.respects(*mixing_conjunction(), "conjunction-only")
         assert not ok and witness is not None
 
     def test_scope_error(self):
@@ -441,6 +445,35 @@ class TestRespects:
         from ddlab.errors import ScopeError
         with pytest.raises(ScopeError):
             CP.respects(diagram, CP.Vtree(("a", "b")))
+
+
+# ---------------------------------------------------------------------------
+# every string-valued choice is checked by the first function that reads it,
+# before any early return: each call here returns a value or fails otherwise
+# when the word goes unchecked
+
+
+UNKNOWN_WORDS = [
+    ("crossing_width-mode", lambda: G.crossing_width(G.Graph(["a", "b"]), ["a", "b"], "bogus"),
+     "bogus"),
+    ("width_min-mode", lambda: G.width_min(G.Graph([]), "bogus"), "bogus"),
+    ("width_min-search", lambda: G.width_min(G.Graph([]), "lsim", "bogus"), "bogus"),
+    ("min_obdd-search", lambda: LB.min_obdd(C.Cnf([]), "bogus"), "bogus"),
+    ("make_experiment-engine",
+     lambda: LB.make_experiment(matching_graph(3), [("u1", "w1")], "x"), "x"),
+    ("grid_order", lambda: G.grid_order(2, "vertical"), "vertical"),
+    ("psi_layer_obdd", lambda: CP.psi_layer_obdd(2, "vertical"), "vertical"),
+    ("psi_interleaved_order", lambda: CP.psi_interleaved_order(2, "vertical"), "vertical"),
+    ("psi_path_decomposition", lambda: F.psi_path_decomposition(2, "vertical"), "vertical"),
+    ("respects-mode", lambda: CP.respects(*mixing_conjunction(), "bogus"), "bogus"),
+]
+
+
+@pytest.mark.parametrize("call,word", [c[1:] for c in UNKNOWN_WORDS],
+                         ids=[c[0] for c in UNKNOWN_WORDS])
+def test_an_unknown_word_is_a_format_error_naming_it(call, word):
+    with pytest.raises(FormatError, match=f"unknown .*{word!r}"):
+        call()
 
 
 # ---------------------------------------------------------------------------

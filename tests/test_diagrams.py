@@ -689,18 +689,25 @@ class TestColumnarCore:
         assert D.count_models(D.from_json(text)) == 55447
 
     def test_vc_grid5_tree_live_size_pinned(self):
-        """Packed columns: the tree's 71,186 nodes take about 2.4 MB."""
+        """Packed columns: the tree's 71,186 nodes take about 2.4 MB, built
+        or read back from its JSON, which names each variable at every node."""
         from ddlab.compile import dt_to_diagram
         dt = vc_tree(5)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            d = dt_to_diagram(dt)
-            live = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+
+        def live_size(make, *args):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                made = make(*args)
+                return made, tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        d, live = live_size(dt_to_diagram, dt)
         assert d.size == 71186 and live < 4_000_000
+        back, live = live_size(D.from_json, D.to_json(d))
+        assert back == d and live < 4_000_000
 
     def test_every_route_makes_the_same_packed_columns(self):
         from ddlab.compile import dt_to_diagram

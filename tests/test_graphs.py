@@ -26,7 +26,7 @@ class TestGrid:
     def test_dictionary_order(self):
         order = G.grid_order(2)
         assert order.names == ("(1,1)", "(1,2)", "(2,1)", "(2,2)")
-        assert G.grid_order(2, transposed=True).names == ("(1,1)", "(2,1)", "(1,2)", "(2,2)")
+        assert G.grid_order(2, "vert").names == ("(1,1)", "(2,1)", "(1,2)", "(2,2)")
 
 
 class TestDouble:
@@ -60,12 +60,12 @@ class TestDouble:
 class TestCrossingWidth:
     def test_p8_identity_only_singletons(self, p8):
         order = G.LinearOrder([f"v{i}" for i in range(1, 9)])
-        size, (cut, m) = G.crossing_width(p8, order, mode="matching")
+        size, (cut, m) = G.crossing_width(p8, order, mode="lmm")
         assert size == 1
 
     def test_p8_interleaved_crosses_with_four(self, p8):
         order = G.LinearOrder(["v1", "v3", "v5", "v7", "v2", "v4", "v6", "v8"])
-        size, (cut, m) = G.crossing_width(p8, order, mode="matching")
+        size, (cut, m) = G.crossing_width(p8, order, mode="lmm")
         assert size == 4
         assert m.sorted_edges() == [("v1", "v2"), ("v3", "v4"), ("v5", "v6"), ("v7", "v8")]
         assert cut == 4
@@ -77,8 +77,8 @@ class TestCrossingWidth:
     def test_induced_mode_is_no_larger(self, c4):
         for perm in itertools.permutations(sorted(c4.vertices)):
             order = G.LinearOrder(perm)
-            lmm, _ = G.crossing_width(c4, order, mode="matching")
-            lsim, _ = G.crossing_width(c4, order, mode="induced-matching")
+            lmm, _ = G.crossing_width(c4, order, mode="lmm")
+            lsim, _ = G.crossing_width(c4, order, mode="lsim")
             assert lsim <= lmm
 
 
@@ -99,7 +99,7 @@ class TestWidthMin:
 
     def test_returned_order_realizes_width(self, p8):
         width, order = G.width_min(p8, "lsim")
-        got, _ = G.crossing_width(p8, order, mode="induced-matching")
+        got, _ = G.crossing_width(p8, order, mode="lsim")
         assert got == width
 
     def test_cap_and_sampling(self):
@@ -123,13 +123,12 @@ def unbounded_sampled_width(g, mode, count, seed):
     """The sampled search without the bound: the same shuffles of the sorted
     vertices, every order's crossing width taken over all its cuts, the
     first order of the least width kept."""
-    inner = {"lsim": "induced-matching", "lmm": "matching"}[mode]
     rng = random.Random(seed)
     best = None
     for _ in range(count):
         names = sorted(g.vertices)
         rng.shuffle(names)
-        width = G.crossing_width(g, names, inner)[0]
+        width = G.crossing_width(g, names, mode)[0]
         if best is None or width < best[0]:
             best = (width, G.LinearOrder(names))
     return best
@@ -183,7 +182,7 @@ class TestSampleOrder:
 def test_crossing_width_takes_any_order(kind):
     g = path_graph("abc")
     for perm in itertools.permutations("abc"):
-        for mode in ("matching", "induced-matching"):
+        for mode in ("lmm", "lsim"):
             assert (G.crossing_width(g, kind(perm), mode)
                     == G.crossing_width(g, G.LinearOrder(perm), mode))
 
@@ -254,8 +253,8 @@ def permutation_widths(g):
     for perm in itertools.permutations(sorted(g.vertices)):
         order = G.LinearOrder(perm)
         widths = {
-            "lsim": G.crossing_width(g, order, mode="induced-matching")[0],
-            "lmm": G.crossing_width(g, order, mode="matching")[0],
+            "lsim": G.crossing_width(g, order, mode="lsim")[0],
+            "lmm": G.crossing_width(g, order, mode="lmm")[0],
             "tw": G.decomposition_from_elimination(g, perm).width,
             "pw": max(sum(1 for u in perm[:k] if g.neighbors(u) - set(perm[:k]))
                       for k in range(1, len(perm) + 1)),
@@ -272,10 +271,10 @@ class TestSubsetDpOracles:
         for size in [*range(1, 6)] * 20 + [6] * 4:
             g = random_graph(rng, size, edge_prob=rng.random(), no_isolated=False)
             brute = permutation_widths(g)
-            for mode, inner in (("lsim", "induced-matching"), ("lmm", "matching")):
+            for mode in ("lsim", "lmm"):
                 width, order = G.width_min(g, mode)
                 assert width == brute[mode]
-                assert G.crossing_width(g, order, mode=inner)[0] == width
+                assert G.crossing_width(g, order, mode=mode)[0] == width
             width, elimination = G.exact_elimination_order(g)
             assert width == G.treewidth_exact(g) == brute["tw"]
             decomposition = G.decomposition_from_elimination(g, elimination)
