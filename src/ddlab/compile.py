@@ -41,61 +41,44 @@ class DTTest:
     hi: object
 
 
-def dt_size(t):
-    if isinstance(t, DTLeaf):
-        return 1
-    return 1 + dt_size(t.lo) + dt_size(t.hi)
-
-
-def dt_evaluate(t, a):
-    while isinstance(t, DTTest):
-        t = t.hi if a[t.var] else t.lo
-    return 1 if t.value else 0
-
-
-def dt_paths(t, prefix=()):
-    """Yield (path assignment, leaf value) over all root-leaf paths."""
-    if isinstance(t, DTLeaf):
-        yield Assignment(prefix), t.value
-        return
-    yield from dt_paths(t.lo, prefix + ((t.var, 0),))
-    yield from dt_paths(t.hi, prefix + ((t.var, 1),))
-
-
 def dt_to_diagram(t):
     """The tree as a conjunction-free diagram with shared sinks.
 
     Nodes are numbered children first, the 0-branch before the 1-branch,
     each sink where it is first reached. A subtree object the tree shares is
-    expanded node by node once; every later occurrence copies the column
-    slice of an expansion that created no sink, shifting the ids inside the
-    slice and keeping the sink ids, which lie below it.
+    expanded node by node once; every later occurrence is a copy
+    instruction ``(at, a, b)`` for ``Diagram.from_columns``: the span
+    ``a``..``b - 1`` of an expansion that created no sink, placed again at
+    id ``at`` with the ids inside it shifted and the sink ids, which lie
+    below it, kept. Only the expanded nodes are hash-consed one by one; a
+    copy takes the classes of its span.
     """
     kind, var, lo, hi = array("b"), [], array("l"), array("l")
+    copies = []
+    size = 0  # nodes in the table so far, copies included
     sinks = {}
     spans = {}  # id(DTTest) -> (start, end) of a sink-free expansion
 
     def build(node):
+        nonlocal size
         if type(node) is DTLeaf:
             value = 1 if node.value else 0
             i = sinks.get(value)
             if i is None:
-                i = sinks[value] = len(kind)
+                i = sinks[value] = size
+                size += 1
                 kind.append(SINK)
                 var.append(None)
                 lo.append(value)
                 hi.append(-1)
             return i
-        start = len(kind)
+        start = size
         span = spans.get(id(node))
         if span is not None:
             a, b = span
-            shift = start - a
-            kind.extend(kind[a:b])
-            var.extend(var[a:b])
-            lo.extend([c + shift if c >= a else c for c in lo[a:b]])
-            hi.extend([c + shift if c >= a else c for c in hi[a:b]])
-            return len(kind) - 1
+            copies.append((start, a, b))
+            size += b - a
+            return size - 1
         made = len(sinks)
         zero = build(node.lo)
         one = build(node.hi)
@@ -103,15 +86,16 @@ def dt_to_diagram(t):
         var.append(node.var)
         lo.append(zero)
         hi.append(one)
+        size += 1
         if len(sinks) == made:
-            spans[id(node)] = (start, len(kind))
-        return len(kind) - 1
+            spans[id(node)] = (start, size)
+        return size - 1
 
     try:
         source = build(t)
     finally:
         del build  # the closure refers to itself: a cycle until deleted
-    return Diagram.from_columns(kind, var, lo, hi, source)
+    return Diagram.from_columns(kind, var, lo, hi, source, copies=copies)
 
 
 class _SpineKeys(dict):

@@ -138,7 +138,46 @@ def _toposort(kind, lo, hi):
     return tuple(out)
 
 
-def _classify(kind, var, lo, hi, topo=None):
+def _expand(kind, var, lo, hi, copies):
+    """The expanded table ``Diagram.from_columns`` describes for ``copies``,
+    as new ``kind``, ``lo`` and ``hi`` arrays and a ``var`` tuple, and the
+    copies as a tuple; a malformed copy is a FormatError. Every entry of
+    the given ``kind``, ``lo`` and ``hi`` is an int."""
+    copies = tuple(copies)
+    ekind, evar, elo, ehi = array("b"), [], array("l"), array("l")
+    done = 0  # given rows taken
+    for copy in copies:
+        if not (type(copy) is tuple and len(copy) == 3 and all(type(v) is int for v in copy)):
+            raise FormatError(f"copy {copy!r} is not three ints (at, a, b)")
+        at, a, b = copy
+        if not 0 <= a < b:
+            raise FormatError(f"copy {copy!r} copies no rows: it needs 0 <= a < b")
+        if b > at:
+            raise FormatError(f"copy {copy!r} copies rows at or past its own start: b > at")
+        take = at - len(ekind)
+        if not 0 <= take <= len(kind) - done:
+            raise FormatError(f"copy {copy!r} starts at {at}, not at the length the "
+                              f"table reaches before it")
+        ekind.extend(kind[done:done + take])
+        evar.extend(var[done:done + take])
+        elo.extend(lo[done:done + take])
+        ehi.extend(hi[done:done + take])
+        done += take
+        shift = at - a
+        ekind.extend(ekind[a:b])
+        evar.extend(evar[a:b])
+        # a sink's lo is its value, which a copy from row 0 or 1 must not move
+        elo.extend([c + shift if c >= a else c for c in elo[a:b]] if a > 1 else
+                   [c + shift if k and c >= a else c for k, c in zip(ekind[a:b], elo[a:b])])
+        ehi.extend([c + shift if c >= a else c for c in ehi[a:b]])
+    ekind.extend(kind[done:])
+    evar.extend(var[done:])
+    elo.extend(lo[done:])
+    ehi.extend(hi[done:])
+    return ekind, tuple(evar), elo, ehi, copies
+
+
+def _classify(kind, var, lo, hi, topo=None, copies=()):
     """Hash-cons the nodes into isomorphism classes in one children-first
     pass, and read off each class's tested variables.
 
@@ -147,6 +186,12 @@ def _classify(kind, var, lo, hi, topo=None):
     child ids are not below its own, so that the caller can run ``_check``
     for the error and pass a ``topo`` order. With ``topo`` the nodes were
     checked and the pass runs in that order.
+
+    ``copies`` lists the ``(at, a, b)`` spans of an id-order table that are
+    shifted copies of the checked children-first rows ``a`` to ``b - 1``, as
+    ``_expand`` makes them: the pass skips each span and gives its rows the
+    classes of the rows it copies, since a copied node has the kind and
+    variable of its original and children of the same classes.
 
     A class is keyed by a sink's value, or by a node's variable (None on a
     conjunction) and its children's classes, so two nodes share a class iff
@@ -163,40 +208,44 @@ def _classify(kind, var, lo, hi, topo=None):
     ckind, cvar, clo, chi, ctested = [], [], [], [], []
     unions = {}  # (var, lo set, hi set) -> union, for classes repeating one
     shared = {empty: empty}
-    rows = (zip(range(n), kind, var, lo, hi) if topo is None
-            else ((i, kind[i], var[i], lo[i], hi[i]) for i in topo))
-    for i, k, x, a, b in rows:
-        if k:
-            if topo is None and not (
-                    type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i
-                    and (isinstance(x, str) if k == DECISION else k == AND)):
-                return None
-            one, two = iso[a], iso[b]
-            key = (x, one, two)
-        else:
-            if topo is None and not (k == SINK and type(a) is int and a in (0, 1)
-                                     and type(b) is int and b == -1):
-                return None
-            x, one, two = None, a, -1
-            key = one
-        c = ids.get(key)
-        if c is None:
-            c = ids[key] = len(ckind)
-            acc = empty
+    start = 0
+    for at, first, stop in (*copies, (n, n, n)):  # the last span is empty
+        rows = (zip(range(start, at), kind[start:at], var[start:at], lo[start:at], hi[start:at])
+                if topo is None else ((i, kind[i], var[i], lo[i], hi[i]) for i in topo))
+        for i, k, x, a, b in rows:
             if k:
-                sets = (x, ctested[one], ctested[two])
-                acc = unions.get(sets)
-                if acc is None:
-                    acc = sets[1] | sets[2]
-                    if x is not None:
-                        acc |= {x}
-                    acc = unions[sets] = shared.setdefault(acc, acc)
-            ckind.append(k)
-            cvar.append(x)
-            clo.append(one)
-            chi.append(two)
-            ctested.append(acc)
-        iso[i] = c
+                if topo is None and not (
+                        type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i
+                        and (isinstance(x, str) if k == DECISION else k == AND)):
+                    return None
+                one, two = iso[a], iso[b]
+                key = (x, one, two)
+            else:
+                if topo is None and not (k == SINK and type(a) is int and a in (0, 1)
+                                         and type(b) is int and b == -1):
+                    return None
+                x, one, two = None, a, -1
+                key = one
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(ckind)
+                acc = empty
+                if k:
+                    sets = (x, ctested[one], ctested[two])
+                    acc = unions.get(sets)
+                    if acc is None:
+                        acc = sets[1] | sets[2]
+                        if x is not None:
+                            acc |= {x}
+                        acc = unions[sets] = shared.setdefault(acc, acc)
+                ckind.append(k)
+                cvar.append(x)
+                clo.append(one)
+                chi.append(two)
+                ctested.append(acc)
+            iso[i] = c
+        start = at + stop - first
+        iso[at:start] = iso[first:stop]
     return iso, (ckind, cvar, clo, chi, ctested)
 
 
@@ -226,21 +275,35 @@ class Diagram:
         self._freeze(*_columns(records), source, declared_vars)
 
     @classmethod
-    def from_columns(cls, kind, var, lo, hi, source, declared_vars=None):
+    def from_columns(cls, kind, var, lo, hi, source, declared_vars=None, copies=()):
         """A diagram from its four columns, checked as ``Diagram()`` checks.
         The columns are copied: no array of the diagram is one the caller
-        holds."""
+        holds.
+
+        ``copies`` holds ``(at, a, b)`` instructions, run in order: the
+        given rows fill the table up to ``at`` nodes, then the rows ``a`` to
+        ``b - 1`` are appended again with each child id ``c >= a`` moved to
+        ``c + at - a`` (lower ids and sink values stay), and the given rows
+        left after the last copy follow. The given child ids and ``source``
+        name rows of this expanded table. The diagram equals ``from_columns``
+        on the expanded columns, but when the rows up to each copy are
+        children first, a copied row takes the class of the row it copies
+        and is not hash-consed again. A copy that is not three ints with
+        ``0 <= a < b <= at``, or whose ``at`` is not the length the table
+        reaches before it, is a FormatError."""
         self = cls.__new__(cls)
-        self._freeze(kind, var, lo, hi, source, declared_vars)
+        if copies:
+            kind, var, lo, hi, copies = _expand(kind, var, lo, hi, copies)
+        self._freeze(kind, var, lo, hi, source, declared_vars, copies)
         return self
 
-    def _freeze(self, kind, var, lo, hi, source, declared_vars):
+    def _freeze(self, kind, var, lo, hi, source, declared_vars, copies=()):
         var = tuple(var)
         n = len(kind)
         # ``topo()`` is computed when first asked for, unless classifying
         # needs it now: when the ids are not children-first
         self._topo = None
-        classes = _classify(kind, var, lo, hi)
+        classes = _classify(kind, var, lo, hi, copies=copies)
         if classes is None:
             _check(kind, var, lo, hi)
             self._topo = _toposort(kind, lo, hi)
@@ -248,8 +311,9 @@ class Diagram:
         if type(source) is not int or not 0 <= source < n:
             raise FormatError(f"source {source!r} is not a node id")
         self.source = source
-        self.kind, self.var = array("b", kind), var
-        self.lo, self.hi = array("l", lo), array("l", hi)
+        if not copies:  # expanded columns are new arrays; other columns are the caller's
+            kind, lo, hi = array("b", kind), array("l", lo), array("l", hi)
+        self.kind, self.var, self.lo, self.hi = kind, var, lo, hi
         iso, (ckind, cvar, clo, chi, ctested) = classes
         self._iso = iso
         reached = [False] * len(ckind)
@@ -726,7 +790,8 @@ def to_json(b):
 def from_json(text):
     """A diagram from JSON text. Beyond the shape, node ids are dense, child
     ids and the source are integers naming nodes, a sink's value is 0 or 1,
-    and every variable name is a string; anything else is a FormatError."""
+    ``vars``, when given, is a list, and every variable name is a string;
+    anything else is a FormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -740,7 +805,10 @@ def from_json(text):
             ids = [e["id"] for e in entries]
         if ids != dense or set(map(type, ids)) - {int}:
             raise FormatError("node ids must be dense 0..n-1")
-        return Diagram.from_columns(*_columns(entries), doc["source"], doc.get("vars"))
+        names = doc.get("vars")
+        if names is not None and type(names) is not list:
+            raise FormatError(f"vars must be a JSON list, not {names!r}")
+        return Diagram.from_columns(*_columns(entries), doc["source"], names)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad diagram JSON: {exc}") from exc
 

@@ -5,6 +5,8 @@ import itertools
 import pytest
 
 from ddlab import cnf as cnf_mod
+from ddlab.assignments import Assignment
+from ddlab.compile import DTLeaf, DTTest
 from ddlab.diagrams import DiagramBuilder
 from ddlab.graphs import (Decomposition, Graph, decomposition_from_elimination,
                           exact_elimination_order, grid_order, tag)
@@ -86,6 +88,30 @@ def chain_diagram(size):
     for i in reversed(range(size)):
         node = builder.decision(f"v{i:02d}", false, node)
     return builder.finalize(node)
+
+
+def dt_size(t):
+    """The number of nodes of a decision tree, shared subtrees counted at
+    every occurrence."""
+    if isinstance(t, DTLeaf):
+        return 1
+    return 1 + dt_size(t.lo) + dt_size(t.hi)
+
+
+def dt_evaluate(t, a):
+    """The leaf value a total assignment reaches in a decision tree, as 0 or 1."""
+    while isinstance(t, DTTest):
+        t = t.hi if a[t.var] else t.lo
+    return 1 if t.value else 0
+
+
+def dt_paths(t, prefix=()):
+    """Yield (path assignment, leaf value) over all root-leaf paths."""
+    if isinstance(t, DTLeaf):
+        yield Assignment(prefix), t.value
+        return
+    yield from dt_paths(t.lo, prefix + ((t.var, 0),))
+    yield from dt_paths(t.hi, prefix + ((t.var, 1),))
 
 
 def brute_force_vertex_covers(g):

@@ -23,7 +23,7 @@ from ddlab import lowerbound as LB
 from ddlab.assignments import Assignment, breaks, cube, product_all, restrict_set
 from ddlab.errors import EssentialityError
 
-from conftest import (cycle_graph, doubled_window_decomposition,
+from conftest import (cycle_graph, doubled_window_decomposition, dt_size,
                       exact_decomposition, matching_graph, path_graph,
                       random_and_obdd, random_graph, single_bag_decomposition)
 
@@ -402,7 +402,7 @@ def test_criterion_07_upper_bound_size_tables():
             dt = CP.decision_tree(phi)
             contracted = CP.dt_to_diagram(dt).size
             bound = (n + 1) ** p + 1
-            print(f"    {name}: contracted {contracted} / tree {CP.dt_size(dt)}"
+            print(f"    {name}: contracted {contracted} / tree {dt_size(dt)}"
                   f" (gate {bound})")
             assert contracted <= bound
 

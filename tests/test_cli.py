@@ -121,6 +121,14 @@ class TestCompileCountValidate:
         assert code == 2 and out == ""
         assert json.loads(err.splitlines()[0])["error"] == "FormatError"
 
+    @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+    def test_vars_that_are_not_a_list_are_exit_2(self, tmp_path, capsys, names):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**A_AND_B, "vars": names}))
+        code, out, err = run(["count", "--diagram", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[0])["error"] == "FormatError"
+
     def test_missing_input_file_is_exit_2(self, tmp_path, capsys):
         code, _, err = run(["compile", "--method", "dtree", "--cnf", str(tmp_path / "f.cnf"),
                             "--out", str(tmp_path / "x.json")], capsys)
@@ -410,6 +418,13 @@ class TestRun:
         (tmp_path / "b" / "ab.json").write_text(json.dumps(A_AND_B))
         code, message = self.run_step(tmp_path, capsys, verb, args)
         assert code == 2 and "must be a JSON list" in message
+
+    @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+    def test_diagram_vars_that_are_not_a_list_are_exit_2(self, tmp_path, capsys, names):
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "ab.json").write_text(json.dumps({**A_AND_B, "vars": names}))
+        code, message = self.run_step(tmp_path, capsys, "count", {"diagram": "ab.json"})
+        assert code == 2 and "vars must be a JSON list" in message
 
     def test_invalid_diagram_step_stays_exit_1(self, tmp_path, capsys):
         (tmp_path / "b").mkdir()

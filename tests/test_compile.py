@@ -13,8 +13,8 @@ from ddlab import lowerbound as LB
 from ddlab.assignments import Assignment, cube
 from ddlab.errors import FormatError, PreconditionError
 
-from conftest import (cycle_graph, doubled_window_decomposition,
-                      exact_decomposition, matching_graph, random_cnf)
+from conftest import (cycle_graph, doubled_window_decomposition, dt_evaluate, dt_paths,
+                      dt_size, exact_decomposition, matching_graph, random_cnf)
 
 
 def equal_to_cnf(diagram, phi):
@@ -34,7 +34,7 @@ class TestDecisionTree:
 
     def test_single_clause_has_five_nodes(self):
         dt = CP.decision_tree(C.Cnf([[("x1", 1), ("x2", 1)]]))
-        assert CP.dt_size(dt) == 5
+        assert dt_size(dt) == 5
 
     def test_represents_its_clause_set(self):
         rng = random.Random(77)
@@ -42,7 +42,7 @@ class TestDecisionTree:
             phi = random_cnf(rng, rng.randint(1, 5), rng.randint(1, 3))
             dt = CP.decision_tree(phi)
             for a in cube(phi.vars):
-                assert dt_total_eval(dt, a) == C.evaluate(phi, a)
+                assert dt_evaluate(dt, a) == C.evaluate(phi, a)
 
     def test_paths_decide_totally(self):
         # every extension of a root-leaf path assignment lands on the label
@@ -50,7 +50,7 @@ class TestDecisionTree:
         for _ in range(20):
             phi = random_cnf(rng, rng.randint(1, 4), rng.randint(1, 3))
             dt = CP.decision_tree(phi)
-            for partial, label in CP.dt_paths(dt):
+            for partial, label in dt_paths(dt):
                 free = sorted(phi.vars - partial.vars)
                 for bits in itertools.product((0, 1), repeat=len(free)):
                     total = partial.union(Assignment(zip(free, bits)))
@@ -65,7 +65,7 @@ class TestDecisionTree:
             phi = random_cnf(rng, rng.randint(1, 5), p)
             n = len(phi.vars)
             dt = CP.decision_tree(phi)
-            assert CP.dt_size(dt) <= 2 * (n + 1) ** len(phi) + 1
+            assert dt_size(dt) <= 2 * (n + 1) ** len(phi) + 1
             assert CP.dt_to_diagram(dt).size <= (n + 1) ** len(phi) + 1
 
     def test_as_diagram(self):
@@ -73,10 +73,6 @@ class TestDecisionTree:
         diagram = CP.dt_to_diagram(CP.decision_tree(phi))
         assert D.validate(diagram).is_fbdd
         assert equal_to_cnf(diagram, phi)
-
-
-def dt_total_eval(dt, a):
-    return CP.dt_evaluate(dt, a)
 
 
 def plain_decision_tree(phi):
@@ -116,7 +112,7 @@ class TestDecisionTreeOracle:
         phi = F.vc_formula(G.grid(4).graph)
         dt = CP.decision_tree(phi)
         assert dt == plain_decision_tree(phi)
-        assert CP.dt_size(dt) == 3177
+        assert dt_size(dt) == 3177
 
     def test_vc_grid5_tree_size_and_json_roundtrip(self):
         d = CP.dt_to_diagram(CP.decision_tree(F.vc_formula(G.grid(5).graph)))
@@ -151,6 +147,15 @@ def shared_tests(t):
     return again
 
 
+def assert_same_classes(d, want):
+    """Equal columns, and equal classes although ``d`` was frozen from copy
+    instructions and ``want`` node by node."""
+    assert (d.kind, d.var, d.lo, d.hi, d.source) == (
+        want.kind, want.var, want.lo, want.hi, want.source)
+    assert d._iso == want._iso and d._iso_table == want._iso_table
+    assert d.merged_size == want.merged_size and d.vars == want.vars
+
+
 class TestDtToDiagram:
     def test_random_cnfs_match_the_node_by_node_build(self):
         rng = random.Random(81)
@@ -159,17 +164,19 @@ class TestDtToDiagram:
             phi = random_cnf(rng, rng.randint(1, 8), rng.randint(0, 10))
             dt = CP.decision_tree(phi)
             d, want = CP.dt_to_diagram(dt), node_by_node(dt)
-            assert (d.kind, d.var, d.lo, d.hi, d.source) == (
-                want.kind, want.var, want.lo, want.hi, want.source)
+            assert_same_classes(d, want)
             assert d.declared_vars is None
             shared += shared_tests(dt) > 0
         assert shared > 50  # the slice copies ran
 
-    @pytest.mark.parametrize("family,n", [("vc", 2), ("vc", 3), ("vc", 4), ("psi", 3)])
+    @pytest.mark.parametrize("family,n", [("vc", 2), ("vc", 3), ("vc", 4), ("vc", 5),
+                                          ("psi", 3)])
     def test_grid_trees_match_the_node_by_node_build(self, family, n):
         maker = F.vc_formula if family == "vc" else F.psi_formula
         dt = CP.decision_tree(maker(G.grid(n).graph))
-        assert D.to_json(CP.dt_to_diagram(dt)) == D.to_json(node_by_node(dt))
+        d, want = CP.dt_to_diagram(dt), node_by_node(dt)
+        assert_same_classes(d, want)
+        assert D.to_json(d) == D.to_json(want)
 
 
 class TestVtree:

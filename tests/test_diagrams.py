@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from array import array
 
@@ -360,6 +361,14 @@ class TestSerialization:
         doc = json.loads(D.to_json(a_and_b()))
         doc["vars"].append(7)
         with pytest.raises(FormatError, match="not strings"):
+            D.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+    def test_declared_names_must_be_a_list(self, names):
+        # read as an iterable, either would declare exactly a and b
+        doc = json.loads(D.to_json(a_and_b()))
+        doc["vars"] = names
+        with pytest.raises(FormatError, match="vars must be a JSON list"):
             D.from_json(json.dumps(doc))
 
     def test_boolean_source_rejected(self):
@@ -743,6 +752,116 @@ class TestColumnarCore:
         b = D.DiagramBuilder()
         wider = b.finalize(D.graft(b, d), declared_vars=set(d.vars) | {"x9"})
         assert wider != d and D.to_json(wider) != D.to_json(d)
+
+
+def random_copy_table(rng, rows, forward=False):
+    """Given rows and copy instructions for ``from_columns``: sinks, and
+    decisions and conjunctions over earlier ids, or with ``forward`` over
+    any id a few rows on, and copies of earlier spans, from row 0 or 1 too."""
+    kind, var, lo, hi, copies = [], [], [], [], []
+    size = 0  # rows of the table so far, copies included
+    while size < rows:
+        if size >= 2 and rng.random() < 0.3:
+            a = rng.randrange(size)
+            b = rng.randint(a + 1, size)
+            copies.append((size, a, b))
+            size += b - a
+            continue
+        k = D.SINK if size < 2 or rng.random() < 0.1 else rng.choice((D.DECISION, D.AND))
+        reach = size + 3 if forward and rng.random() < 0.05 else size
+        kind.append(k)
+        var.append(f"x{rng.randrange(5)}" if k == D.DECISION else None)
+        lo.append(rng.randrange(2) if k == D.SINK else rng.randrange(reach))
+        hi.append(-1 if k == D.SINK else rng.randrange(reach))
+        size += 1
+    return kind, var, lo, hi, copies
+
+
+def expanded(kind, var, lo, hi, copies):
+    """The columns of the table that given rows and copy instructions make,
+    built row by row."""
+    given = iter(zip(kind, var, lo, hi))
+    rows = []
+    for at, a, b in copies:
+        while len(rows) < at:
+            rows.append(next(given))
+        for k, x, one, two in rows[a:b]:
+            if k:
+                one, two = (c + at - a if c >= a else c for c in (one, two))
+            rows.append((k, x, one, two))
+    rows.extend(given)
+    return [list(column) for column in zip(*rows)]
+
+
+def frozen(kind, var, lo, hi, source, copies=()):
+    """The diagram, or the message of the FormatError that rejects it."""
+    try:
+        return D.Diagram.from_columns(kind, var, lo, hi, source, copies=copies)
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestCopies:
+    """``from_columns`` with copy instructions against ``from_columns`` on
+    the columns the copies expand to."""
+
+    def assert_same(self, d, want):
+        assert (d.kind, d.var, d.lo, d.hi, d.source) == (
+            want.kind, want.var, want.lo, want.hi, want.source)
+        assert D.to_json(d) == D.to_json(want)
+        assert d._iso == want._iso and d._iso_table == want._iso_table
+        assert d.merged_size == want.merged_size and d.vars == want.vars
+
+    def test_random_children_first_tables(self):
+        rng = random.Random(95)
+        for _ in range(300):
+            table = random_copy_table(rng, rng.randint(2, 40))
+            full = expanded(*table)
+            source = rng.randrange(len(full[0]))
+            d = D.Diagram.from_columns(*table[:4], source, copies=table[4])
+            want = D.Diagram.from_columns(*full, source)
+            self.assert_same(d, want)
+            assert d._topo is None and want._topo is None
+
+    def test_random_tables_with_forward_children(self):
+        # ids that are not children first take the fallback: check, sort
+        # and classify the expanded table, or raise as it raises
+        rng = random.Random(96)
+        outcomes = set()
+        for _ in range(300):
+            table = random_copy_table(rng, rng.randint(4, 40), forward=True)
+            full = expanded(*table)
+            source = len(full[0]) - 1
+            d, want = frozen(*table[:4], source, table[4]), frozen(*full, source)
+            if isinstance(want, str):
+                assert d == want
+                outcomes.add("error")
+            else:
+                self.assert_same(d, want)
+                assert (d._topo is None) == (want._topo is None)
+                outcomes.add("id order" if want._topo is None else "sorted")
+                assert d.topo() == want.topo()
+        assert outcomes == {"error", "sorted", "id order"}
+
+    def test_a_copy_after_a_forward_child(self):
+        # row 2 reaches row 3; row 4 copies row 3
+        kind, var = [D.SINK, D.SINK, D.DECISION, D.DECISION, D.AND], [None, None, "x", "y", None]
+        lo, hi = [0, 1, 3, 0, 2], [-1, -1, 1, 1, 4]
+        d = D.Diagram.from_columns(kind, var, lo, hi, 5, copies=[(4, 3, 4)])
+        want = D.Diagram.from_columns(*expanded(kind, var, lo, hi, [(4, 3, 4)]), 5)
+        self.assert_same(d, want)
+        assert d.lo[5] == 2 and d.hi[5] == 4 and d.node(4) == D.decision("y", 0, 1)
+        assert d.topo() == want.topo() and d._topo is not None
+
+    @pytest.mark.parametrize("copies", [
+        [(3, 2, 2)], [(3, 2, 1)], [(3, -1, 2)], [(3, 2, 4)], [(3, 2, 3), (3, 2, 3)],
+        [(5, 2, 3)], [(3, 2.0, 3)], [(3, True, 3)], [("3", 2, 3)], [(3, 2)], [[3, 2, 3]]],
+        ids=["a=b", "a>b", "a<0", "b>at", "at-below-length", "at-past-rows",
+             "float", "bool", "string", "pair", "list"])
+    def test_a_malformed_copy_is_named(self, copies):
+        kind, var = [D.SINK, D.SINK, D.DECISION], [None, None, "x"]
+        with pytest.raises(FormatError, match=re.escape(repr(copies[-1]))):
+            D.Diagram.from_columns(kind, var, [0, 0, 0], [-1, -1, 1], 2, copies=copies)
 
 
 # ---------------------------------------------------------------------------
