@@ -790,7 +790,7 @@ def to_json(b):
 def from_json(text):
     """A diagram from JSON text. Beyond the shape, node ids are dense, child
     ids and the source are integers naming nodes, a sink's value is 0 or 1,
-    ``vars``, when given, is a list, and every variable name is a string;
+    ``vars``, when present, is a list, and every variable name is a string;
     anything else is a FormatError."""
     try:
         doc = json.loads(text)
@@ -806,7 +806,7 @@ def from_json(text):
         if ids != dense or set(map(type, ids)) - {int}:
             raise FormatError("node ids must be dense 0..n-1")
         names = doc.get("vars")
-        if names is not None and type(names) is not list:
+        if "vars" in doc and type(names) is not list:
             raise FormatError(f"vars must be a JSON list, not {names!r}")
         return Diagram.from_columns(*_columns(entries), doc["source"], names)
     except (KeyError, TypeError) as exc:

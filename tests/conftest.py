@@ -7,7 +7,7 @@ import pytest
 from ddlab import cnf as cnf_mod
 from ddlab.assignments import Assignment
 from ddlab.compile import DTLeaf, DTTest
-from ddlab.diagrams import DiagramBuilder
+from ddlab.diagrams import DiagramBuilder, to_json
 from ddlab.graphs import (Decomposition, Graph, decomposition_from_elimination,
                           exact_elimination_order, grid_order, tag)
 
@@ -114,6 +114,16 @@ def dt_paths(t, prefix=()):
     yield from dt_paths(t.hi, prefix + ((t.var, 1),))
 
 
+def assert_same_classes(d, want):
+    """Equal columns, JSON bytes and isomorphism classes, although ``d``
+    may be frozen from copy instructions and ``want`` node by node."""
+    assert (d.kind, d.var, d.lo, d.hi, d.source) == (
+        want.kind, want.var, want.lo, want.hi, want.source)
+    assert to_json(d) == to_json(want)
+    assert d._iso == want._iso and d._iso_table == want._iso_table
+    assert d.merged_size == want.merged_size and d.vars == want.vars
+
+
 def brute_force_vertex_covers(g):
     """Independent enumerator: subsets touching every edge."""
     verts = sorted(g.vertices)
@@ -157,7 +167,6 @@ def component_and_obdd(phi, order):
     conjunction), otherwise decide the next order variable that still
     occurs. Returns a valid ordered and-decomposable diagram computing phi.
     """
-    from ddlab.assignments import Assignment
     from ddlab.cnf import Cnf, graphs_of, reduce as cnf_reduce
 
     names = tuple(order.names if hasattr(order, "names") else order)

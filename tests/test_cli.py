@@ -121,7 +121,8 @@ class TestCompileCountValidate:
         assert code == 2 and out == ""
         assert json.loads(err.splitlines()[0])["error"] == "FormatError"
 
-    @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+    @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}, None],
+                             ids=["string", "object", "null"])
     def test_vars_that_are_not_a_list_are_exit_2(self, tmp_path, capsys, names):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**A_AND_B, "vars": names}))
@@ -419,7 +420,8 @@ class TestRun:
         code, message = self.run_step(tmp_path, capsys, verb, args)
         assert code == 2 and "must be a JSON list" in message
 
-    @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+    @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}, None],
+                             ids=["string", "object", "null"])
     def test_diagram_vars_that_are_not_a_list_are_exit_2(self, tmp_path, capsys, names):
         (tmp_path / "b").mkdir()
         (tmp_path / "b" / "ab.json").write_text(json.dumps({**A_AND_B, "vars": names}))

@@ -13,8 +13,9 @@ from ddlab import lowerbound as LB
 from ddlab.assignments import Assignment, cube
 from ddlab.errors import FormatError, PreconditionError
 
-from conftest import (cycle_graph, doubled_window_decomposition, dt_evaluate, dt_paths,
-                      dt_size, exact_decomposition, matching_graph, random_cnf)
+from conftest import (assert_same_classes, cycle_graph, doubled_window_decomposition,
+                      dt_evaluate, dt_paths, dt_size, exact_decomposition, matching_graph,
+                      random_cnf)
 
 
 def equal_to_cnf(diagram, phi):
@@ -147,15 +148,6 @@ def shared_tests(t):
     return again
 
 
-def assert_same_classes(d, want):
-    """Equal columns, and equal classes although ``d`` was frozen from copy
-    instructions and ``want`` node by node."""
-    assert (d.kind, d.var, d.lo, d.hi, d.source) == (
-        want.kind, want.var, want.lo, want.hi, want.source)
-    assert d._iso == want._iso and d._iso_table == want._iso_table
-    assert d.merged_size == want.merged_size and d.vars == want.vars
-
-
 class TestDtToDiagram:
     def test_random_cnfs_match_the_node_by_node_build(self):
         rng = random.Random(81)
@@ -174,9 +166,7 @@ class TestDtToDiagram:
     def test_grid_trees_match_the_node_by_node_build(self, family, n):
         maker = F.vc_formula if family == "vc" else F.psi_formula
         dt = CP.decision_tree(maker(G.grid(n).graph))
-        d, want = CP.dt_to_diagram(dt), node_by_node(dt)
-        assert_same_classes(d, want)
-        assert D.to_json(d) == D.to_json(want)
+        assert_same_classes(CP.dt_to_diagram(dt), node_by_node(dt))
 
 
 class TestVtree:

@@ -13,7 +13,7 @@ from ddlab.assignments import Assignment, AssignmentSet, cube
 from ddlab.errors import DiagramInvariantError, FormatError, ScaleError, ScopeError
 from ddlab.graphs import LinearOrder
 
-from conftest import chain_diagram, random_and_obdd
+from conftest import assert_same_classes, chain_diagram, random_and_obdd
 
 
 def figure_diagram():
@@ -363,9 +363,10 @@ class TestSerialization:
         with pytest.raises(FormatError, match="not strings"):
             D.from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+    @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}, None],
+                             ids=["string", "object", "null"])
     def test_declared_names_must_be_a_list(self, names):
-        # read as an iterable, either would declare exactly a and b
+        # read as an iterable, the string or the object declares exactly a and b
         doc = json.loads(D.to_json(a_and_b()))
         doc["vars"] = names
         with pytest.raises(FormatError, match="vars must be a JSON list"):
@@ -805,13 +806,6 @@ class TestCopies:
     """``from_columns`` with copy instructions against ``from_columns`` on
     the columns the copies expand to."""
 
-    def assert_same(self, d, want):
-        assert (d.kind, d.var, d.lo, d.hi, d.source) == (
-            want.kind, want.var, want.lo, want.hi, want.source)
-        assert D.to_json(d) == D.to_json(want)
-        assert d._iso == want._iso and d._iso_table == want._iso_table
-        assert d.merged_size == want.merged_size and d.vars == want.vars
-
     def test_random_children_first_tables(self):
         rng = random.Random(95)
         for _ in range(300):
@@ -820,7 +814,7 @@ class TestCopies:
             source = rng.randrange(len(full[0]))
             d = D.Diagram.from_columns(*table[:4], source, copies=table[4])
             want = D.Diagram.from_columns(*full, source)
-            self.assert_same(d, want)
+            assert_same_classes(d, want)
             assert d._topo is None and want._topo is None
 
     def test_random_tables_with_forward_children(self):
@@ -837,7 +831,7 @@ class TestCopies:
                 assert d == want
                 outcomes.add("error")
             else:
-                self.assert_same(d, want)
+                assert_same_classes(d, want)
                 assert (d._topo is None) == (want._topo is None)
                 outcomes.add("id order" if want._topo is None else "sorted")
                 assert d.topo() == want.topo()
@@ -849,7 +843,7 @@ class TestCopies:
         lo, hi = [0, 1, 3, 0, 2], [-1, -1, 1, 1, 4]
         d = D.Diagram.from_columns(kind, var, lo, hi, 5, copies=[(4, 3, 4)])
         want = D.Diagram.from_columns(*expanded(kind, var, lo, hi, [(4, 3, 4)]), 5)
-        self.assert_same(d, want)
+        assert_same_classes(d, want)
         assert d.lo[5] == 2 and d.hi[5] == 4 and d.node(4) == D.decision("y", 0, 1)
         assert d.topo() == want.topo() and d._topo is not None
 
