@@ -128,98 +128,46 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(message)
 
 
+# the subcommands that run a verb, in the order --help lists them, and their
+# help; "lb" groups the verbs in _LB
+_COMMANDS = {
+    "gen": "generate a formula family as DIMACS",
+    "compile": "compile a diagram",
+    "count": "count satisfying assignments of a diagram",
+    "eval": "evaluate a diagram on a total assignment",
+    "validate": "check diagram invariants and class",
+    "align": "alignment or frontier report",
+    "restrict": "restrict a diagram by one variable",
+    "width": "minimum crossing width over orders",
+    "lb": "lower-bound experiments",
+    "fool": "print the fooling set",
+    "certify": "injectivity certificate",
+    "minobdd": "minimal OBDD size oracle",
+    "export-dot": "Graphviz export",
+}
+_LB = ("fool", "certify")
+
+
 @functools.cache
 def build_parser():
     """The command's parser, built once per process on first use. It names
-    the flags; the verbs check their values."""
+    each verb's keys (``verbs.KEYS``) as flags; the verbs check their values."""
     parser = _Parser(prog="ddlab", description=__doc__)
     parser.add_argument("--version", action="version", version=BUILD_ID)
     sub = parser.add_subparsers(dest="verb", required=True)
-    # flag groups that two verbs share
-    search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--sample")
-    search.add_argument("--seed")
-    experiment = argparse.ArgumentParser(add_help=False)
-    experiment.add_argument("--graph")
-    experiment.add_argument("--matching")
-    experiment.add_argument("--order")
-    experiment.add_argument("--engine")
-
-    p = sub.add_parser("gen", help="generate a formula family as DIMACS")
-    p.add_argument("--family")
-    p.add_argument("--grid")
-    p.add_argument("--graph")
-    p.add_argument("--out")
-    p.add_argument("--meta", action="store_true")
-    p.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("compile", help="compile a diagram")
-    p.add_argument("--method")
-    p.add_argument("--cnf")
-    p.add_argument("--decomp")
-    p.add_argument("--long")
-    p.add_argument("--n")
-    p.add_argument("--orientation")
-    p.add_argument("--junction", action="store_true")
-    p.add_argument("--vtree-out")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("count", help="count satisfying assignments of a diagram")
-    p.add_argument("--diagram")
-    p.add_argument("--universe")
-    p.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("eval", help="evaluate a diagram on a total assignment")
-    p.add_argument("--diagram")
-    p.add_argument("--assignment")
-    p.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("validate", help="check diagram invariants and class")
-    p.add_argument("--diagram")
-    p.add_argument("--order")
-    p.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("align", help="alignment or frontier report")
-    p.add_argument("--diagram")
-    p.add_argument("--assignment")
-    p.add_argument("--order")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("restrict", help="restrict a diagram by one variable")
-    p.add_argument("--diagram")
-    p.add_argument("--var")
-    # an int, as a bundle step gives it: the verb refuses the string "1"
-    p.add_argument("--bit", type=int)
-    p.add_argument("--no-essential-check", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("width", parents=[search], help="minimum crossing width over orders")
-    p.add_argument("--graph")
-    p.add_argument("--grid")
-    p.add_argument("--mode")
-    p.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("lb", help="lower-bound experiments")
-    lbsub = p.add_subparsers(dest="lbverb", required=True)
-    q = lbsub.add_parser("fool", parents=[experiment], help="print the fooling set")
-    q.set_defaults(func=cmd_verb)
-    q = lbsub.add_parser("certify", parents=[experiment], help="injectivity certificate")
-    q.add_argument("--diagram")
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("minobdd", parents=[search], help="minimal OBDD size oracle")
-    p.add_argument("--cnf")
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_verb)
-
-    p = sub.add_parser("export-dot", help="Graphviz export")
-    p.add_argument("--diagram")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verb)
+    for verb, text in _COMMANDS.items():
+        if verb == "lb":
+            lb = sub.add_parser(verb, help=text).add_subparsers(dest="lbverb", required=True)
+            continue
+        p = (lb if verb in _LB else sub).add_parser(verb, help=text)
+        for key in verbs.KEYS[verb]:
+            flag = "--" + key.replace("_", "-")
+            if key in verbs.SWITCHES:
+                p.add_argument(flag, action="store_true")
+            else:
+                # --bit is an int, as a bundle step gives it: the verb refuses the string "1"
+                p.add_argument(flag, type=int if key == "bit" else None)
+        p.set_defaults(func=cmd_verb)
 
     p = sub.add_parser("run", help="run a manifest into a bundle directory")
     p.add_argument("--manifest", required=True)

@@ -203,7 +203,10 @@ def read_dimacs(text):
                 raise FormatError(f"bad problem line: {raw!r}")
             if nvars is not None:
                 raise FormatError("multiple problem lines")
-            nvars, claimed = int(parts[2]), int(parts[3])
+            try:
+                nvars, claimed = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise FormatError(f"bad problem line: {raw!r}") from exc
             continue
         if nvars is None:
             raise FormatError("clause line before problem line")

@@ -240,12 +240,16 @@ def read_vtree(text):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "L" and len(parts) == 3:
-            entries.append((int(parts[1]), parts[2]))
-        elif parts[0] == "I" and len(parts) == 4:
-            entries.append((int(parts[1]), (int(parts[2]), int(parts[3]))))
-        else:
-            raise FormatError(f"bad vtree line {raw!r}")
+        try:  # an id that is not an integer makes the line bad too
+            if parts[0] == "L" and len(parts) == 3:
+                entries.append((int(parts[1]), parts[2]))
+                continue
+            if parts[0] == "I" and len(parts) == 4:
+                entries.append((int(parts[1]), (int(parts[2]), int(parts[3]))))
+                continue
+        except ValueError:
+            pass
+        raise FormatError(f"bad vtree line {raw!r}")
     entries.sort(key=lambda e: e[0])
     if not entries or [i for i, _ in entries] != list(range(len(entries))):
         raise FormatError("vtree ids must be dense 0..n-1")

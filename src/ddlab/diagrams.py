@@ -790,8 +790,8 @@ def to_json(b):
 def from_json(text):
     """A diagram from JSON text. Beyond the shape, node ids are dense, child
     ids and the source are integers naming nodes, a sink's value is 0 or 1,
-    ``vars``, when present, is a list, and every variable name is a string;
-    anything else is a FormatError."""
+    ``vars``, when present, is a list naming each variable once, and every
+    variable name is a string; anything else is a FormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -808,6 +808,9 @@ def from_json(text):
         names = doc.get("vars")
         if "vars" in doc and type(names) is not list:
             raise FormatError(f"vars must be a JSON list, not {names!r}")
+        if names is not None and len(set(names)) != len(names):
+            twice = next(x for k, x in enumerate(names) if x in names[:k])
+            raise FormatError(f"vars lists {twice!r} twice")
         return Diagram.from_columns(*_columns(entries), doc["source"], names)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad diagram JSON: {exc}") from exc

@@ -766,6 +766,8 @@ def read_decomposition(text):
             continue
         parts = line.split()
         if parts[0] == "B" and len(parts) >= 2:
+            if parts[1] in bags:
+                raise FormatError(f"bag {parts[1]!r} is given twice")
             bags[parts[1]] = frozenset(parts[2:])
         elif parts[0] == "T" and len(parts) == 3:
             tree.add(frozenset(parts[1:]))

@@ -78,9 +78,6 @@ def run_experiment(manifest_path, out_dir):
                     raise FormatError("a step's name is a string and its args a JSON object")
                 if not isinstance(verb, str) or verb not in verbs.VERBS:
                     raise FormatError(f"unknown verb {verb!r}")
-                for key in verbs.OUTPUTS:  # only files written get directories
-                    if args.get(key):
-                        os.makedirs(os.path.dirname(path(args[key])), exist_ok=True)
                 info, _ = verbs.run(verb, verbs.Args(args, verb), path)
             except Exception as exc:
                 failure = MalformedStep if isinstance(exc, MALFORMED) else StepFailure

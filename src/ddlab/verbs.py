@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 from . import alignment
 from . import cnf as cnf_mod
@@ -54,11 +55,12 @@ class Paths:
 
     ``path(rel)`` maps a path argument to its file: ``resolve(rel)``, or
     ``rel`` itself without ``resolve``; ``text`` reads that file and
-    ``write`` writes it. A diagram written through ``write`` is kept with
-    the sha256 of the bytes written; ``diagram`` hands it back, unparsed,
-    while the file's bytes still have that sha256, and parses the file
-    otherwise. The command line makes one ``Paths()`` per verb and a bundle
-    run one per run, so nothing is kept past the run.
+    ``write`` writes it, with ``resolve`` making its directories first. A
+    diagram written through ``write`` is kept with the sha256 of the bytes
+    written; ``diagram`` hands it back, unparsed, while the file's bytes
+    still have that sha256, and parses the file otherwise. The command line
+    makes one ``Paths()`` per verb and a bundle run one per run, so nothing
+    is kept past the run.
     """
 
     def __init__(self, resolve=None):
@@ -86,6 +88,8 @@ class Paths:
         """Write ``text``, a string or the pieces of one, to the file ``rel``
         names as UTF-8; ``diagram``, when given, is what the text encodes."""
         file = self(rel)
+        if self._resolve is not None:  # a bundle makes the directories it writes into
+            os.makedirs(os.path.dirname(file), exist_ok=True)
         digest = hashlib.sha256()
         with open(file, "wb") as fh:
             for data in map(str.encode, (text,) if isinstance(text, str) else text):
@@ -308,19 +312,44 @@ def certify(args, path):
              "diagram_size": cert.diagram_size}, cert.to_json())
 
 
-# the arguments that name a file a verb writes
-OUTPUTS = ("out", "path", "vtree_out")
-
 # by the command's name: ``export_dot`` is the verb ``export-dot``
 VERBS = {fn.__name__.replace("_", "-"): fn
          for fn in (write, gen, compile, obdd, count, eval, validate, align, restrict,
                     export_dot, minobdd, width, fool, certify)}
 
+# Each verb's argument keys: the command's flags are built from them (the key
+# ``vtree_out`` is the flag ``--vtree-out``), and a bundle step may give no
+# other key. Every verb that returns an artifact takes ``out``.
+KEYS = {
+    "write": ("path", "text"),
+    "gen": ("family", "grid", "graph", "out", "meta"),
+    "compile": ("method", "cnf", "decomp", "long", "n", "orientation", "junction",
+                "vtree_out", "out"),
+    "obdd": ("cnf", "order", "graph", "grid", "matching", "engine", "out"),
+    "count": ("diagram", "universe"),
+    "eval": ("diagram", "assignment"),
+    "validate": ("diagram", "order", "out"),
+    "align": ("diagram", "assignment", "order", "out"),
+    "restrict": ("diagram", "var", "bit", "no_essential_check", "out"),
+    "export-dot": ("diagram", "out"),
+    "minobdd": ("sample", "seed", "cnf", "verify", "out"),
+    "width": ("sample", "seed", "graph", "grid", "mode", "out"),
+    "fool": ("graph", "matching", "order", "engine", "grid", "out"),
+    "certify": ("graph", "matching", "order", "engine", "diagram", "out", "grid"),
+}
+
+# the keys that are on or off: a flag without a value on the command line
+SWITCHES = frozenset({"meta", "junction", "no_essential_check", "verify"})
+
 
 def run(verb, args, path):
     """Run one verb, writing its artifact to ``args["out"]`` when that key is
     given; returns the info and, when there is no ``out``, the artifact
-    itself. A diagram goes to ``out`` in pieces, its text never made whole."""
+    itself. A diagram goes to ``out`` in pieces, its text never made whole.
+    A key the verb does not take is a FormatError naming it."""
+    unknown = args.keys() - KEYS[verb]
+    if unknown:
+        raise FormatError(f"{verb} takes no {', '.join(map(repr, sorted(unknown)))}")
     info, made = VERBS[verb](args, path)
     if made is None or "out" not in args:
         return info, made

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -129,6 +130,20 @@ class TestCompileCountValidate:
         code, out, err = run(["count", "--diagram", str(bad)], capsys)
         assert code == 2 and out == ""
         assert json.loads(err.splitlines()[0])["error"] == "FormatError"
+
+    @pytest.mark.parametrize("cnf, decomp, message", [
+        ("p cnf x 1\n1 0\n", "B b1 x1\n", "bad problem line: 'p cnf x 1'"),
+        ("p cnf 1 1\n1 0\n", "B b1 x1\nB b1 x1\n", "bag 'b1' is given twice"),
+    ], ids=["dimacs-header", "bag-twice"])
+    def test_malformed_input_files_are_exit_2(self, tmp_path, capsys, monkeypatch,
+                                              cnf, decomp, message):
+        monkeypatch.chdir(tmp_path)
+        put("f.cnf", cnf)
+        put("d.txt", decomp)
+        code, out, err = run(["compile", "--method", "primal", "--cnf", "f.cnf",
+                              "--decomp", "d.txt"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "FormatError", "message": message}
 
     def test_missing_input_file_is_exit_2(self, tmp_path, capsys):
         code, _, err = run(["compile", "--method", "dtree", "--cnf", str(tmp_path / "f.cnf"),
@@ -428,6 +443,41 @@ class TestRun:
         code, message = self.run_step(tmp_path, capsys, "count", {"diagram": "ab.json"})
         assert code == 2 and "vars must be a JSON list" in message
 
+    def test_diagram_vars_that_repeat_a_name_are_exit_2_on_both_routes(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "b")
+        put("ab.json", json.dumps({**A_AND_B, "vars": ["a", "a", "b"]}))
+        code, out, err = run(["count", "--diagram", "ab.json"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "FormatError", "message": "vars lists 'a' twice"}
+        code, message = self.run_step(tmp_path, capsys, "count", {"diagram": "ab.json"})
+        assert code == 2 and message.endswith("(FormatError): vars lists 'a' twice")
+
+    @pytest.mark.parametrize("verb", sorted(verbs.KEYS))
+    def test_a_key_the_verb_does_not_take_is_exit_2(self, tmp_path, capsys, verb):
+        code, message = self.run_step(tmp_path, capsys, verb, {"nope": 1})
+        assert code == 2 and message.endswith(f"(FormatError): {verb} takes no 'nope'")
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "manifest.json", "summary.json"]
+
+    def test_a_misspelt_key_is_exit_2_not_ignored(self, tmp_path, capsys):
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "ab.json").write_text(json.dumps(A_AND_B))
+        code, message = self.run_step(tmp_path, capsys, "count",
+                                      {"diagram": "ab.json", "univers": ["a", "b", "c"]})
+        assert code == 2 and message.endswith("count takes no 'univers'")
+        code, message = self.run_step(tmp_path, capsys, "compile",
+                                      {"method": "grid-junction", "n": 2, "ot": "d.json"})
+        assert code == 2 and message.endswith("compile takes no 'ot'")
+        # the key is checked before anything is written, a directory included
+        code, message = self.run_step(tmp_path, capsys, "compile",
+                                      {"method": "grid-junction", "n": 2, "ot": "d.json",
+                                       "out": "sub/d.json"})
+        assert code == 2 and message.endswith("compile takes no 'ot'")
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "ab.json", "manifest.json", "summary.json"]
+
     def test_invalid_diagram_step_stays_exit_1(self, tmp_path, capsys):
         (tmp_path / "b").mkdir()
         (tmp_path / "b" / "bad.json").write_text(json.dumps(BROKEN_DIAGRAM))
@@ -540,6 +590,24 @@ def test_malformed_arguments_are_one_json_line(capsys, argv):
     assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "FormatError"
 
 
+def test_each_subcommand_takes_its_verbs_keys_as_flags():
+    def subcommands(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    commands = dict(subcommands(cli.build_parser()))
+    commands.update(subcommands(commands.pop("lb")))
+    del commands["run"]
+    # each flag, whether it is on/off and the type it converts its value to
+    flags = {verb: {(a.option_strings[0], isinstance(a, argparse._StoreTrueAction), a.type)
+                    for a in p._actions if a.dest != "help"}
+             for verb, p in commands.items()}
+    assert verbs.KEYS.keys() == verbs.VERBS.keys()
+    assert flags == {verb: {("--" + key.replace("_", "-"), key in verbs.SWITCHES,
+                             int if key == "bit" else None) for key in keys}
+                     for verb, keys in verbs.KEYS.items() if verb not in ("write", "obdd")}
+
+
 def test_a_second_call_leaves_no_argparse_garbage(capsys):
     """The parser is built once per process: argparse's objects refer to
     each other, so each parser built per call is garbage for the cyclic
@@ -563,6 +631,7 @@ def test_a_second_call_leaves_no_argparse_garbage(capsys):
 # given the step's info). The CLI writes cli.*, the step b.*; where the CLI
 # prints the verb's text, the step writes it to text.out.
 MATCHING = [["u1", "w1"], ["u2", "w2"], ["u3", "w3"]]
+GRID3_MATCHING = [["(1,1)", "(1,2)"], ["(3,1)", "(3,2)"]]  # induced in the 3x3 grid
 PARITY = [
     ("gen --family vc --grid 3 --out cli.cnf", "gen",
      {"family": "vc", "grid": 3, "out": "b.cnf"},
@@ -649,6 +718,22 @@ PARITY = [
      {"diagram": "bad3.json", "graph": "g.txt", "matching": MATCHING, "engine": "obdd",
       "out": "b.cert"},
      "bound {bound} (|F|={fooling_size}, diagram size {diagram_size}); wrote cli.cert\n"),
+    # --out on the verbs that print text, and --grid for an experiment's graph
+    ("validate --out cli.txt --diagram gj.json --order gj.order", "validate",
+     {"diagram": "gj.json", "order": "gj.order", "out": "b.txt"}, ""),
+    ("width --out cli.order --grid 3 --sample 40 --seed 2", "width",
+     {"grid": 3, "sample": 40, "seed": 2, "out": "b.order"}, "{width}\n"),
+    ("minobdd --out cli.order --cnf vc2.cnf", "minobdd",
+     {"cnf": "vc2.cnf", "out": "b.order"}, "{size}\n"),
+    ("lb fool --out cli.txt --graph g.txt --matching m.txt --engine obdd", "fool",
+     {"graph": "g.txt", "matching": MATCHING, "engine": "obdd", "out": "b.txt"}, ""),
+    ("lb fool --grid 3 --matching m3.txt --engine obdd", "fool",
+     {"grid": 3, "matching": GRID3_MATCHING, "engine": "obdd", "out": "text.out"}, "{text}"),
+    ("lb certify --grid 3 --matching m3.txt --engine obdd --diagram grid3bad.json "
+     "--out cli.cert", "certify",
+     {"grid": 3, "matching": GRID3_MATCHING, "engine": "obdd", "diagram": "grid3bad.json",
+      "out": "b.cert"},
+     "bound {bound} (|F|={fooling_size}, diagram size {diagram_size}); wrote cli.cert\n"),
 ]
 
 
@@ -680,6 +765,9 @@ def test_cli_and_bundle_step_agree(tmp_path, capsys, monkeypatch, argv, verb, ar
     put("gj.order", G.write_order(junction_order(2)))
     exp = LB.make_experiment(matching_graph(3), [tuple(p) for p in MATCHING], "obdd")
     D.save(LB.obdd_for_order(exp.formula(), exp.order), "bad3.json")
+    put("m3.txt", "".join(f"{u} {w}\n" for u, w in GRID3_MATCHING))
+    exp = LB.make_experiment(gg3.graph, [tuple(p) for p in GRID3_MATCHING], "obdd")
+    D.save(LB.obdd_for_order(exp.formula(), exp.order), "grid3bad.json")
 
     code, out, _ = run(argv.split(), capsys)
     assert code == 0

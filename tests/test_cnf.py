@@ -232,6 +232,12 @@ class TestDimacs:
             with pytest.raises(FormatError, match="problem line"):
                 C.read_dimacs(name)
 
+    @pytest.mark.parametrize("header", ["p cnf x 1", "p cnf 1 y"])
+    def test_a_non_integer_header_names_its_line(self, header):
+        with pytest.raises(FormatError) as exc:
+            C.read_dimacs(f"{header}\n1 0\n")
+        assert str(exc.value) == f"bad problem line: {header!r}"
+
     def test_unnamed_indices_get_default_names(self):
         phi = C.read_dimacs("p cnf 2 1\n1 -2 0\n")
         assert phi.vars == {"x1", "x2"}

@@ -198,6 +198,12 @@ class TestVtree:
         with pytest.raises(FormatError):
             CP.read_vtree(text)
 
+    @pytest.mark.parametrize("line", ["L x a", "I 0 a b", "I x 0 1"])
+    def test_a_non_integer_id_names_its_line(self, line):
+        with pytest.raises(FormatError) as exc:
+            CP.read_vtree(f"L 0 a\nL 1 b\n{line}\n")
+        assert str(exc.value) == f"bad vtree line {line!r}"
+
     @pytest.mark.parametrize("nested", ["x", ("a", "b"), ("a", (("b", "c"), "d")),
                                         ((("a", "b"), ("c", "d")), ("e", ("f", "g")))])
     def test_written_tables_read_back(self, nested):

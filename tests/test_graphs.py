@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ddlab import graphs as G
-from ddlab.errors import DecompositionError, PreconditionError, ScaleError
+from ddlab.errors import DecompositionError, FormatError, PreconditionError, ScaleError
 
 from conftest import (exact_decomposition, matching_graph, path_graph,
                       random_graph)
@@ -406,6 +406,10 @@ class TestFiles:
         assert d.bags == {"0": frozenset({"a", "b"})} and not d.tree
         with pytest.raises(ValueError, match="bad decomposition line"):
             G.read_decomposition(str(tmp_path / "missing.txt"))
+
+    def test_a_bag_id_given_twice_is_rejected(self):
+        with pytest.raises(FormatError, match="bag 'b1' is given twice"):
+            G.read_decomposition("B b1 x y\nB b1 z\nT b1 b1\n")
 
     def test_decomposition_roundtrip(self, c4, tmp_path):
         d = exact_decomposition(c4)
