@@ -103,74 +103,87 @@ def frontier(b, pi, g):
     """
     names = pi if isinstance(pi, tuple) else tuple(pi)
     validate(b, names)
-    _require_prefix(g, names)
     bound = g.vars
+    _require_prefix(bound, names)
     kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
-    l_nodes = set()
-    visited = set()
-    taken = set()  # incomplete-path edges, as (parent, child)
+    get = g.get
+    l_nodes = []
+    parents = {}  # each taken edge once: child -> the walk parents it was reached from
     stack = [b.source]
-    while stack:
+    while stack:  # a node is pushed when first reached, so popped once
         i = stack.pop()
-        if i in visited:
-            continue
-        visited.add(i)
         k = kind[i]
         if k == DECISION:
-            bit = g.get(var[i])
+            bit = get(var[i])
             if bit is None:
-                l_nodes.add(i)
+                l_nodes.append(i)
                 continue
             children = (hi[i] if bit else lo[i],)
-        elif k == AND:
-            children = (lo[i], hi[i])
+        elif k == AND:  # both sides one node: one taken edge
+            children = (lo[i], hi[i]) if lo[i] != hi[i] else (lo[i],)
         else:
             continue
         for child in children:
-            taken.add((i, child))
-            stack.append(child)
+            if child in parents:
+                parents[child].append(i)
+            else:
+                parents[child] = [i]
+                stack.append(child)
     # T(g): the part of the walk on paths that end at frontier nodes. Paths
     # ending at sinks are discarded; those may legally remeet at a shared
-    # sink, the L-bound union may not. The nodes on such paths are those
-    # reached from L(g) backwards along the taken edges.
-    parents = {}
-    for parent_id, child in taken:
-        parents.setdefault(child, []).append(parent_id)
-    reaches = set(l_nodes)
-    stack = list(l_nodes)
-    while stack:
-        for parent_id in parents.get(stack.pop(), ()):
-            if parent_id not in reaches:
-                reaches.add(parent_id)
-                stack.append(parent_id)
-    tree_parent = {}
-    if l_nodes:
-        tree_parent[b.source] = None
-    for parent_id, child in sorted(taken):
-        if parent_id in reaches and child in reaches:
-            if child in tree_parent:
-                raise SoundnessError(
-                    f"incomplete paths remeet at node {child}; T(g) is not a tree")
-            tree_parent[child] = parent_id
+    # sink, the L-bound union may not. Going up from each frontier node, every
+    # node met but the source must have one walk parent; then the nodes met
+    # are all those on such paths, and T(g) is a tree.
+    tree_parent = {b.source: None} if l_nodes else {}
+    for child in l_nodes:
+        while child not in tree_parent:
+            walk_parents = parents[child]
+            if len(walk_parents) > 1:
+                raise SoundnessError(f"incomplete paths remeet at node "
+                                     f"{_first_remeet(l_nodes, parents)}; T(g) is not a tree")
+            tree_parent[child] = walk_parents[0]
+            child = walk_parents[0]
     # completeness below the frontier (first statement of the path lemma): on
     # any path below u the first node testing a g variable is reached through
     # complete nodes, so the aligned walk below u meets an incomplete node
     # exactly when u's subdiagram tests a variable of g
-    for u in sorted(l_nodes):
-        if b.vars_below(u) & bound:
+    l_nodes.sort()
+    below = [b.vars_below(u) for u in l_nodes]
+    for u, tested in zip(l_nodes, below):
+        if tested & bound:
             raise SoundnessError(
                 f"incomplete decision node {_smallest_incomplete(b, g, u)} "
                 f"below frontier node {u}")
-    seen = {}
-    for u in sorted(l_nodes):
-        for v in sorted(l_nodes):
-            if u < v and b.vars_below(u) & b.vars_below(v):
-                raise SoundnessError(
-                    f"frontier subdiagrams {u} and {v} share variables "
-                    f"{sorted(b.vars_below(u) & b.vars_below(v))}")
-        seen[u] = b.vars_below(u)
-    free = (b.vars - bound) - frozenset().union(*seen.values()) if seen else (b.vars - bound)
-    return Frontier(frozenset(l_nodes), tree_parent, frozenset(free))
+    covered = frozenset().union(*below)
+    if len(covered) != sum(map(len, below)):  # two frontier subdiagrams share a variable
+        for x, u in enumerate(l_nodes):
+            for y in range(x + 1, len(l_nodes)):
+                shared = below[x] & below[y]
+                if shared:
+                    raise SoundnessError(
+                        f"frontier subdiagrams {u} and {l_nodes[y]} share variables "
+                        f"{sorted(shared)}")
+    return Frontier(frozenset(l_nodes), tree_parent, b.vars - bound - covered)
+
+
+def _first_remeet(l_nodes, parents):
+    """The node where incomplete paths to the frontier remeet that a scan of
+    the taken edges in sorted order finds twice first: of the nodes reached
+    backwards from ``l_nodes`` with two or more walk parents, the least by
+    (second-smallest walk parent, node)."""
+    reaches = set(l_nodes)
+    stack = list(l_nodes)
+    remeets = []
+    while stack:
+        child = stack.pop()
+        walk_parents = parents.get(child, ())
+        if len(walk_parents) > 1:
+            remeets.append((sorted(walk_parents)[1], child))
+        for parent_id in walk_parents:
+            if parent_id not in reaches:
+                reaches.add(parent_id)
+                stack.append(parent_id)
+    return min(remeets)[1]
 
 
 def _smallest_incomplete(b, g, start):
@@ -192,11 +205,12 @@ def _smallest_incomplete(b, g, start):
     return min(found)
 
 
-def _require_prefix(g, names):
-    k = len(g.vars)
-    if set(names[:k]) != g.vars:
+def _require_prefix(bound, names):
+    """``bound``, an assignment's variables, must be a prefix of ``names``."""
+    k = len(bound)
+    if set(names[:k]) != bound:
         raise PreconditionError(
-            f"assignment variables {sorted(g.vars)} are not the length-{k} prefix of the order")
+            f"assignment variables {sorted(bound)} are not the length-{k} prefix of the order")
 
 
 def subdiagram(b, root):

@@ -112,7 +112,7 @@ class Assignment:
         return Assignment._rows(tuple(item for item in self._items if item[0] in names))
 
     def render(self):
-        return ",".join(f"{n}={b}" for n, b in self._items)
+        return ",".join([f"{n}={b}" for n, b in self._items])
 
     def __repr__(self):
         return f"Assignment({{{self.render()}}})"
@@ -155,6 +155,16 @@ class AssignmentSet:
         for a in self.elements:
             u.update(a._map)
         self.universe = frozenset(u)
+
+    @classmethod
+    def _uniform(cls, members, universe):
+        """The set of ``members``, assignments that each bind exactly the
+        names of the frozenset ``universe``; an empty set's universe is
+        empty. Nothing is checked; the callers build such members only."""
+        s = object.__new__(cls)
+        s.elements = frozenset(members)
+        s.universe = universe if s.elements else frozenset()
+        return s
 
     @property
     def is_uniform(self):
@@ -258,7 +268,7 @@ def decode_table(order, table):
             m = byte_index * 8 + bit.bit_length() - 1
             out.append(rows(high_rows[m >> low] + low_rows[m & low_mask]))
             byte ^= bit
-    return AssignmentSet(out)
+    return AssignmentSet._uniform(out, frozenset(order))
 
 
 def _half_rows(names):

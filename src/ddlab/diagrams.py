@@ -681,9 +681,9 @@ def truth_table(b, order):
     for c in live:
         if kind[c] == SINK:
             tt[c] = full if lo[c] else 0
-        elif kind[c] == DECISION:
-            pat = pats[var[c]]
-            tt[c] = (pat & tt[hi[c]]) | ((full ^ pat) & tt[lo[c]])
+        elif kind[c] == DECISION:  # hi where the variable is 1, lo elsewhere
+            low = tt[lo[c]]
+            tt[c] = low ^ (pats[var[c]] & (tt[hi[c]] ^ low))
         else:
             tt[c] = tt[lo[c]] & tt[hi[c]]
     return tt[b._iso[b.source]]

@@ -50,6 +50,12 @@ class FoolingExperiment:
         """The prefix's variables, made once per experiment."""
         return frozenset(self.order.names[:self.prefix_len])
 
+    @functools.cached_property
+    def fixed_vars(self):
+        """The prefix's variables off the u side, which every fooling
+        assignment sets to 1, made once per experiment."""
+        return tuple(sorted(self.prefix_vars - set(self.u_vars)))
+
     def formula(self):
         if self.engine == "and-obdd":
             return psi_formula(self.graph)
@@ -117,19 +123,25 @@ def fooling_set(exp):
         raise PreconditionError(
             f"the {exp.engine} engine needs q > {fewest}: a fooling assignment "
             f"has at least {fewest} ones and one zero")
-    fixed = [(v, 1) for v in sorted(exp.prefix_vars - set(exp.u_vars))]
-    return AssignmentSet(Assignment(fixed + list(zip(exp.u_vars, bits)))
-                         for bits in itertools.product((0, 1), repeat=exp.q)
-                         if fewest <= sum(bits) <= exp.q - 1)
+    # one row of sorted items, all ones, whose u-side items each member resets
+    names = sorted(exp.prefix_vars)
+    row = [(v, 1) for v in names]
+    slots = [(names.index(u), ((u, 0), (u, 1))) for u in exp.u_vars]
+    members = []
+    for bits in itertools.product((0, 1), repeat=exp.q):
+        if fewest <= sum(bits) <= exp.q - 1:
+            for (p, items), bit in zip(slots, bits):
+                row[p] = items[bit]
+            members.append(Assignment._rows(tuple(row)))
+    return AssignmentSet._uniform(members, exp.prefix_vars)
 
 
 def is_fooling(exp, g):
-    prefix = exp.prefix_vars
-    if g.vars != prefix:
+    if g.vars != exp.prefix_vars:
         return False
-    if any(g[v] != 1 for v in prefix - set(exp.u_vars)):
+    if 0 in map(g.get, exp.fixed_vars):
         return False
-    return _FEWEST_ONES[exp.engine] <= sum(g[v] for v in exp.u_vars) <= exp.q - 1
+    return _FEWEST_ONES[exp.engine] <= sum(map(g.get, exp.u_vars)) <= exp.q - 1
 
 
 def unbreakable(exp, g):

@@ -257,13 +257,16 @@ class TestFrontierOracle:
                 g = Assignment({v: rng.randint(0, 1) for v in order[:k]})
                 messages.append(assert_frontier_as_aligned(b, order, g))
         # conjunctions that are not decomposable: two incomplete paths remeet
-        # at a frontier node, and two frontier nodes test one variable
+        # at a frontier node, two frontier nodes test one variable, and both
+        # sides are one node (one taken edge, so T(g) is still a tree)
         builder = D.DiagramBuilder()
         f, t = builder.sink(0), builder.sink(1)
         shared = builder.decision("z", f, t)
         remeet = builder.conj(builder.decision("x", shared, t), builder.decision("y", shared, f))
         overlap = builder.conj(shared, builder.decision("z", t, f))
-        for root, g in ((remeet, Assignment({"x": 0, "y": 0})), (overlap, Assignment())):
+        twice = builder.conj(shared, shared)
+        for root, g in ((remeet, Assignment({"x": 0, "y": 0})), (overlap, Assignment()),
+                        (twice, Assignment())):
             messages.append(assert_frontier_as_aligned(builder.finalize(root), ["x", "y", "z"], g))
         for kind in ("not a tree", "below frontier node", "share variables"):
             assert any(kind in m for m in messages if isinstance(m, str)), kind
@@ -323,6 +326,25 @@ class TestAlignedEdgeIndex:
         assert not self.assert_frontier_as_defined(b, order, g)
         with pytest.raises(SoundnessError, match="not a tree"):
             frontier_by_alignment(b, order, g)
+
+    def test_two_remeet_nodes_name_the_one_a_sorted_edge_scan_meets_first(self, monkeypatch):
+        # z1 (walk parents X1 < Y1) and z2 (walk parents X2 < Y2) both have two;
+        # z2 has the smaller id, but a scan of the taken edges in sorted order
+        # meets (Y1, z1) before (Y2, z2), so the error names z1
+        monkeypatch.setattr(AL, "validate", lambda b, names: None)
+        builder = D.DiagramBuilder()
+        f, t = builder.sink(0), builder.sink(1)
+        z2 = builder.decision("w", f, t)
+        z1 = builder.decision("z", f, t)
+        x1, y1 = builder.decision("x", z1, t), builder.decision("y", z1, f)
+        x2, y2 = builder.decision("x2", z2, t), builder.decision("y2", z2, f)
+        b = builder.finalize(builder.conj(builder.conj(x1, x2), builder.conj(y1, y2)))
+        assert z2 < z1 < x1 < y1 < x2 < y2
+        order = ["x", "x2", "y", "y2", "z", "w"]
+        g = Assignment(dict.fromkeys(order[:4], 0))
+        assert assert_frontier_as_aligned(b, order, g) == (
+            f"incomplete paths remeet at node {z1}; T(g) is not a tree")
+        assert not self.assert_frontier_as_defined(b, order, g)
 
     def test_type_hints_resolve(self):
         assert typing.get_type_hints(AL.AlignedDiagram)["base"] is D.Diagram

@@ -288,7 +288,23 @@ class TestRowConstructor:
                 for m in range(1 << n) if table >> m & 1)
             got = decode_table(order, table)
             assert_same_members(got, expected)
+            assert got.universe == expected.universe
             assert len(got) == bin(table).count("1")
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_uniform_sets_match_the_public_constructor(self, n):
+        rng = random.Random(200 + n)
+        names = sorted(self.NAMES[:n])
+        total = list(cube(names))
+        for count in sorted({0, 1, rng.randint(0, len(total)), len(total)}):
+            members = [public(a) for a in rng.sample(total, count)]
+            got = AssignmentSet._uniform(members, frozenset(names))
+            expected = AssignmentSet(members)
+            assert got == expected and got.universe == expected.universe
+            assert type(got.elements) is frozenset and type(got.universe) is frozenset
+            assert got.is_uniform
+        # an empty set's universe is empty, whatever names it was given
+        assert AssignmentSet._uniform([], frozenset(names)).universe == frozenset()
 
     @pytest.mark.parametrize("order", [["b", "a"], ["a", "a"], ["a", "c", "b"]])
     def test_decode_table_rejects_an_order_that_is_not_strictly_increasing(self, order):

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
+from ddlab import alignment as AL
 from ddlab import cnf as C
 from ddlab import diagrams as D
 from ddlab import lowerbound as LB
-from ddlab.assignments import Assignment, restrict_set, breaks
+from ddlab.assignments import Assignment, AssignmentSet, restrict_set, breaks
 from ddlab.errors import PreconditionError, SoundnessError
 from ddlab.formulas import grid_junction_formula, psi_formula, vc_formula
 from ddlab.graphs import Graph, LinearOrder
@@ -92,6 +93,33 @@ class TestFoolingSet:
                 matching_graph(q),
                 [(f"u{i}", f"w{i}") for i in range(1, q + 1)], "obdd")
             assert len(LB.fooling_set(exp)) == 2 ** q - 1
+
+    @pytest.mark.parametrize("engine", ["obdd", "and-obdd"])
+    def test_members_match_the_checking_constructor(self, engine):
+        # each member is made from one sorted row, unchecked: it must equal the
+        # assignment the checking constructor makes, in items, map and hash
+        low = 2 if engine == "and-obdd" else 0
+        experiments = [e for e in fooling_experiments() if e.engine == engine]
+        for q in range(1, 9):
+            exp = LB.make_experiment(matching_graph(q),
+                                     [(f"u{i}", f"w{i}") for i in range(1, q + 1)], engine)
+            if q <= low:
+                with pytest.raises(PreconditionError):
+                    LB.fooling_set(exp)
+            else:
+                experiments.append(exp)
+        for exp in experiments:
+            fixed = [(v, 1) for v in sorted(exp.prefix_vars - set(exp.u_vars))]
+            expected = {Assignment(fixed + list(zip(exp.u_vars, bits)))
+                        for bits in itertools.product((0, 1), repeat=exp.q)
+                        if low <= sum(bits) < exp.q}
+            got = LB.fooling_set(exp)
+            assert got.elements == expected and got.universe == exp.prefix_vars
+            assert got == AssignmentSet(expected)
+            by_items = {a._items: a for a in expected}
+            for a in got:
+                b = by_items[a._items]
+                assert type(a._items) is tuple and a._map == b._map and hash(a) == hash(b)
 
     def test_q_too_small_for_and_engine(self):
         exp_small = LB.make_experiment(matching_graph(2),
@@ -238,6 +266,32 @@ class TestLocateAndCertify:
         diagram = build(exp.formula(), exp.order)
         text = LB.certify(diagram, exp.order, exp).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("engine, q", [("obdd", q) for q in range(1, 7)]
+                             + [("and-obdd", q) for q in range(3, 6)])
+    def test_certify_validates_2f_plus_1_times(self, monkeypatch, engine, q):
+        # once in certify, then once in locate and once in frontier for each
+        # fooling assignment, counted on the bindings the two modules call
+        exp = LB.make_experiment(matching_graph(q),
+                                 [(f"u{i}", f"w{i}") for i in range(1, q + 1)], engine)
+        diagram = LB.obdd_for_order(exp.formula(), exp.order)
+        calls = dict.fromkeys(["lowerbound.validate", "alignment.validate",
+                               "lowerbound.frontier"], 0)
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module, name in ((LB, "validate"), (AL, "validate"), (LB, "frontier")):
+            key = f"{module.__name__.split('.')[-1]}.{name}"
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+        cert = LB.certify(diagram, exp.order, exp)
+        f = cert.fooling_size
+        assert f == len(LB.fooling_set(exp)) > 0
+        assert calls["lowerbound.validate"] + calls["alignment.validate"] == 2 * f + 1
+        assert calls["alignment.validate"] == calls["lowerbound.frontier"] == f
 
     def test_certify_renders_each_assignment_once(self, monkeypatch):
         exp = LB.make_experiment(matching_graph(4),
