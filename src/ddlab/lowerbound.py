@@ -123,17 +123,10 @@ def fooling_set(exp):
         raise PreconditionError(
             f"the {exp.engine} engine needs q > {fewest}: a fooling assignment "
             f"has at least {fewest} ones and one zero")
-    # one row of sorted items, all ones, whose u-side items each member resets
-    names = sorted(exp.prefix_vars)
-    row = [(v, 1) for v in names]
-    slots = [(names.index(u), ((u, 0), (u, 1))) for u in exp.u_vars]
-    members = []
-    for bits in itertools.product((0, 1), repeat=exp.q):
-        if fewest <= sum(bits) <= exp.q - 1:
-            for (p, items), bit in zip(slots, bits):
-                row[p] = items[bit]
-            members.append(Assignment._rows(tuple(row)))
-    return AssignmentSet._uniform(members, exp.prefix_vars)
+    fixed = [(v, 1) for v in exp.fixed_vars]
+    return AssignmentSet(Assignment(fixed + list(zip(exp.u_vars, bits)))
+                         for bits in itertools.product((0, 1), repeat=exp.q)
+                         if fewest <= sum(bits) <= exp.q - 1)
 
 
 def is_fooling(exp, g):

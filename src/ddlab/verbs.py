@@ -66,10 +66,9 @@ class Paths:
 
     def __init__(self, resolve=None):
         self._resolve = resolve
-        self._written = {}  # file -> (sha256, Diagram) of the last diagram written there
-        # (device, inode) -> sha256 of the bytes last written whole to that
-        # file, so that every name linking to the file finds it
-        self._digests = {}
+        # (device, inode) -> (sha256, Diagram or None) of the bytes last
+        # written whole to that file, so that every name linking to it finds them
+        self._written = {}
 
     def __call__(self, rel):
         return rel if self._resolve is None else self._resolve(rel)
@@ -97,23 +96,22 @@ class Paths:
         digest = hashlib.sha256()
         with open(file, "wb") as fh:
             key = _file_key(os.fstat(fh.fileno()))
-            self._digests.pop(key, None)  # opening emptied the file: its old digest is void
+            self._written.pop(key, None)  # opening emptied the file: its old record is void
             for data in map(str.encode, (text,) if isinstance(text, str) else text):
                 fh.write(data)
                 digest.update(data)
-        self._digests[key] = digest.hexdigest()
-        if diagram is not None:
-            self._written[file] = self._digests[key], diagram
+        self._written[key] = digest.hexdigest(), diagram
 
     def recorded(self, rel):
         """The sha256 hex digest recorded when ``write`` last wrote the file
         ``rel`` names whole, or None when it has not."""
-        return self._digests.get(_file_key(os.stat(self(rel))))
+        kept = self._written.get(_file_key(os.stat(self(rel))))
+        return None if kept is None else kept[0]
 
     def diagram(self, rel):
         """The diagram in the file ``rel`` names."""
-        kept = self._written.get(self(rel))
-        if kept is not None and kept[0] == self.sha256(rel):
+        kept = self._written.get(_file_key(os.stat(self(rel))))
+        if kept is not None and kept[1] is not None and kept[0] == self.sha256(rel):
             return kept[1]
         return diagrams.from_json(self.text(rel))
 
