@@ -35,17 +35,16 @@ def _resolve(bundle, rel):
     return path
 
 
-def _hash_tree(bundle, path):
-    """The sha256 of every file in the bundle but the summary: the digest
-    ``path`` recorded for a file the run wrote, and the digest of the bytes
-    on disk for any other, such as a file left in the directory before."""
+def _hash_tree(bundle):
+    sha256 = verbs.Paths().sha256
     out = {}
     for root, _, files in os.walk(bundle):
         for name in files:
-            rel = os.path.relpath(os.path.join(root, name), bundle)
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, bundle)
             if rel in ("summary.json", "summary.txt"):
                 continue
-            out[rel] = path.recorded(rel) or path.sha256(rel)
+            out[rel] = sha256(path)
     return dict(sorted(out.items()))
 
 
@@ -63,8 +62,9 @@ def run_experiment(manifest_path, out_dir):
         raise FormatError("bad manifest: steps is not a list")
     bundle = os.path.abspath(out_dir)
     os.makedirs(bundle, exist_ok=True)
+    with open(os.path.join(bundle, "manifest.json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     path = verbs.Paths(functools.partial(_resolve, bundle))
-    path.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     rows = []
     try:
         for k, step in enumerate(steps):
@@ -85,9 +85,9 @@ def run_experiment(manifest_path, out_dir):
             rows.append({"name": name, "verb": verb, "info": info})
     except StepFailure as exc:
         # the bundle so far still gets a summary, naming the step that failed
-        _write_summary(bundle, path, manifest, rows, {"name": exc.step, "error": str(exc)})
+        _write_summary(bundle, manifest, rows, {"name": exc.step, "error": str(exc)})
         raise
-    summary = _write_summary(bundle, path, manifest, rows)
+    summary = _write_summary(bundle, manifest, rows)
     lines = [f"bundle: {summary['name']}", ""]
     lines.append(f"{'step':<24} {'verb':<10} info")
     for row in rows:
@@ -98,12 +98,12 @@ def run_experiment(manifest_path, out_dir):
     return summary
 
 
-def _write_summary(bundle, path, manifest, rows, failed=None):
+def _write_summary(bundle, manifest, rows, failed=None):
     summary = {
         "build": BUILD_ID,
         "name": manifest.get("name", ""),
         "steps": rows,
-        "artifacts": _hash_tree(bundle, path),
+        "artifacts": _hash_tree(bundle),
     }
     if failed is not None:
         summary["failed"] = failed

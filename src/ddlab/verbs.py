@@ -55,20 +55,17 @@ class Paths:
 
     ``path(rel)`` maps a path argument to its file: ``resolve(rel)``, or
     ``rel`` itself without ``resolve``; ``text`` reads that file and
-    ``write`` writes it, with ``resolve`` making its directories first.
-    ``write`` records the sha256 of the bytes of each file it writes whole,
-    and ``recorded`` reports it. A diagram written through ``write`` is kept
-    with that sha256; ``diagram`` hands it back, unparsed, while the file's
-    bytes on disk still have that sha256, and parses the file otherwise. The
-    command line makes one ``Paths()`` per verb and a bundle run one per
-    run, so nothing is kept past the run.
+    ``write`` writes it, with ``resolve`` making its directories first. A
+    diagram written through ``write`` is kept with the sha256 of the bytes
+    written; ``diagram`` hands it back, unparsed, while the file's bytes
+    still have that sha256, and parses the file otherwise. The command line
+    makes one ``Paths()`` per verb and a bundle run one per run, so nothing
+    is kept past the run.
     """
 
     def __init__(self, resolve=None):
         self._resolve = resolve
-        # (device, inode) -> (sha256, Diagram or None) of the bytes last
-        # written whole to that file, so that every name linking to it finds them
-        self._written = {}
+        self._written = {}  # file -> (sha256, Diagram) of the last diagram written there
 
     def __call__(self, rel):
         return rel if self._resolve is None else self._resolve(rel)
@@ -95,30 +92,18 @@ class Paths:
             os.makedirs(os.path.dirname(file), exist_ok=True)
         digest = hashlib.sha256()
         with open(file, "wb") as fh:
-            key = _file_key(os.fstat(fh.fileno()))
-            self._written.pop(key, None)  # opening emptied the file: its old record is void
             for data in map(str.encode, (text,) if isinstance(text, str) else text):
                 fh.write(data)
                 digest.update(data)
-        self._written[key] = digest.hexdigest(), diagram
-
-    def recorded(self, rel):
-        """The sha256 hex digest recorded when ``write`` last wrote the file
-        ``rel`` names whole, or None when it has not."""
-        kept = self._written.get(_file_key(os.stat(self(rel))))
-        return None if kept is None else kept[0]
+        if diagram is not None:
+            self._written[file] = digest.hexdigest(), diagram
 
     def diagram(self, rel):
         """The diagram in the file ``rel`` names."""
-        kept = self._written.get(_file_key(os.stat(self(rel))))
-        if kept is not None and kept[1] is not None and kept[0] == self.sha256(rel):
+        kept = self._written.get(self(rel))
+        if kept is not None and kept[0] == self.sha256(rel):
             return kept[1]
         return diagrams.from_json(self.text(rel))
-
-
-def _file_key(stat):
-    """The (device, inode) pair that identifies a file, from its ``os.stat``."""
-    return stat.st_dev, stat.st_ino
 
 
 def _listed(value, key):

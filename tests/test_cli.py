@@ -1029,56 +1029,6 @@ def test_an_overwritten_diagram_is_read_again(tmp_path, capsys):
     assert json.loads(err.splitlines()[0])["error"] == "MalformedStep"
 
 
-def disk_digests(bundle):
-    """The sha256 of the bytes of every file in the bundle but the summary."""
-    return {str(p.relative_to(bundle)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(bundle.rglob("*"))
-            if p.is_file() and p.name not in ("summary.json", "summary.txt")}
-
-
-def test_bundle_hashing_reads_only_the_files_the_run_did_not_write(tmp_path, capsys,
-                                                                     monkeypatch):
-    bundle = tmp_path / "b"
-    (bundle / "old").mkdir(parents=True)
-    (bundle / "old" / "left.txt").write_text("left over\n")
-    (bundle / "a.txt").write_text("replaced\n")
-    (bundle / "alias.txt").symlink_to("a.txt")  # a name the run never writes
-    os.link(bundle / "a.txt", bundle / "hard.txt")
-    hashed = []
-    sha256 = verbs.Paths.sha256
-    monkeypatch.setattr(verbs.Paths, "sha256",
-                        lambda self, rel: hashed.append(rel) or sha256(self, rel))
-    steps = [{"name": "w", "verb": "write", "args": {"path": "a.txt", "text": "first\n"}},
-             {"name": "c", "verb": "compile",
-              "args": {"method": "grid-junction", "n": 2, "out": "out/d.json"}},
-             # the same file through the link: the digest of a.txt must follow
-             {"name": "v", "verb": "write", "args": {"path": "alias.txt", "text": "second\n"}}]
-    code, summary, _ = run_manifest(tmp_path, capsys, steps, bundle)
-    assert code == 0
-    assert (bundle / "a.txt").read_text() == (bundle / "hard.txt").read_text() == "second\n"
-    assert summary["artifacts"] == disk_digests(bundle)
-    assert sorted(summary["artifacts"]) == ["a.txt", "alias.txt", "hard.txt", "manifest.json",
-                                            "old/left.txt", "out/d.json"]
-    assert hashed == [os.path.join("old", "left.txt")]
-
-
-def test_a_failed_write_leaves_no_digest(tmp_path):
-    path = verbs.Paths()
-    file = str(tmp_path / "f.txt")
-    path.write(file, ["one ", "two\n"])
-    assert path.recorded(file) == hashlib.sha256(b"one two\n").hexdigest()
-
-    def pieces():
-        yield "half"
-        raise OSError("disk full")
-
-    with pytest.raises(OSError, match="disk full"):
-        path.write(file, pieces())
-    assert path.recorded(file) is None and (tmp_path / "f.txt").read_text() == "half"
-    path.write(file, "whole\n")
-    assert path.recorded(file) == path.sha256(file) == hashlib.sha256(b"whole\n").hexdigest()
-
-
 def test_nothing_is_kept_past_a_run(tmp_path, parses):
     bundle = tmp_path / "b"
     man = tmp_path / "m.json"
