@@ -214,12 +214,8 @@ def _require_prefix(bound, names):
 
 
 def subdiagram(b, root):
-    """The diagram rooted at a node, renumbered densely."""
-    return subdiagram_with_map(b, root)[0]
-
-
-def subdiagram_with_map(b, root):
-    """Subdiagram plus the old-id to new-id correspondence."""
+    """The diagram rooted at a node, renumbered densely, and the old-id to
+    new-id correspondence."""
     builder = DiagramBuilder()
     remap = copy_nodes(builder, b, root)
     return builder.finalize(remap[root]), remap
@@ -239,7 +235,7 @@ def check_model_decomposition(b, pi, g):
         raise PreconditionError("restricted model set is empty")
     factors = [cube(fr.free_vars)]
     for u in sorted(fr.l_nodes):
-        factors.append(satisfying_set(subdiagram(b, u)))
+        factors.append(satisfying_set(subdiagram(b, u)[0]))
     right = product_all(factors)
     return left == right
 

@@ -291,11 +291,6 @@ def product_all(sets):
     return acc
 
 
-def project(a, names):
-    """Projection of an assignment onto a variable set."""
-    return a.project(names)
-
-
 def project_set(h, names):
     """Memberwise projection; the result universe shrinks accordingly."""
     names = set(names)

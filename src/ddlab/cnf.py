@@ -115,7 +115,7 @@ def count_models(phi, universe):
     universe = frozenset(universe)
     if not phi.vars <= universe:
         raise ScopeError(f"universe misses {sorted(phi.vars - universe)}")
-    return kernels.count_ones(truth_table(phi, sorted(universe)))
+    return truth_table(phi, sorted(universe)).bit_count()
 
 
 def reduce(phi, g):

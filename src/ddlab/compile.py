@@ -362,16 +362,6 @@ class _Rooted:
         return min(holders, key=lambda b: (self.depth[b], b))
 
 
-def vtree_from_decomposition(d, extra_vars=()):
-    """The recursive variable split a rooted decomposition induces.
-
-    Per bag: a right-leaning comb over the bag's own variables ending in a
-    left-leaning comb over the child subtrees. Extra variables (not placed by
-    any bag) comb on top in sorted order. None when there are no variables.
-    """
-    return vtree_from_decomposition_rooted(_Rooted(d), extra_vars)
-
-
 # ---------------------------------------------------------------------------
 # the decomposition-guided compiler
 
@@ -444,6 +434,12 @@ def _compile_rooted(phi, rooted, builder):
 
 
 def vtree_from_decomposition_rooted(rooted, extra_vars=()):
+    """The recursive variable split a rooted decomposition induces.
+
+    Per bag: a right-leaning comb over the bag's own variables ending in a
+    left-leaning comb over the child subtrees. Extra variables (not placed by
+    any bag) comb on top in sorted order. None when there are no variables.
+    """
     def part(b):
         child_parts = _left_comb([part(c) for c in rooted.children[b]])
         return _right_comb([*rooted.local(b), child_parts])

@@ -720,25 +720,6 @@ def count_models(b, universe=None):
     return counts[b._iso[b.source]] << (len(universe) - len(b.vars))
 
 
-def path_assignment(b, node_ids):
-    """The assignment read off a directed path's decision out-edges.
-
-    The last node contributes nothing (its out-edge is not on the path). A
-    decision step whose 0- and 1-edges share the target is ambiguous and
-    rejected.
-    """
-    node_ids = list(node_ids)
-    pairs = []
-    for u, v in zip(node_ids, node_ids[1:]):
-        if v not in b.children(u):
-            raise ValueError(f"({u},{v}) is not an edge")
-        if b.kind[u] == DECISION:
-            if b.lo[u] == b.hi[u]:
-                raise ValueError(f"node {u} has parallel out-edges; bit is ambiguous")
-            pairs.append((b.var[u], 1 if v == b.hi[u] else 0))
-    return Assignment(pairs)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -52,9 +52,6 @@ class Graph:
     def degree(self, v):
         return len(self._adj[v])
 
-    def max_degree(self):
-        return max((len(ns) for ns in self._adj.values()), default=0)
-
     def isolated(self):
         return frozenset(v for v, ns in self._adj.items() if not ns)
 
@@ -549,28 +546,6 @@ def check_edge_partition(g, e1, e2):
     return e1, e2
 
 
-def split_neat(g, e1, e2, pi_star):
-    """Majority side of the extracted neat matching across an edge bipartition."""
-    e1, e2 = check_edge_partition(g, e1, e2)
-    whole = extract_neat(g, pi_star)
-    parts = {1: whole.edges & lift_edges(e1), 2: whole.edges & lift_edges(e2)}
-
-    def witness(edges):
-        if not edges:
-            return Matching(frozenset())
-        u = whole.u_side & frozenset().union(*edges)
-        w = whole.w_side & frozenset().union(*edges)
-        return Matching(edges, u, w)
-
-    if len(parts[1]) > len(parts[2]):
-        side = 1
-    elif len(parts[2]) > len(parts[1]):
-        side = 2
-    else:
-        side = 1 if sorted(map(sorted, parts[1])) <= sorted(map(sorted, parts[2])) else 2
-    return side, witness(parts[side])
-
-
 # ---------------------------------------------------------------------------
 # exact treewidth / pathwidth and decomposition checking
 
@@ -693,23 +668,6 @@ def validate_decomposition(g, d):
             raise DecompositionError("connectivity", v,
                                      f"bags holding {v!r} are disconnected")
     return d.width
-
-
-def greedy_induced(g, m):
-    """Greedy induced sub-matching; at least ceil(|m| / (2*maxdeg+1)) edges."""
-    if not is_matching(m.edges if isinstance(m, Matching) else m):
-        raise PreconditionError("input edge set is not a matching")
-    remaining = sorted((frozenset(e) for e in (m.edges if isinstance(m, Matching) else m)),
-                       key=lambda e: tuple(sorted(e)))
-    chosen = []
-    while remaining:
-        e = remaining.pop(0)
-        chosen.append(e)
-        blocked = set(e)
-        for v in e:
-            blocked.update(g.neighbors(v))
-        remaining = [f for f in remaining if not f & blocked]
-    return Matching(frozenset(chosen))
 
 
 # ---------------------------------------------------------------------------

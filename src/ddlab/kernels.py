@@ -63,10 +63,6 @@ def cnf_truth_table(n, clauses):
     return _truth_table(n, clauses, _literals(n))
 
 
-def count_ones(table):
-    return table.bit_count()
-
-
 def obdd_size_for_order(n, clauses, bound=None, order=None):
     """Node count of the reduced OBDD of a clause set, sinks included, or
     ``None`` when a ``bound`` is given and the count is at least ``bound``.

@@ -113,6 +113,14 @@ def _listed(value, key):
     return value
 
 
+def _only(args, keys, what):
+    """Reject the keys given that ``what`` does not read, naming them, before
+    anything is read or written; a switch left off counts as not given."""
+    unread = sorted(k for k in args.keys() - keys if not (k in SWITCHES and args[k] is False))
+    if unread:
+        raise FormatError(f"{what} takes no {', '.join(map(args.name, unread))}")
+
+
 def _graph(args, path):
     """The graph ``grid`` or ``graph`` names; giving both is malformed."""
     if "grid" in args and "graph" in args:
@@ -143,6 +151,7 @@ def _formula(args, path):
     ``GridGraph`` for the junction families, the plain graph otherwise."""
     family = args["family"]
     if family in ("vc-junction", "psi-junction"):
+        _only(args, ("family", "grid", "out", "meta"), f"family {family!r}")
         gg = graphs.grid(int(args["grid"]))
         kind = "vc" if family == "vc-junction" else "psi"
         return formulas.junction_formula(gg.graph, gg.hor, gg.vert, kind), gg
@@ -182,12 +191,17 @@ def gen(args, path):
 
 def compile(args, path):
     """A diagram by one of the compile methods; the ``primal`` and
-    ``split`` methods also write their vtree to ``vtree_out`` when given."""
+    ``split`` methods also write their vtree to ``vtree_out`` when given. A
+    key the method does not read is a FormatError naming it."""
     method = args["method"]
+    if method not in METHOD_KEYS:
+        raise FormatError(f"unknown compile method {method!r}")
+    _only(args, ("method", *METHOD_KEYS[method], "out"), f"method {method!r}")
     vtree = None
     if method == "grid-junction":
         diagram = compile_mod.grid_junction_diagram(int(args["n"]))
     elif method == "psi-layer" and args.get("junction"):
+        _only(args, ("method", "n", "junction", "out"), "method 'psi-layer' with junction")
         diagram = compile_mod.psi_grid_junction_fbdd(int(args["n"]))
     elif method == "psi-layer":
         diagram = compile_mod.psi_layer_obdd(int(args["n"]), args.get("orientation", "hor"))
@@ -208,16 +222,16 @@ def compile(args, path):
         chosen = [c for name, c in labels.items() if name in wanted]
         diagram = compile_mod.compile_split(phi, chosen, d)
         vtree = compile_mod.split_vtree(phi, chosen, d)
-    else:
-        raise FormatError(f"unknown compile method {method!r}")
     if vtree is not None and args.get("vtree_out"):
         path.write(args["vtree_out"], compile_mod.write_vtree(vtree))
     return {"size": diagram.size}, diagram
 
 
 def obdd(args, path):
-    """The reduced OBDD for an explicit order, or for an experiment's bad order."""
+    """The reduced OBDD for an explicit order, or for an experiment's bad
+    order; with ``cnf`` an experiment's keys are a FormatError naming them."""
     if "cnf" in args:
+        _only(args, ("cnf", "order", "out"), "obdd with cnf")
         phi = cnf_mod.read_dimacs(path.text(args["cnf"]))
         order = graphs.read_order(path.text(args["order"]))
     else:
@@ -320,14 +334,23 @@ VERBS = {fn.__name__.replace("_", "-"): fn
          for fn in (write, gen, compile, obdd, count, eval, validate, align, restrict,
                     export_dot, minobdd, width, fool, certify)}
 
+# the keys each compile method reads besides ``method`` and ``out``
+METHOD_KEYS = {
+    "dtree": ("cnf",),
+    "primal": ("cnf", "decomp", "vtree_out"),
+    "split": ("cnf", "decomp", "long", "vtree_out"),
+    "grid-junction": ("n",),
+    "psi-layer": ("n", "orientation", "junction"),
+}
+
 # Each verb's argument keys: the command's flags are built from them (the key
 # ``vtree_out`` is the flag ``--vtree-out``), and a bundle step may give no
 # other key. Every verb that returns an artifact takes ``out``.
 KEYS = {
     "write": ("path", "text"),
     "gen": ("family", "grid", "graph", "out", "meta"),
-    "compile": ("method", "cnf", "decomp", "long", "n", "orientation", "junction",
-                "vtree_out", "out"),
+    "compile": ("method", *dict.fromkeys(k for keys in METHOD_KEYS.values() for k in keys),
+                "out"),
     "obdd": ("cnf", "order", "graph", "grid", "matching", "engine", "out"),
     "count": ("diagram", "universe"),
     "eval": ("diagram", "assignment"),

@@ -245,7 +245,7 @@ def test_criterion_04_appendix_case_oracles():
             extra = [v for v in b.vars - {x} if rng.random() < 0.4]
             g = Assignment({x: i, **{v: rng.randint(0, 1) for v in extra}})
             child = src.hi if i else src.lo
-            sub = AL.subdiagram(b, child)
+            sub = AL.subdiagram(b, child)[0]
             left = restrict_set(D.satisfying_set(b), g)
             free = (b.vars - g.vars) - b.vars_below(child)
             right = product_all([restrict_set(D.satisfying_set(sub), g.minus({x})),
@@ -263,7 +263,7 @@ def test_criterion_04_appendix_case_oracles():
                 continue
             g = Assignment({v: rng.randint(0, 1) for v in b.vars if rng.random() < 0.5})
             left = restrict_set(D.satisfying_set(b), g)
-            parts = [restrict_set(D.satisfying_set(AL.subdiagram(b, c)), g)
+            parts = [restrict_set(D.satisfying_set(AL.subdiagram(b, c)[0]), g)
                      for c in (src.left, src.right)]
             assert left == product_all(parts)
             done += 1
@@ -280,7 +280,7 @@ def test_criterion_04_appendix_case_oracles():
             k = rng.randint(1, len(b.vars))
             g = Assignment({v: rng.randint(0, 1) for v in order.names[:k]})
             child = src.hi if g[src.var] else src.lo
-            sub, idmap = AL.subdiagram_with_map(b, child)
+            sub, idmap = AL.subdiagram(b, child)
             fr = AL.frontier(b, order, g)
             fr_child = AL.frontier(sub, G.LinearOrder(
                 [v for v in order.names if v != src.var]), g.minus({src.var}))
@@ -303,7 +303,7 @@ def test_criterion_04_appendix_case_oracles():
             union_l = set()
             union_free = set()
             for child in (src.left, src.right):
-                sub, idmap = AL.subdiagram_with_map(b, child)
+                sub, idmap = AL.subdiagram(b, child)
                 back = {new: old for old, new in idmap.items()}
                 sub_vars = b.vars_below(child)
                 fr_c = AL.frontier(sub, G.LinearOrder(

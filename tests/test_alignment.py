@@ -473,7 +473,7 @@ class TestAppendixCaseOracles:
             extra = [v for v in b.vars - {x} if rng.random() < 0.4]
             g = Assignment({x: i, **{v: rng.randint(0, 1) for v in extra}})
             child = src.hi if i else src.lo
-            sub = AL.subdiagram(b, child)
+            sub = AL.subdiagram(b, child)[0]
             left = restrict_set(satisfying(b), g)
             free = (b.vars - g.vars) - b.vars_below(child)
             right = product(restrict_set(satisfying(sub), g.minus({x})), cube(free))
@@ -494,7 +494,7 @@ class TestAppendixCaseOracles:
             left = restrict_set(satisfying(b), g)
             parts = []
             for child in (src.left, src.right):
-                sub = AL.subdiagram(b, child)
+                sub = AL.subdiagram(b, child)[0]
                 parts.append(restrict_set(satisfying(sub), g))
             assert left == product_all(parts)
             done += 1
@@ -513,7 +513,7 @@ class TestAppendixCaseOracles:
             g = Assignment({v: rng.randint(0, 1) for v in order.names[:k]})
             x = src.var
             child = src.hi if g[x] else src.lo
-            sub, idmap = AL.subdiagram_with_map(b, child)
+            sub, idmap = AL.subdiagram(b, child)
             fr = AL.frontier(b, order, g)
             sub_order = LinearOrder([v for v in order.names if v != x])
             fr_child = AL.frontier(sub, sub_order, g.minus({x}))
@@ -540,7 +540,7 @@ class TestAppendixCaseOracles:
             union_l = set()
             union_free = set()
             for child in (src.left, src.right):
-                sub, idmap = AL.subdiagram_with_map(b, child)
+                sub, idmap = AL.subdiagram(b, child)
                 sub_vars = b.vars_below(child)
                 sub_order = LinearOrder([v for v in order.names if v in sub_vars])
                 fr_c = AL.frontier(sub, sub_order, g.project(sub_vars))

@@ -5,7 +5,7 @@ import pytest
 
 from ddlab import alignment, cnf, diagrams, graphs, lowerbound
 from ddlab.assignments import (Assignment, AssignmentSet, breaks, check_order, cube, decode_table,
-                               product, product_all, project, project_set, restrict_set)
+                               product, product_all, project_set, restrict_set)
 from ddlab.errors import DomainOverlapError, ScopeError, UniformityError
 
 
@@ -201,9 +201,9 @@ class TestProduct:
 class TestProjectRestrict:
     def test_project_examples(self):
         a = Assignment({"x1": 1, "x2": 0})
-        assert project(a, {"x1"}) == Assignment({"x1": 1})
-        assert project(a, a.vars) == a
-        assert project(a, set()) == Assignment()
+        assert a.project({"x1"}) == Assignment({"x1": 1})
+        assert a.project(a.vars) == a
+        assert a.project(set()) == Assignment()
 
     def test_restrict_worked_example(self):
         h = aset({"x1": 0, "x2": 0, "x3": 1},

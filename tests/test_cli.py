@@ -378,6 +378,62 @@ class TestRun:
         code, message = self.run_step(tmp_path, capsys, verb, args)
         assert code == 2 and message.endswith("(FormatError): give 'grid' or 'graph', not both")
 
+    # a key that the method, family or (with cnf) obdd does not read, and
+    # what the message names as not reading it
+    UNREAD_KEYS = [
+        ("compile", {"method": "dtree", "cnf": "f.cnf", "orientation": "bogus"},
+         "method 'dtree'", "orientation"),
+        ("compile", {"method": "dtree", "cnf": "f.cnf", "n": 9}, "method 'dtree'", "n"),
+        ("compile", {"method": "dtree", "cnf": "f.cnf", "junction": True},
+         "method 'dtree'", "junction"),
+        ("compile", {"method": "dtree", "cnf": "f.cnf", "vtree_out": "t.vtree"},
+         "method 'dtree'", "vtree_out"),
+        ("compile", {"method": "primal", "cnf": "f.cnf", "decomp": "d.txt", "long": ["c0"]},
+         "method 'primal'", "long"),
+        ("compile", {"method": "grid-junction", "n": 2, "cnf": "f.cnf"},
+         "method 'grid-junction'", "cnf"),
+        ("compile", {"method": "grid-junction", "n": 2, "decomp": "d.txt"},
+         "method 'grid-junction'", "decomp"),
+        ("compile", {"method": "psi-layer", "n": 2, "junction": True, "orientation": "bogus"},
+         "method 'psi-layer' with junction", "orientation"),
+        ("gen", {"family": "vc-junction", "grid": 2, "graph": "g.txt"},
+         "family 'vc-junction'", "graph"),
+        ("obdd", {"cnf": "f.cnf", "order": "f.order", "graph": "g.txt"}, "obdd with cnf", "graph"),
+        ("obdd", {"cnf": "f.cnf", "order": "f.order", "grid": 2}, "obdd with cnf", "grid"),
+        ("obdd", {"cnf": "f.cnf", "order": "f.order", "matching": [["a", "b"]]},
+         "obdd with cnf", "matching"),
+        ("obdd", {"cnf": "f.cnf", "order": "f.order", "engine": "obdd"}, "obdd with cnf", "engine"),
+    ]
+
+    @pytest.mark.parametrize("verb,args,what,key", UNREAD_KEYS, ids=[
+        f"{v}-{a.get('method') or a.get('family') or 'cnf'}-{k}" for v, a, _, k in UNREAD_KEYS])
+    def test_a_key_the_method_does_not_read_is_exit_2_on_both_routes(
+            self, tmp_path, capsys, monkeypatch, verb, args, what, key):
+        inputs = {"f.cnf": "p cnf 2 1\n1 2 0\n", "f.order": "x1\nx2\n", "g.txt": "a b\n",
+                  "d.txt": "b0 x1 x2\n"}
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "b")
+        for name, text in inputs.items():
+            put(name, text)
+        args = dict(args, out="made.out")
+        if verb != "obdd":  # a bundle verb only: the command has no obdd
+            argv = [verb]
+            for k, v in args.items():
+                value = [] if v is True else [",".join(v) if isinstance(v, list) else str(v)]
+                argv += ["--" + k.replace("_", "-"), *value]
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert json.loads(err) == {"error": "FormatError",
+                                       "message": f"{what} takes no --{key.replace('_', '-')}"}
+            assert sorted(os.listdir()) == sorted(inputs)
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps({"name": "one", "steps": [
+            {"name": "only", "verb": verb, "args": args}]}))
+        code, _, err = run(["run", "--manifest", str(man), "--out-dir", "."], capsys)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert json.loads(err)["message"].endswith(f"(FormatError): {what} takes no {key!r}")
+        assert sorted(os.listdir()) == sorted([*inputs, "manifest.json", "summary.json"])
+
     def test_wrongly_typed_argument_is_exit_2(self, tmp_path, capsys):
         code, message = self.run_step(tmp_path, capsys, "compile",
                                       {"method": "grid-junction", "n": None, "out": "b.json"})

@@ -242,7 +242,7 @@ class TestVtree:
 
     def test_from_decomposition_covers_bag_vars(self, c4):
         d = exact_decomposition(c4)
-        vt = CP.vtree_from_decomposition(d)
+        vt = CP.compile_primal(F.vc_formula(c4), d)[1]
         assert vt.vars == c4.vertices
 
 

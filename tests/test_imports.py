@@ -1,6 +1,6 @@
 """Every top-level import in the package is used by the module that makes
-it, every private top-level definition is read by some module, and only the
-file routes open files.
+it, every top-level definition is read by some module or has a stated
+reason not to be, and only the file routes open files.
 
 A stdlib ``ast`` scan: a module's top-level ``import`` and ``from ... import``
 statements bind names, and each bound name must be read somewhere in the
@@ -8,23 +8,44 @@ module. ``__init__.py`` files are skipped, since their imports are the
 package's re-exports, and so are ``from __future__`` imports. A top-level
 ``def`` or ``class`` whose name starts with one underscore is private to the
 package, so some module of the package must read it: as a name, as an
-attribute, or through an import. A call of ``open`` may stand only in
-``verbs.Paths``, through which every verb reads and writes its files, in
-``manifest``, which writes the bundle's own files, and in ``diagrams.save``
-and ``diagrams.load``.
+attribute, or through an import. A public top-level ``def`` or ``class`` must
+be read, in the same ways, by some other top-level statement of the package
+(its own body does not count), or be one of the functions that
+``perfbench/tracing.py`` wraps (its ``LAYERS`` table, read with ``ast``), or
+be in ``UNREAD``, which gives the reason each name there has no reader; an
+entry there that is gone, traced or read fails too. A call of
+``open`` may stand only in ``verbs.Paths``, through which every verb reads
+and writes its files, in ``manifest``, which writes the bundle's own files,
+and in ``diagrams.save`` and ``diagrams.load``.
 """
 
 import ast
 import functools
 import pathlib
+from collections import defaultdict
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ddlab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ddlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # module -> the top-level definitions that may call ``open``; ``manifest``
 # writes the bundle's own files and may open them anywhere
 OPENERS = {"verbs.py": {"Paths"}, "diagrams.py": {"save", "load"}}
+# module.name -> why this public definition has no reader in the package
+UNREAD = {
+    "alignment.check_model_decomposition": "the paper's model factorization, "
+                                           "checked by acceptance criterion 2",
+    "compile.respects": "structuredness, checked by acceptance criterion 1",
+    "formulas.psi_path_decomposition": "the paper's path decomposition of psi's "
+                                       "incidence graph, checked by acceptance criterion 8",
+    "graphs.extract_neat": "the paper's neat-matching extraction, checked by "
+                           "acceptance criterion 8",
+    "graphs.treewidth_exact": "the width comparison of acceptance criterion 9",
+    "diagrams.accepted": "the semantics oracle the class passes are tested against",
+    "compile.read_vtree": "no verb reads a vtree yet; a planned validate --vtree will",
+    "graphs.pathwidth_exact": "no verb computes it yet; a planned width measure will",
+}
 
 
 def unused_imports(source):
@@ -42,17 +63,26 @@ def unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def definitions(source):
+    """(line, name) for each top-level def or class."""
+    return [(stmt.lineno, stmt.name) for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
 def private_definitions(source):
     """(line, name) for each top-level def or class with a private name."""
-    return [(stmt.lineno, stmt.name) for stmt in ast.parse(source).body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and stmt.name.startswith("_") and not stmt.name.startswith("__")]
+    return [(line, name) for line, name in definitions(source)
+            if name.startswith("_") and not name.startswith("__")]
 
 
 def names_read(source):
     """Every name a module reads: loaded names, attributes and imported names."""
+    return names_read_in(ast.parse(source))
+
+
+def names_read_in(tree):
     read = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -99,6 +129,66 @@ def test_scan_finds_an_unread_private_definition():
 def test_no_unread_private_definition(path):
     unread = [d for d in private_definitions(path.read_text()) if d[1] not in package_reads()]
     assert unread == [], f"{path.name} defines private names no module reads"
+
+
+def unread_public(sources):
+    """(module, line, name) for each public top-level def or class in
+    ``sources`` (module -> source) that no other top-level statement reads."""
+    read = defaultdict(set)  # name -> (module, definition) reading it; None outside any
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            for name in names_read_in(stmt):
+                read[name].add((module, getattr(stmt, "name", None)))
+    return [(module, line, name) for module, source in sources.items()
+            for line, name in definitions(source)
+            if not name.startswith("_") and not read[name] - {(module, name)}]
+
+
+@functools.cache
+def package_unread():
+    """(module, name) for each public definition of the package that no other
+    top-level statement reads."""
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    return frozenset((module, name) for module, _, name in unread_public(sources))
+
+
+@functools.cache
+def traced():
+    """``module.function`` for each function in ``perfbench/tracing.py``'s ``LAYERS``."""
+    for stmt in ast.parse((ROOT / "perfbench" / "tracing.py").read_text()).body:
+        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "LAYERS":
+            layers = ast.literal_eval(stmt.value)
+            return frozenset(f"{layer}.{name}" for layer, names in layers.items() for name in names)
+    raise AssertionError("perfbench/tracing.py defines no LAYERS")
+
+
+def test_scan_finds_an_unread_public_definition():
+    # a definition's reading itself does not count; an attribute or a table does
+    sources = {"a": ("def used():\n    pass\n"
+                     "def recursive():\n    return recursive()\n"
+                     "class Alone:\n    pass\n"
+                     "def _private():\n    pass\n"
+                     "def attribute():\n    pass\n"
+                     "TABLE = {'x': used}\n"),
+               "b": ("from .a import _private\n"
+                     "def reads(a):\n    return a.attribute\n")}
+    assert unread_public(sources) == [("a", 3, "recursive"), ("a", 5, "Alone"),
+                                      ("b", 2, "reads")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_public_definition(path):
+    unread = sorted(name for module, name in package_unread() if module == path.stem
+                    and f"{module}.{name}" not in traced() | UNREAD.keys())
+    assert unread == [], (f"{path.name} defines public names that no other definition reads, "
+                          f"that perfbench does not trace and that UNREAD gives no reason for")
+
+
+@pytest.mark.parametrize("entry", sorted(UNREAD))
+def test_unread_entries_are_still_unread(entry):
+    # an entry whose name is gone, is traced or has found a reader leaves the list
+    module, name = entry.split(".")
+    assert (module, name) in package_unread() and entry not in traced()
 
 
 def opening_definitions(source):

@@ -182,4 +182,4 @@ def test_grid4_junction_sizes_match_constructed_obdds():
 def test_selected_backend_exposes_contract():
     assert kernels.BACKEND == ddlab.KERNEL_BACKEND == "python"
     assert kernels.cnf_truth_table(1, [[1]]) == 0b10
-    assert kernels.count_ones(0b1011) == 3
+    assert kernels.cnf_truth_table(2, [[1, 2]]).bit_count() == 3
