@@ -13,12 +13,12 @@ checker here verifies that equation by brute force on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import config
 from .assignments import cube, product_all, restrict_set
-from .diagrams import (AND, DECISION, Diagram, DiagramBuilder, copy_nodes, satisfying_set,
-                       truth_table, validate)
+from .diagrams import (AND, DECISION, DiagramBuilder, copy_nodes, satisfying_set, truth_table,
+                       validate)
 from .errors import EssentialityError, PreconditionError, SoundnessError
 from .kernels import pattern
 
@@ -27,27 +27,19 @@ from .kernels import pattern
 class AlignedDiagram:
     """The subgraph surviving alignment; the base diagram is untouched."""
 
-    base: Diagram
-    g: object
     kept_nodes: frozenset
     kept_edges: frozenset  # (parent, slot, child) with slot in lo/hi/left/right
     incomplete: frozenset  # kept decision nodes with a single out-edge
-    edges_out: dict = field(repr=False, compare=False)  # kept node -> its sorted out-edges
-
-    def out_edges(self, node_id):
-        """The node's kept out-edges as sorted (slot, child) pairs."""
-        return list(self.edges_out.get(node_id, ()))
 
 
 def align(b, g):
     """Alignment of the diagram by an assignment (any assignment; prefix-ness
     matters only to the lemma checkers downstream). Only the nodes the source
     reaches along edges consistent with g are visited; a kept decision node
-    whose variable g sets keeps one out-edge and is incomplete. Each kept
-    node's out-edges are listed once, sorted by slot."""
+    whose variable g sets keeps one out-edge and is incomplete."""
     kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
     keep = set()
-    edges_out = {}
+    kept_edges = []
     incomplete = []
     stack = [b.source]
     while stack:
@@ -67,12 +59,10 @@ def align(b, g):
             out = (("left", lo[i]), ("right", hi[i]))
         else:
             continue
-        edges_out[i] = out
-        stack.extend(child for _, child in out)
-    kept_edges = frozenset((i, slot, child) for i, out in edges_out.items()
-                           for slot, child in out)
-    return AlignedDiagram(b, g, frozenset(keep), kept_edges, frozenset(incomplete),
-                          edges_out)
+        for slot, child in out:
+            kept_edges.append((i, slot, child))
+            stack.append(child)
+    return AlignedDiagram(frozenset(keep), frozenset(kept_edges), frozenset(incomplete))
 
 
 @dataclass(frozen=True)

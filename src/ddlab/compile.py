@@ -47,7 +47,7 @@ def dt_to_diagram(t):
     Nodes are numbered children first, the 0-branch before the 1-branch,
     each sink where it is first reached. A subtree object the tree shares is
     expanded node by node once; every later occurrence is a copy
-    instruction ``(at, a, b)`` for ``Diagram.from_columns``: the span
+    instruction ``(at, a, b)`` for ``Diagram``: the span
     ``a``..``b - 1`` of an expansion that created no sink, placed again at
     id ``at`` with the ids inside it shifted and the sink ids, which lie
     below it, kept. Only the expanded nodes are hash-consed one by one; a
@@ -95,7 +95,7 @@ def dt_to_diagram(t):
         source = build(t)
     finally:
         del build  # the closure refers to itself: a cycle until deleted
-    return Diagram.from_columns(kind, var, lo, hi, source, copies=copies)
+    return Diagram(kind, var, lo, hi, source, copies=copies)
 
 
 class _SpineKeys(dict):
@@ -205,9 +205,6 @@ class Vtree:
     @property
     def vars(self):
         return self._vars[self.root]
-
-    def vars_of(self, node_id):
-        return self._vars[node_id]
 
     def internal_splits(self):
         return [(self._vars[p[0]], self._vars[p[1]])

@@ -27,49 +27,16 @@ from .errors import DiagramInvariantError, FormatError, ScopeError
 from .kernels import pattern
 
 
-# The codes of the ``kind`` column; ``Node.kind`` spells them out.
+# The codes of the ``kind`` column.
 SINK, DECISION, AND = 0, 1, 2
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    """One node as a record: what ``Diagram.node`` and ``Diagram.nodes``
-    hand out and what ``Diagram(nodes, source)`` takes in."""
-
-    kind: str
-    var: str | None = None
-    lo: int | None = None
-    hi: int | None = None
-    left: int | None = None
-    right: int | None = None
-    value: int | None = None
-
-    def children(self):
-        if self.kind == "decision":
-            return (self.lo, self.hi)
-        if self.kind == "and":
-            return (self.left, self.right)
-        return ()
-
-
-def decision(var, lo, hi):
-    return Node("decision", var=var, lo=lo, hi=hi)
-
-
-def conj(left, right):
-    return Node("and", left=left, right=right)
-
-
-def sink(value):
-    return Node("sink", value=int(value))
-
-
-def _columns(records):
-    """The kind, var, lo and hi columns of a node table given as records in
-    id order: JSON objects, or Nodes read through their fields."""
+def _columns(entries):
+    """The kind, var, lo and hi columns of a node table given as JSON
+    entries in id order."""
     kind, var, lo, hi = [], [], [], []
     names = {}  # one string per distinct name: parsed JSON holds one per node
-    for i, e in enumerate(records):
+    for i, e in enumerate(entries):
         k = e["kind"]
         if k == "decision":
             kind.append(DECISION)
@@ -139,7 +106,7 @@ def _toposort(kind, lo, hi):
 
 
 def _expand(kind, var, lo, hi, copies):
-    """The expanded table ``Diagram.from_columns`` describes for ``copies``,
+    """The expanded table ``Diagram()`` describes for ``copies``,
     as new ``kind``, ``lo`` and ``hi`` arrays and a ``var`` tuple, and the
     copies as a tuple; a malformed copy is a FormatError. Every entry of
     the given ``kind``, ``lo`` and ``hi`` is an int."""
@@ -258,8 +225,7 @@ class Diagram:
     conjunction has the children ``lo[i]`` (left) and ``hi[i]`` (right); a
     sink's value, 0 or 1, is ``lo[i]`` and its ``hi[i]`` is -1. ``kind`` is
     an ``array("b")``, ``lo`` and ``hi`` are ``array("l")``s and ``var`` is
-    a tuple, None off decision nodes. ``node(i)`` and ``nodes`` give the
-    same table as ``Node`` records. Construction also sorts the nodes into
+    a tuple, None off decision nodes. Construction also sorts the nodes into
     isomorphism classes (``iso_class``, ``merged_size``), and keeps each
     class's tested variables; the semantic passes run once per class
     reachable from the source, not per node.
@@ -268,36 +234,24 @@ class Diagram:
     __slots__ = ("kind", "var", "lo", "hi", "source", "declared_vars",
                  "_topo", "_iso", "_iso_table", "_verdicts")
 
-    def __init__(self, nodes, source, declared_vars=None):
-        """From ``Node`` records in id order."""
-        fields = ("kind", "var", "lo", "hi", "left", "right", "value")
-        records = [{f: getattr(node, f) for f in fields} for node in nodes]
-        self._freeze(*_columns(records), source, declared_vars)
-
-    @classmethod
-    def from_columns(cls, kind, var, lo, hi, source, declared_vars=None, copies=()):
-        """A diagram from its four columns, checked as ``Diagram()`` checks.
-        The columns are copied: no array of the diagram is one the caller
-        holds.
+    def __init__(self, kind, var, lo, hi, source, declared_vars=None, copies=()):
+        """A diagram from its four columns in id order; a malformed table
+        is a FormatError. The columns are copied: no array of the diagram
+        is one the caller holds.
 
         ``copies`` holds ``(at, a, b)`` instructions, run in order: the
         given rows fill the table up to ``at`` nodes, then the rows ``a`` to
         ``b - 1`` are appended again with each child id ``c >= a`` moved to
         ``c + at - a`` (lower ids and sink values stay), and the given rows
         left after the last copy follow. The given child ids and ``source``
-        name rows of this expanded table. The diagram equals ``from_columns``
-        on the expanded columns, but when the rows up to each copy are
+        name rows of this expanded table. The diagram equals the one made
+        from the expanded columns, but when the rows up to each copy are
         children first, a copied row takes the class of the row it copies
         and is not hash-consed again. A copy that is not three ints with
         ``0 <= a < b <= at``, or whose ``at`` is not the length the table
         reaches before it, is a FormatError."""
-        self = cls.__new__(cls)
         if copies:
             kind, var, lo, hi, copies = _expand(kind, var, lo, hi, copies)
-        self._freeze(kind, var, lo, hi, source, declared_vars, copies)
-        return self
-
-    def _freeze(self, kind, var, lo, hi, source, declared_vars, copies=()):
         var = tuple(var)
         n = len(kind)
         # ``topo()`` is computed when first asked for, unless classifying
@@ -372,18 +326,6 @@ class Diagram:
     def children(self, node_id):
         return (self.lo[node_id], self.hi[node_id]) if self.kind[node_id] else ()
 
-    def node(self, node_id):
-        k, a, b = self.kind[node_id], self.lo[node_id], self.hi[node_id]
-        if k == DECISION:
-            return Node("decision", var=self.var[node_id], lo=a, hi=b)
-        if k == AND:
-            return Node("and", left=a, right=b)
-        return Node("sink", value=a)
-
-    @property
-    def nodes(self):
-        return tuple(map(self.node, range(len(self.kind))))
-
     def __eq__(self, other):
         return (isinstance(other, Diagram) and self.source == other.source
                 and self.kind == other.kind and self.var == other.var
@@ -443,7 +385,7 @@ class DiagramBuilder:
         kind, var, lo, hi = self._kind, self._var, self._lo, self._hi
         n = len(kind)
         if type(source) is not int or not 0 <= source < n:
-            return Diagram.from_columns(kind, var, lo, hi, source, declared_vars)
+            return Diagram(kind, var, lo, hi, source, declared_vars)
         reached = [False] * n
         reached[source] = True
         for i in range(source, -1, -1):  # parents before children
@@ -451,9 +393,9 @@ class DiagramBuilder:
                 reached[lo[i]] = reached[hi[i]] = True
         keep = [i for i in range(n) if reached[i]]
         if len(keep) == n:
-            return Diagram.from_columns(kind, var, lo, hi, source, declared_vars)
+            return Diagram(kind, var, lo, hi, source, declared_vars)
         remap = dict(zip(keep, range(len(keep))))
-        return Diagram.from_columns(
+        return Diagram(
             [kind[i] for i in keep], [var[i] for i in keep],
             [remap[lo[i]] if kind[i] else lo[i] for i in keep],
             [remap[hi[i]] if kind[i] else -1 for i in keep],
@@ -792,7 +734,7 @@ def from_json(text):
         if names is not None and len(set(names)) != len(names):
             twice = next(x for k, x in enumerate(names) if x in names[:k])
             raise FormatError(f"vars lists {twice!r} twice")
-        return Diagram.from_columns(*_columns(entries), doc["source"], names)
+        return Diagram(*_columns(entries), doc["source"], names)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad diagram JSON: {exc}") from exc
 

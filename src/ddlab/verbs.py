@@ -139,7 +139,11 @@ def _experiment(args, path):
 
 def _search(args):
     """Keyword arguments for the order search that ``args`` asks for, and the
-    fields a summary records about it."""
+    fields a summary records about it; a ``seed`` without ``sample`` seeds
+    nothing and is malformed."""
+    if "seed" in args and "sample" not in args:
+        raise FormatError(f"{args.name('seed')} needs {args.name('sample')}: "
+                          f"only a sampled search is seeded")
     if "sample" in args:
         info = {"sample": int(args["sample"]), "seed": int(args["seed"])}
         return {"search": "sampled", "count": info["sample"], "seed": info["seed"]}, info

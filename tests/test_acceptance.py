@@ -237,14 +237,14 @@ def test_criterion_04_appendix_case_oracles():
         while done < 60:
             b, _ = random_and_obdd(rng, [f"v{i}" for i in range(rng.randint(3, 6))],
                                    root_kind="decision")
-            src = b.node(b.source)
-            if src.kind != "decision":
+            src = b.source
+            if b.kind[src] != D.DECISION:
                 continue
-            x = src.var
+            x = b.var[src]
             i = rng.randint(0, 1)
             extra = [v for v in b.vars - {x} if rng.random() < 0.4]
             g = Assignment({x: i, **{v: rng.randint(0, 1) for v in extra}})
-            child = src.hi if i else src.lo
+            child = b.hi[src] if i else b.lo[src]
             sub = AL.subdiagram(b, child)[0]
             left = restrict_set(D.satisfying_set(b), g)
             free = (b.vars - g.vars) - b.vars_below(child)
@@ -258,13 +258,13 @@ def test_criterion_04_appendix_case_oracles():
         while done < 60:
             b, _ = random_and_obdd(rng, [f"v{i}" for i in range(rng.randint(4, 6))],
                                    root_kind="and")
-            src = b.node(b.source)
-            if src.kind != "and":
+            src = b.source
+            if b.kind[src] != D.AND:
                 continue
             g = Assignment({v: rng.randint(0, 1) for v in b.vars if rng.random() < 0.5})
             left = restrict_set(D.satisfying_set(b), g)
             parts = [restrict_set(D.satisfying_set(AL.subdiagram(b, c)[0]), g)
-                     for c in (src.left, src.right)]
+                     for c in b.children(src)]
             assert left == product_all(parts)
             done += 1
             diagrams_used += 1
@@ -273,17 +273,18 @@ def test_criterion_04_appendix_case_oracles():
         while done < 60:
             b, _ = random_and_obdd(rng, [f"v{i}" for i in range(rng.randint(4, 8))],
                                    root_kind="decision")
-            src = b.node(b.source)
-            if src.kind != "decision" or src.var != sorted(b.vars)[0]:
+            src = b.source
+            if b.kind[src] != D.DECISION or b.var[src] != sorted(b.vars)[0]:
                 continue
             order = G.LinearOrder(sorted(b.vars))
             k = rng.randint(1, len(b.vars))
             g = Assignment({v: rng.randint(0, 1) for v in order.names[:k]})
-            child = src.hi if g[src.var] else src.lo
+            x = b.var[src]
+            child = b.hi[src] if g[x] else b.lo[src]
             sub, idmap = AL.subdiagram(b, child)
             fr = AL.frontier(b, order, g)
             fr_child = AL.frontier(sub, G.LinearOrder(
-                [v for v in order.names if v != src.var]), g.minus({src.var}))
+                [v for v in order.names if v != x]), g.minus({x}))
             assert {idmap[u] for u in fr.l_nodes} == fr_child.l_nodes
             expect_free = ((b.vars - g.vars) - b.vars_below(child)) | fr_child.free_vars
             assert fr.free_vars == expect_free
@@ -293,8 +294,8 @@ def test_criterion_04_appendix_case_oracles():
         while done < 60:
             b, _ = random_and_obdd(rng, [f"v{i}" for i in range(rng.randint(4, 8))],
                                    root_kind="and")
-            src = b.node(b.source)
-            if src.kind != "and":
+            src = b.source
+            if b.kind[src] != D.AND:
                 continue
             order = G.LinearOrder(sorted(b.vars))
             k = rng.randint(0, len(b.vars))
@@ -302,7 +303,7 @@ def test_criterion_04_appendix_case_oracles():
             fr = AL.frontier(b, order, g)
             union_l = set()
             union_free = set()
-            for child in (src.left, src.right):
+            for child in b.children(src):
                 sub, idmap = AL.subdiagram(b, child)
                 back = {new: old for old, new in idmap.items()}
                 sub_vars = b.vars_below(child)
@@ -378,9 +379,9 @@ def test_criterion_07_upper_bound_size_tables():
         for n in range(2, 7):
             diagram = CP.psi_layer_obdd(n, "hor")
             per_var = {}
-            for node in diagram.nodes:
-                if node.kind == "decision":
-                    per_var[node.var] = per_var.get(node.var, 0) + 1
+            for k, x in zip(diagram.kind, diagram.var):
+                if k == D.DECISION:
+                    per_var[x] = per_var.get(x, 0) + 1
             width = max(per_var.values())
             print(f"    n={n}: max layer width {width} (gate 16)")
             assert width <= 16

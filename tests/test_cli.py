@@ -378,6 +378,26 @@ class TestRun:
         code, message = self.run_step(tmp_path, capsys, verb, args)
         assert code == 2 and message.endswith("(FormatError): give 'grid' or 'graph', not both")
 
+    @pytest.mark.parametrize("verb,args", [
+        ("width", {"grid": 2, "seed": 1}),
+        ("minobdd", {"cnf": "f.cnf", "seed": 1}),
+    ], ids=["width", "minobdd"])
+    def test_a_seed_without_a_sample_is_exit_2_on_both_routes(self, tmp_path, capsys,
+                                                              monkeypatch, verb, args):
+        monkeypatch.chdir(tmp_path)
+        cnf = "p cnf 2 1\n1 2 0\n"
+        put("f.cnf", cnf)
+        code, out, err = run([verb, *(x for k, v in args.items() for x in (f"--{k}", str(v)))],
+                             capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "FormatError", "message":
+                                   "--seed needs --sample: only a sampled search is seeded"}
+        code, error = self.run_manifest(tmp_path, capsys, {"name": "seed", "steps": [
+            {"name": "w", "verb": "write", "args": {"path": "f.cnf", "text": cnf}},
+            {"name": "s", "verb": verb, "args": args}]})
+        assert code == 2 and error["message"].endswith(
+            "(FormatError): 'seed' needs 'sample': only a sampled search is seeded")
+
     # a key that the method, family or (with cnf) obdd does not read, and
     # what the message names as not reading it
     UNREAD_KEYS = [

@@ -406,9 +406,9 @@ class TestPsiLayer:
     def test_per_layer_width_bounded(self, n):
         diagram = CP.psi_layer_obdd(n, "hor")
         per_var = {}
-        for node in diagram.nodes:
-            if node.kind == "decision":
-                per_var[node.var] = per_var.get(node.var, 0) + 1
+        for k, x in zip(diagram.kind, diagram.var):
+            if k == D.DECISION:
+                per_var[x] = per_var.get(x, 0) + 1
         assert max(per_var.values()) <= 16
 
     def test_junction_fbdd(self):

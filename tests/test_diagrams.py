@@ -57,15 +57,16 @@ class TestValidate:
         assert cls.is_and_obdd and cls.order is not None
 
     def test_two_sources(self):
-        nodes = [D.sink(1), D.decision("x", 0, 0), D.decision("y", 0, 0)]
+        # a sink and the decision nodes x and y on it, neither above the other
+        d = D.Diagram([D.SINK, D.DECISION, D.DECISION], [None, "x", "y"], [1, 0, 0], [-1, 0, 0], 1)
         with pytest.raises(DiagramInvariantError) as exc:
-            D.validate(D.Diagram(nodes, 1))
+            D.validate(d)
         assert exc.value.rule == "single-source"
 
     def test_duplicate_sinks(self):
-        nodes = [D.sink(1), D.sink(1), D.decision("x", 0, 1)]
+        d = D.Diagram([D.SINK, D.SINK, D.DECISION], [None, None, "x"], [1, 1, 0], [-1, -1, 1], 2)
         with pytest.raises(DiagramInvariantError) as exc:
-            D.validate(D.Diagram(nodes, 2))
+            D.validate(d)
         assert exc.value.rule == "sink-form"
 
     def test_decomposability_violation(self):
@@ -106,9 +107,8 @@ class TestValidate:
             D.validate(figure_diagram(), ("x2", "x1"))
 
     def test_cycle_rejected_at_construction(self):
-        nodes = [D.decision("x", 1, 1), D.decision("y", 0, 0)]
-        with pytest.raises(FormatError):
-            D.Diagram(nodes, 0)
+        with pytest.raises(FormatError, match="cycle"):
+            D.Diagram([D.DECISION, D.DECISION], ["x", "y"], [1, 0], [1, 0], 0)
 
 
 class TestValidateMemo:
@@ -289,7 +289,7 @@ class TestPathAssignment:
     def test_conjunction_contributes_nothing(self):
         d = figure_diagram()
         # source is the top conjunction; step into the x2 decision node
-        x2 = d.node(d.source).left
+        x2 = d.lo[d.source]
         path = [d.source, x2]
         assert path_assignment(d, path) == Assignment()
 
@@ -401,23 +401,26 @@ class TestSerialization:
         b = D.DiagramBuilder()
         assert b.sink(True) == b.sink(1) == 0
         d = b.finalize(b.decision("x", b.sink(False), 0))
-        assert d.node(0) == D.sink(1) and d.node(1) == D.sink(0)
+        assert (d.kind[0], d.lo[0], d.kind[1], d.lo[1]) == (D.SINK, 1, D.SINK, 0)
         assert D.from_json(D.to_json(d)) == d
+
+
+def sink_over_unreachable_y():
+    """A true sink as the source, and a decision node on y that nothing reaches."""
+    return D.Diagram([D.SINK, D.DECISION], [None, "y"], [1, 0], [-1, 0], 0)
 
 
 def to_json_by_dumps(b):
     """The document-then-``json.dumps`` writer: the oracle for the one-pass
     ``to_json``."""
     nodes = []
-    for i, node in enumerate(b.nodes):
-        entry = {"id": i, "kind": node.kind}
-        if node.kind == "decision":
-            entry.update(var=node.var, lo=node.lo, hi=node.hi)
-        elif node.kind == "and":
-            entry.update(left=node.left, right=node.right)
+    for i, (k, x, a, c) in enumerate(zip(b.kind, b.var, b.lo, b.hi)):
+        if k == D.DECISION:
+            nodes.append({"id": i, "kind": "decision", "var": x, "lo": a, "hi": c})
+        elif k == D.AND:
+            nodes.append({"id": i, "kind": "and", "left": a, "right": c})
         else:
-            entry.update(value=node.value)
-        nodes.append(entry)
+            nodes.append({"id": i, "kind": "sink", "value": a})
     doc = {
         "source": b.source,
         "vars": sorted(b.declared_vars if b.declared_vars is not None else b.vars),
@@ -448,7 +451,7 @@ class TestWriterOracle:
         assert D.to_json(d) == to_json_by_dumps(d)
 
     def test_unreachable_nodes(self):
-        d = D.Diagram([D.sink(1), D.decision("y", 0, 0)], 0)
+        d = sink_over_unreachable_y()
         assert D.to_json(d) == to_json_by_dumps(d)
 
     def test_names_that_need_escaping(self):
@@ -514,7 +517,7 @@ class TestJsonChunks:
         f, t = b.sink(0), b.sink(1)
         escaped = b.finalize(b.decision('q"uote', f, b.decision("é\u2227\\", f, t)))
         for d in (figure_diagram(), a_and_b(), wider, escaped,
-                  D.Diagram([D.sink(1), D.decision("y", 0, 0)], 0)):
+                  sink_over_unreachable_y()):
             assert_chunks_match_one_pass(d)
 
     @pytest.mark.parametrize("value", [0, 1])
@@ -556,12 +559,12 @@ def test_graft_shares_sinks_and_prunes():
 
 
 # ---------------------------------------------------------------------------
-# the columnar core against the node-record passes it replaced
+# the columnar core against passes that walk the node table by id
 
 
-def toposort_by_nodes(nodes):
-    """Kahn's algorithm on a stack over each Node's children."""
-    kids = [node.children() for node in nodes]
+def toposort_by_nodes(b):
+    """Kahn's algorithm on a stack over each node's children."""
+    kids = [(b.lo[i], b.hi[i]) if b.kind[i] != D.SINK else () for i in range(b.size)]
     indeg = [0] * len(kids)
     for children in kids:
         for c in children:
@@ -580,35 +583,34 @@ def toposort_by_nodes(nodes):
     return tuple(out)
 
 
-def vars_below_by_nodes(nodes, topo):
+def vars_below_by_nodes(b, topo):
     """Per node, the variables tested at or below it, children first."""
-    below = [frozenset()] * len(nodes)
+    below = [frozenset()] * b.size
     for i in topo:
-        node = nodes[i]
-        if node.kind == "decision":
-            below[i] = below[node.lo] | below[node.hi] | {node.var}
-        elif node.kind == "and":
-            below[i] = below[node.left] | below[node.right]
+        if b.kind[i] == D.DECISION:
+            below[i] = below[b.lo[i]] | below[b.hi[i]] | {b.var[i]}
+        elif b.kind[i] == D.AND:
+            below[i] = below[b.lo[i]] | below[b.hi[i]]
     return tuple(below)
 
 
-def count_models_by_nodes(nodes, source, topo, below, universe):
+def count_models_by_nodes(b, topo, below, universe):
     """The one-pass count with each branch's free variables found by set
     difference."""
     counts = {}
     for i in topo:
-        node = nodes[i]
-        if node.kind == "sink":
-            counts[i] = node.value
-        elif node.kind == "decision":
-            mine = below[i] - {node.var}
-            lo_free = len(mine - below[node.lo])
-            hi_free = len(mine - below[node.hi])
-            counts[i] = (counts[node.lo] << lo_free) + (counts[node.hi] << hi_free)
+        k, lo, hi = b.kind[i], b.lo[i], b.hi[i]
+        if k == D.SINK:
+            counts[i] = lo
+        elif k == D.DECISION:
+            mine = below[i] - {b.var[i]}
+            lo_free = len(mine - below[lo])
+            hi_free = len(mine - below[hi])
+            counts[i] = (counts[lo] << lo_free) + (counts[hi] << hi_free)
         else:
-            free = len(below[i] - below[node.left] - below[node.right])
-            counts[i] = (counts[node.left] * counts[node.right]) << free
-    return counts[source] << (len(universe) - len(below[source]))
+            free = len(below[i] - below[lo] - below[hi])
+            counts[i] = (counts[lo] * counts[hi]) << free
+    return counts[b.source] << (len(universe) - len(below[b.source]))
 
 
 def renumbered(b, rng):
@@ -616,40 +618,28 @@ def renumbered(b, rng):
     children need not have smaller ids than their parents."""
     perm = list(range(b.size))
     rng.shuffle(perm)
-    nodes = [None] * b.size
-    for i, node in enumerate(b.nodes):
-        if node.kind == "decision":
-            node = D.decision(node.var, perm[node.lo], perm[node.hi])
-        elif node.kind == "and":
-            node = D.conj(perm[node.left], perm[node.right])
-        nodes[perm[i]] = node
-    return D.Diagram(nodes, perm[b.source], b.declared_vars)
+    kind, var, lo, hi = [None] * b.size, [None] * b.size, [None] * b.size, [None] * b.size
+    for i, (k, x, a, c) in enumerate(zip(b.kind, b.var, b.lo, b.hi)):
+        j = perm[i]
+        kind[j], var[j] = k, x
+        lo[j], hi[j] = (perm[a], perm[c]) if k != D.SINK else (a, c)
+    return D.Diagram(kind, var, lo, hi, perm[b.source], b.declared_vars)
 
 
-def assert_matches_node_passes(b, nodes, universe):
-    topo = toposort_by_nodes(nodes)
-    below = vars_below_by_nodes(nodes, topo)
+def assert_matches_node_passes(b, universe):
+    topo = toposort_by_nodes(b)
+    below = vars_below_by_nodes(b, topo)
     assert b.topo() == topo
     assert tuple(map(b.vars_below, range(b.size))) == below
-    assert D.count_models(b, universe) == count_models_by_nodes(
-        nodes, b.source, topo, below, universe)
+    assert D.count_models(b, universe) == count_models_by_nodes(b, topo, below, universe)
 
 
-def assert_equal_and_hashed_alike(b, nodes):
-    again = D.Diagram(nodes, b.source, b.declared_vars)
+def assert_equal_and_hashed_alike(b):
+    again = D.Diagram(list(b.kind), list(b.var), list(b.lo), list(b.hi), b.source,
+                      b.declared_vars)
     assert again == b and hash(again) == hash(b)
     back = D.from_json(D.to_json(b))
     assert back == b and hash(back) == hash(b)
-
-
-def assert_node_records_agree(b, nodes):
-    assert nodes == tuple(map(b.node, range(b.size)))
-    for i, node in enumerate(nodes):
-        kind = ("sink", "decision", "and")[b.kind[i]]
-        assert node.kind == kind and node.children() == b.children(i)
-        assert node == (D.sink(b.lo[i]) if kind == "sink" else
-                        D.decision(b.var[i], b.lo[i], b.hi[i]) if kind == "decision" else
-                        D.conj(b.lo[i], b.hi[i]))
 
 
 def vc_tree(n):
@@ -669,13 +659,13 @@ def vc5_tree():
 def replayed(b):
     """The diagram built again node by node through a DiagramBuilder."""
     builder = D.DiagramBuilder()
-    for node in b.nodes:
-        if node.kind == "sink":
-            builder.sink(node.value)
-        elif node.kind == "decision":
-            builder.decision(node.var, node.lo, node.hi)
+    for k, x, a, c in zip(b.kind, b.var, b.lo, b.hi):
+        if k == D.SINK:
+            builder.sink(a)
+        elif k == D.DECISION:
+            builder.decision(x, a, c)
         else:
-            builder.conj(node.left, node.right)
+            builder.conj(a, c)
     return builder.finalize(b.source, b.declared_vars)
 
 
@@ -688,10 +678,8 @@ class TestColumnarCore:
             d, _ = random_and_obdd(rng, names, p_and=p_and)
             universe = set(names) | {"z"}
             for b in (d, renumbered(d, rng)):
-                nodes = b.nodes
-                assert_matches_node_passes(b, nodes, universe)
-                assert_node_records_agree(b, nodes)
-                assert_equal_and_hashed_alike(b, nodes)
+                assert_matches_node_passes(b, universe)
+                assert_equal_and_hashed_alike(b)
                 assert D.to_json(b) == to_json_by_dumps(b)
 
     def test_renumbered_diagram_keeps_its_semantics(self):
@@ -706,10 +694,9 @@ class TestColumnarCore:
 
     def test_vc_grid5_tree(self, vc5_tree):
         b = vc5_tree
-        nodes = b.nodes
-        assert len(nodes) == 71186
-        assert_matches_node_passes(b, nodes, b.vars)
-        assert_equal_and_hashed_alike(b, nodes)
+        assert len(b.kind) == len(b.var) == len(b.lo) == len(b.hi) == 71186
+        assert_matches_node_passes(b, b.vars)
+        assert_equal_and_hashed_alike(b)
 
     def test_vc_grid5_tree_bytes_pinned(self, vc5_tree):
         text = D.to_json(vc5_tree)
@@ -741,7 +728,8 @@ class TestColumnarCore:
     def test_every_route_makes_the_same_packed_columns(self):
         from ddlab.compile import dt_to_diagram
         d = dt_to_diagram(vc_tree(4))
-        routes = [D.Diagram(d.nodes, d.source), D.from_json(D.to_json(d)), replayed(d)]
+        columns = [list(d.kind), list(d.var), list(d.lo), list(d.hi)]
+        routes = [D.Diagram(*columns, d.source), D.from_json(D.to_json(d)), replayed(d)]
         for b in [d, *routes]:
             assert (b.kind.typecode, b.lo.typecode, b.hi.typecode) == ("b", "l", "l")
             assert type(b.var) is tuple
@@ -749,25 +737,26 @@ class TestColumnarCore:
         for b in routes:
             assert b == d and hash(b) == hash(d)
 
-    def test_from_columns_copies_its_arrays(self):
+    def test_the_constructor_copies_its_arrays(self):
         kind, var = array("b", [D.SINK, D.SINK, D.DECISION]), [None, None, "x"]
         lo, hi = array("l", [0, 1, 0]), array("l", [-1, -1, 1])
-        d = D.Diagram.from_columns(kind, var, lo, hi, 2)
+        d = D.Diagram(kind, var, lo, hi, 2)
         assert not {id(kind), id(lo), id(hi)} & {id(d.kind), id(d.lo), id(d.hi)}
         kind[2], lo[2], hi[2], var[2] = D.AND, 1, 0, None
-        assert d.nodes == (D.sink(0), D.sink(1), D.decision("x", 0, 1))
+        assert (list(d.kind), d.var, list(d.lo), list(d.hi)) == (
+            [D.SINK, D.SINK, D.DECISION], (None, None, "x"), [0, 1, 0], [-1, -1, 1])
         assert D.count_models(d) == 1
 
     @pytest.mark.parametrize("hi", [None, 0, -1.0])
     def test_a_sink_hi_other_than_minus_one_is_rejected(self, hi):
         with pytest.raises(FormatError, match="a sink's hi is -1"):
-            D.Diagram.from_columns([D.SINK, D.SINK], [None, None], [0, 1], [-1, hi], 0)
+            D.Diagram([D.SINK, D.SINK], [None, None], [0, 1], [-1, hi], 0)
 
     def test_unequal_diagrams_compare_unequal(self):
         d = figure_diagram()
-        nodes = list(d.nodes)
-        nodes[0], nodes[1] = nodes[1], nodes[0]  # swap the two sinks' labels
-        other = D.Diagram(nodes, d.source)
+        lo = list(d.lo)
+        lo[0], lo[1] = lo[1], lo[0]  # swap the two sinks' labels
+        other = D.Diagram(d.kind, d.var, lo, d.hi, d.source)
         assert other != d and D.count_models(other) != D.count_models(d)
         b = D.DiagramBuilder()
         wider = b.finalize(D.graft(b, d), declared_vars=set(d.vars) | {"x9"})
@@ -775,7 +764,7 @@ class TestColumnarCore:
 
 
 def random_copy_table(rng, rows, forward=False):
-    """Given rows and copy instructions for ``from_columns``: sinks, and
+    """Given rows and copy instructions for ``Diagram``: sinks, and
     decisions and conjunctions over earlier ids, or with ``forward`` over
     any id a few rows on, and copies of earlier spans, from row 0 or 1 too."""
     kind, var, lo, hi, copies = [], [], [], [], []
@@ -816,14 +805,14 @@ def expanded(kind, var, lo, hi, copies):
 def frozen(kind, var, lo, hi, source, copies=()):
     """The diagram, or the message of the FormatError that rejects it."""
     try:
-        return D.Diagram.from_columns(kind, var, lo, hi, source, copies=copies)
+        return D.Diagram(kind, var, lo, hi, source, copies=copies)
     except FormatError as exc:
         return str(exc)
 
 
 class TestCopies:
-    """``from_columns`` with copy instructions against ``from_columns`` on
-    the columns the copies expand to."""
+    """``Diagram`` with copy instructions against ``Diagram`` on the
+    columns the copies expand to."""
 
     def test_random_children_first_tables(self):
         rng = random.Random(95)
@@ -831,8 +820,8 @@ class TestCopies:
             table = random_copy_table(rng, rng.randint(2, 40))
             full = expanded(*table)
             source = rng.randrange(len(full[0]))
-            d = D.Diagram.from_columns(*table[:4], source, copies=table[4])
-            want = D.Diagram.from_columns(*full, source)
+            d = D.Diagram(*table[:4], source, copies=table[4])
+            want = D.Diagram(*full, source)
             assert_same_classes(d, want)
             assert d._topo is None and want._topo is None
 
@@ -860,10 +849,11 @@ class TestCopies:
         # row 2 reaches row 3; row 4 copies row 3
         kind, var = [D.SINK, D.SINK, D.DECISION, D.DECISION, D.AND], [None, None, "x", "y", None]
         lo, hi = [0, 1, 3, 0, 2], [-1, -1, 1, 1, 4]
-        d = D.Diagram.from_columns(kind, var, lo, hi, 5, copies=[(4, 3, 4)])
-        want = D.Diagram.from_columns(*expanded(kind, var, lo, hi, [(4, 3, 4)]), 5)
+        d = D.Diagram(kind, var, lo, hi, 5, copies=[(4, 3, 4)])
+        want = D.Diagram(*expanded(kind, var, lo, hi, [(4, 3, 4)]), 5)
         assert_same_classes(d, want)
-        assert d.lo[5] == 2 and d.hi[5] == 4 and d.node(4) == D.decision("y", 0, 1)
+        assert d.lo[5] == 2 and d.hi[5] == 4
+        assert (d.kind[4], d.var[4], d.lo[4], d.hi[4]) == (D.DECISION, "y", 0, 1)
         assert d.topo() == want.topo() and d._topo is not None
 
     @pytest.mark.parametrize("copies", [
@@ -874,7 +864,7 @@ class TestCopies:
     def test_a_malformed_copy_is_named(self, copies):
         kind, var = [D.SINK, D.SINK, D.DECISION], [None, None, "x"]
         with pytest.raises(FormatError, match=re.escape(repr(copies[-1]))):
-            D.Diagram.from_columns(kind, var, [0, 0, 0], [-1, -1, 1], 2, copies=copies)
+            D.Diagram(kind, var, [0, 0, 0], [-1, -1, 1], 2, copies=copies)
 
 
 # ---------------------------------------------------------------------------
@@ -883,31 +873,33 @@ class TestCopies:
 
 def isomorphic_by_pairs(b):
     """(u, v) -> whether the subdiagrams below u and v are isomorphic: equal
-    records but for the child ids, and pairwise isomorphic children. Pairs
-    are compared recursively, hashing no subdiagram."""
-    nodes = b.nodes
+    kinds and variables, equal values on sinks, and pairwise isomorphic
+    children. Pairs are compared recursively, hashing no subdiagram."""
+    kind, var, lo, hi = b.kind, b.var, b.lo, b.hi
     memo = {}
 
     def iso(u, v):
         if (u, v) not in memo:
-            one, two = nodes[u], nodes[v]
-            memo[u, v] = (one.kind == two.kind and one.var == two.var
-                          and one.value == two.value
-                          and all(map(iso, one.children(), two.children())))
+            if kind[u] != kind[v] or var[u] != var[v]:
+                memo[u, v] = False
+            elif kind[u] == D.SINK:
+                memo[u, v] = lo[u] == lo[v]
+            else:
+                memo[u, v] = iso(lo[u], lo[v]) and iso(hi[u], hi[v])
         return memo[u, v]
 
     return iso
 
 
-def evaluate_by_nodes(nodes, node_id, a):
+def evaluate_by_nodes(b, node_id, a):
     """A diagram's value under a total assignment, by recursion from a node
-    over the node records."""
-    node = nodes[node_id]
-    if node.kind == "sink":
-        return node.value
-    if node.kind == "decision":
-        return evaluate_by_nodes(nodes, node.hi if a[node.var] else node.lo, a)
-    return evaluate_by_nodes(nodes, node.left, a) & evaluate_by_nodes(nodes, node.right, a)
+    over the node table."""
+    k, lo, hi = b.kind[node_id], b.lo[node_id], b.hi[node_id]
+    if k == D.SINK:
+        return lo
+    if k == D.DECISION:
+        return evaluate_by_nodes(b, hi if a[b.var[node_id]] else lo, a)
+    return evaluate_by_nodes(b, lo, a) & evaluate_by_nodes(b, hi, a)
 
 
 def assert_classes_are_isomorphism(b):
@@ -920,11 +912,10 @@ def assert_classes_are_isomorphism(b):
 
 
 def assert_semantics_match_node_walk(b, universe):
-    nodes = b.nodes
-    models = AssignmentSet(a for a in cube(universe) if evaluate_by_nodes(nodes, b.source, a))
+    models = AssignmentSet(a for a in cube(universe) if evaluate_by_nodes(b, b.source, a))
     assert D.satisfying_set(b, universe) == models
     assert [D.evaluate(b, a) for a in cube(universe)] == [
-        evaluate_by_nodes(nodes, b.source, a) for a in cube(universe)]
+        evaluate_by_nodes(b, b.source, a) for a in cube(universe)]
     acc = D.accepted(b)
     assert AssignmentSet(a for a in cube(universe) if any(m <= a for m in acc)) == models
 
@@ -959,10 +950,9 @@ class TestIsomorphismClasses:
             for b in (twice, renumbered(twice, rng)):
                 assert_classes_are_isomorphism(b)
             universe = set(names) | {"y"}
-            topo = toposort_by_nodes(twice.nodes)
+            topo = toposort_by_nodes(twice)
             assert D.count_models(twice, universe) == count_models_by_nodes(
-                twice.nodes, twice.source, topo, vars_below_by_nodes(twice.nodes, topo),
-                universe)
+                twice, topo, vars_below_by_nodes(twice, topo), universe)
             assert_semantics_match_node_walk(twice, universe)
 
     def test_compiled_diagrams(self):
@@ -986,19 +976,23 @@ def with_unreachable_nodes(d, rng, names):
     """``d`` with one to three nodes no path from the source reaches, each over
     nodes already there: decisions on its variables or on w, outside them, and
     conjunctions."""
-    nodes = list(d.nodes)
+    kind, var, lo, hi = list(d.kind), list(d.var), list(d.lo), list(d.hi)
     for _ in range(rng.randint(1, 3)):
-        kids = rng.randrange(len(nodes)), rng.randrange(len(nodes))
+        kids = rng.randrange(len(kind)), rng.randrange(len(kind))
         if rng.random() < 0.8:
-            nodes.append(D.decision(rng.choice(names + ["w"]), *kids))
+            kind.append(D.DECISION)
+            var.append(rng.choice(names + ["w"]))
         else:
-            nodes.append(D.conj(*kids))
-    return D.Diagram(nodes, d.source)
+            kind.append(D.AND)
+            var.append(None)
+        lo.append(kids[0])
+        hi.append(kids[1])
+    return D.Diagram(kind, var, lo, hi, d.source)
 
 
 class TestUnreachableNodes:
     def test_sink_source_over_an_unreachable_decision(self):
-        b = D.Diagram([D.sink(1), D.decision("y", 0, 0)], 0)
+        b = sink_over_unreachable_y()
         assert b.vars == frozenset() and b.merged_size == 2
         assert D.evaluate(b, Assignment()) == 1
         assert D.truth_table(b, []) == 1
@@ -1018,10 +1012,9 @@ class TestUnreachableNodes:
             b = with_unreachable_nodes(d, rng, names)
             universe = set(names) | {"z"}
             assert b.vars == d.vars and b.size > d.size
-            nodes = b.nodes
-            topo = toposort_by_nodes(nodes)
+            topo = toposort_by_nodes(b)
             assert D.count_models(b, universe) == count_models_by_nodes(
-                nodes, b.source, topo, vars_below_by_nodes(nodes, topo), universe)
+                b, topo, vars_below_by_nodes(b, topo), universe)
             assert_semantics_match_node_walk(b, universe)
             order = sorted(universe)
             assert D.truth_table(b, order) == D.truth_table(d, order)

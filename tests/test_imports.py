@@ -9,8 +9,11 @@ package's re-exports, and so are ``from __future__`` imports. A top-level
 ``def`` or ``class`` whose name starts with one underscore is private to the
 package, so some module of the package must read it: as a name, as an
 attribute, or through an import. A public top-level ``def`` or ``class`` must
-be read, in the same ways, by some other top-level statement of the package
-(its own body does not count), or be one of the functions that
+be read by some other top-level statement of the package (its own body does
+not count), each read resolved by binding: a bare name in its own module, a
+name imported from its module, or an attribute of a name bound to its
+module, so neither a method of the same name nor a namesake in another
+module counts. Otherwise it must be one of the functions that
 ``perfbench/tracing.py`` wraps (its ``LAYERS`` table, read with ``ast``), or
 be in ``UNREAD``, which gives the reason each name there has no reader; an
 entry there that is gone, traced or read fails too. A call of
@@ -131,17 +134,46 @@ def test_no_unread_private_definition(path):
     assert unread == [], f"{path.name} defines private names no module reads"
 
 
+def module_bindings(tree):
+    """Name -> module, for each ``from . import m`` or ``from . import m as
+    name`` in the module: the names bound to modules of the package."""
+    return {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names}
+
+
+def definitions_read_in(stmt, module, bound):
+    """(module, name) for each definition that ``stmt``, a statement of
+    ``module``, may read: a bare name as ``module``'s own, a name imported
+    ``from .m`` as m's, and an attribute ``m.name`` as m's where ``bound``
+    binds ``m`` to a module. Any other attribute, such as a method call
+    ``a.project(...)``, reads no definition."""
+    read = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add((module, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound):
+            read.add((bound[node.value.id], node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            read.update((node.module, alias.name) for alias in node.names)
+    return read
+
+
 def unread_public(sources):
     """(module, line, name) for each public top-level def or class in
-    ``sources`` (module -> source) that no other top-level statement reads."""
-    read = defaultdict(set)  # name -> (module, definition) reading it; None outside any
+    ``sources`` (module -> source) that no other top-level statement reads,
+    reads resolved by binding as ``definitions_read_in`` resolves them."""
+    read = defaultdict(set)  # (module, name) -> (module, definition) reading it
     for module, source in sources.items():
-        for stmt in ast.parse(source).body:
-            for name in names_read_in(stmt):
-                read[name].add((module, getattr(stmt, "name", None)))
+        tree = ast.parse(source)
+        bound = module_bindings(tree)
+        for stmt in tree.body:
+            for key in definitions_read_in(stmt, module, bound):
+                read[key].add((module, getattr(stmt, "name", None)))
     return [(module, line, name) for module, source in sources.items()
             for line, name in definitions(source)
-            if not name.startswith("_") and not read[name] - {(module, name)}]
+            if not name.startswith("_") and not read[module, name] - {(module, name)}]
 
 
 @functools.cache
@@ -163,17 +195,47 @@ def traced():
 
 
 def test_scan_finds_an_unread_public_definition():
-    # a definition's reading itself does not count; an attribute or a table does
+    # a definition's reading itself does not count; a module attribute or a table does
     sources = {"a": ("def used():\n    pass\n"
                      "def recursive():\n    return recursive()\n"
                      "class Alone:\n    pass\n"
                      "def _private():\n    pass\n"
                      "def attribute():\n    pass\n"
                      "TABLE = {'x': used}\n"),
-               "b": ("from .a import _private\n"
-                     "def reads(a):\n    return a.attribute\n")}
+               "b": ("from . import a as mod\n"
+                     "from .a import _private\n"
+                     "def reads():\n    return mod.attribute\n")}
     assert unread_public(sources) == [("a", 3, "recursive"), ("a", 5, "Alone"),
-                                      ("b", 2, "reads")]
+                                      ("b", 3, "reads")]
+
+
+def test_scan_reads_a_method_as_no_definition():
+    sources = {"assignments": "def project(rows, names):\n    pass\n",
+               "lowerbound": ("from . import assignments\n"
+                              "def certify(a, names):\n    return a.project(names)\n"
+                              "VERBS = [certify]\n")}
+    assert unread_public(sources) == [("assignments", 1, "project")]
+
+
+def test_scan_judges_namesakes_apart():
+    # each module's validate is read only through its own binding
+    sources = {"diagrams": "def validate(b):\n    pass\n",
+               "verbs": ("def validate(args):\n    pass\n"
+                         "def evaluate(args):\n    pass\n"),
+               "cnf": "def evaluate(phi):\n    pass\n",
+               "lowerbound": ("from . import verbs\n"
+                              "from .diagrams import validate as check\n"
+                              "def certify(b):\n    return check(b), verbs.evaluate(b)\n"
+                              "VERBS = [certify]\n")}
+    assert unread_public(sources) == [("verbs", 1, "validate"), ("cnf", 1, "evaluate")]
+
+
+@pytest.mark.parametrize("name", ["sink", "decision", "conj"])
+def test_a_function_named_like_a_builder_method_is_unread(name):
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    sources["diagrams"] += f"\n\ndef {name}(*args):\n    return args\n"
+    line = sources["diagrams"].count("\n") - 1
+    assert ("diagrams", line, name) in unread_public(sources)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

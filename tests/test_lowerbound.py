@@ -341,13 +341,12 @@ class TestLocateAndCertify:
         rng = random.Random(3)
         mutated = 0
         for _ in range(12):
-            nodes = list(good.nodes)
-            picks = [i for i, n in enumerate(nodes) if n.kind == "decision"]
+            lo, hi = list(good.lo), list(good.hi)
+            picks = [i for i, k in enumerate(good.kind) if k == D.DECISION]
             i = rng.choice(picks)
-            n = nodes[i]
-            nodes[i] = D.decision(n.var, n.hi, n.lo)  # swap the branches
+            lo[i], hi[i] = hi[i], lo[i]  # swap the branches
             try:
-                bad = D.Diagram(nodes, good.source)
+                bad = D.Diagram(good.kind, good.var, lo, hi, good.source)
             except Exception:
                 continue
             mutated += 1
