@@ -15,7 +15,6 @@ relies on exactly that.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from .assignments import Assignment
 from .cnf import Cnf, clause_key, graphs_of, reduce as cnf_reduce
@@ -29,40 +28,29 @@ from .formulas import JUNCTION
 # decision trees
 
 
-@dataclass(frozen=True)
-class DTLeaf:
-    value: bool
-
-
-@dataclass(frozen=True)
-class DTTest:
-    var: str
-    lo: object
-    hi: object
-
-
 def dt_to_diagram(t):
-    """The tree as a conjunction-free diagram with shared sinks.
+    """The tree ``decision_tree``'s diagram ``t`` unfolds to, with shared sinks.
 
     Nodes are numbered children first, the 0-branch before the 1-branch,
-    each sink where it is first reached. A subtree object the tree shares is
-    expanded node by node once; every later occurrence is a copy
-    instruction ``(at, a, b)`` for ``Diagram``: the span
+    each sink where it is first reached. A node of ``t`` reached along
+    several paths is expanded node by node once; every later occurrence is
+    a copy instruction ``(at, a, b)`` for ``Diagram``: the span
     ``a``..``b - 1`` of an expansion that created no sink, placed again at
     id ``at`` with the ids inside it shifted and the sink ids, which lie
     below it, kept. Only the expanded nodes are hash-consed one by one; a
     copy takes the classes of its span.
     """
+    tkind, tvar, tlo, thi = t.kind, t.var, t.lo, t.hi
     kind, var, lo, hi = array("b"), [], array("l"), array("l")
     copies = []
     size = 0  # nodes in the table so far, copies included
     sinks = {}
-    spans = {}  # id(DTTest) -> (start, end) of a sink-free expansion
+    spans = {}  # node id of t -> (start, end) of a sink-free expansion
 
     def build(node):
         nonlocal size
-        if type(node) is DTLeaf:
-            value = 1 if node.value else 0
+        if tkind[node] == SINK:
+            value = tlo[node]
             i = sinks.get(value)
             if i is None:
                 i = sinks[value] = size
@@ -73,26 +61,26 @@ def dt_to_diagram(t):
                 hi.append(-1)
             return i
         start = size
-        span = spans.get(id(node))
+        span = spans.get(node)
         if span is not None:
             a, b = span
             copies.append((start, a, b))
             size += b - a
             return size - 1
         made = len(sinks)
-        zero = build(node.lo)
-        one = build(node.hi)
+        zero = build(tlo[node])
+        one = build(thi[node])
         kind.append(DECISION)
-        var.append(node.var)
+        var.append(tvar[node])
         lo.append(zero)
         hi.append(one)
         size += 1
         if len(sinks) == made:
-            spans[id(node)] = (start, size)
+            spans[node] = (start, size)
         return size - 1
 
     try:
-        source = build(t)
+        source = build(t.source)
     finally:
         del build  # the closure refers to itself: a cycle until deleted
     return Diagram(kind, var, lo, hi, source, copies=copies)
@@ -109,23 +97,24 @@ class _SpineKeys(dict):
 
 
 def decision_tree(phi):
-    """The falsifying-spine recursion.
+    """The falsifying-spine recursion, as a decision diagram.
 
-    No clauses: a lone true leaf. An empty clause: a lone false leaf.
+    No clauses: a lone true sink. An empty clause: a lone false sink.
     Otherwise one spine walks the chosen clause's variables towards its
     unique falsification, and each satisfying turn-off recurses on the
-    reduced clause set. Equal residual clause sets get one shared subtree,
-    built once per call; the tree itself is the one the plain recursion
-    builds.
+    reduced clause set. Equal residual clause sets get one shared node,
+    built once per call, and the two sinks are shared; unfolding the shared
+    nodes (``dt_to_diagram``) gives the tree the plain recursion builds.
     """
+    builder = DiagramBuilder()
     memo = {}
     spine_key = _SpineKeys().__getitem__
 
     def tree(phi):
         if not phi.clauses:
-            return DTLeaf(True)
+            return builder.sink(1)
         if frozenset() in phi.clauses:
-            return DTLeaf(False)
+            return builder.sink(0)
         if phi in memo:
             return memo[phi]
         c = min(phi.clauses, key=spine_key)
@@ -138,17 +127,17 @@ def decision_tree(phi):
             side[x] = polarity[x]
             branches.append(tree(cnf_reduce(phi, Assignment(side))))
             g[x] = 1 - polarity[x]
-        node = DTLeaf(False)
+        node = builder.sink(0)
         for x, side in zip(reversed(spine), reversed(branches)):
             if polarity[x]:
-                node = DTTest(x, lo=node, hi=side)
+                node = builder.decision(x, node, side)
             else:
-                node = DTTest(x, lo=side, hi=node)
+                node = builder.decision(x, side, node)
         memo[phi] = node
         return node
 
     try:
-        return tree(phi)
+        return builder.finalize(tree(phi))
     finally:
         del tree  # the closure refers to itself: a cycle until deleted
 
@@ -299,30 +288,17 @@ class _Rooted:
             a, b = sorted(e)
             adj[a].add(b)
             adj[b].add(a)
-        # contract edges whose bags nest; shrinks to <= |V| useful bags
-        changed = True
-        while changed:
-            changed = False
-            for a in sorted(bags):
-                for b in sorted(adj[a]):
-                    drop = None
-                    if bags[a] <= bags[b]:
-                        drop = a
-                        keep = b
-                    elif bags[b] <= bags[a]:
-                        drop = b
-                        keep = a
-                    if drop is not None and len(bags) > 1:
-                        for other in adj[drop] - {keep}:
-                            adj[other].discard(drop)
-                            adj[other].add(keep)
-                            adj[keep].add(other)
-                        adj[keep].discard(drop)
-                        del bags[drop], adj[drop]
-                        changed = True
-                        break
-                if changed:
-                    break
+        # contract edges whose bags nest, the first such pair in sorted
+        # order each time; shrinks to <= |V| useful bags
+        while pair := next(((a, b) for a in sorted(bags) for b in sorted(adj[a])
+                            if bags[a] <= bags[b] or bags[b] <= bags[a]), None):
+            drop, keep = pair if bags[pair[0]] <= bags[pair[1]] else pair[::-1]
+            for other in adj[drop] - {keep}:
+                adj[other].discard(drop)
+                adj[other].add(keep)
+                adj[keep].add(other)
+            adj[keep].discard(drop)
+            del bags[drop], adj[drop]
         self.bags = bags
         self.root = min(bags)
         self.children = {b: [] for b in bags}
@@ -467,20 +443,20 @@ def compile_split(phi, long_clauses, d):
     dt = decision_tree(Cnf(long_set))
     builder = DiagramBuilder()
 
-    def walk(t, g):
-        if isinstance(t, DTLeaf):
-            if not t.value:
+    def walk(i, g):
+        if dt.kind[i] == SINK:
+            if not dt.lo[i]:
                 return builder.sink(0)
             residual = cnf_reduce(rest, Assignment(g))
             return _compile_rooted(residual, rooted, builder)
-        lo = walk(t.lo, {**g, t.var: 0})
-        hi = walk(t.hi, {**g, t.var: 1})
+        lo = walk(dt.lo[i], {**g, dt.var[i]: 0})
+        hi = walk(dt.hi[i], {**g, dt.var[i]: 1})
         if lo == hi:
             return lo
-        return builder.decision(t.var, lo, hi)
+        return builder.decision(dt.var[i], lo, hi)
 
     try:
-        source = walk(dt, {})
+        source = walk(dt.source, {})
     finally:
         del walk  # the closure refers to itself: a cycle until deleted
     body = builder.finalize(source)

@@ -49,6 +49,17 @@ class Args(dict):
         raise FormatError(f"{self.what} needs {self.name(key)}")
 
 
+def _integer(args, key):
+    """The integer ``args[key]`` holds: an int (a bundle step) or its decimal
+    text (the command line). A bool, a float or anything else is a
+    FormatError naming the key."""
+    value = args[key]
+    digits = value.removeprefix("-") if type(value) is str else ""
+    if type(value) is int or digits.isascii() and digits.isdigit():
+        return int(value)
+    raise FormatError(f"{args.name(key)} must be an integer, not {value!r}")
+
+
 class Paths:
     """The files a verb's path arguments name, and the diagrams written to
     them in this run: the only place a verb's files are opened.
@@ -126,7 +137,7 @@ def _graph(args, path):
     if "grid" in args and "graph" in args:
         raise FormatError(f"give {args.name('grid')} or {args.name('graph')}, not both")
     if "grid" in args:
-        return graphs.grid(int(args["grid"])).graph
+        return graphs.grid(_integer(args, "grid")).graph
     return graphs.read_graph(path.text(args["graph"]))
 
 
@@ -145,7 +156,7 @@ def _search(args):
         raise FormatError(f"{args.name('seed')} needs {args.name('sample')}: "
                           f"only a sampled search is seeded")
     if "sample" in args:
-        info = {"sample": int(args["sample"]), "seed": int(args["seed"])}
+        info = {"sample": _integer(args, "sample"), "seed": _integer(args, "seed")}
         return {"search": "sampled", "count": info["sample"], "seed": info["seed"]}, info
     return {}, {}
 
@@ -156,7 +167,7 @@ def _formula(args, path):
     family = args["family"]
     if family in ("vc-junction", "psi-junction"):
         _only(args, ("family", "grid", "out", "meta"), f"family {family!r}")
-        gg = graphs.grid(int(args["grid"]))
+        gg = graphs.grid(_integer(args, "grid"))
         kind = "vc" if family == "vc-junction" else "psi"
         return formulas.junction_formula(gg.graph, gg.hor, gg.vert, kind), gg
     maker = {"vc": formulas.vc_formula, "psi": formulas.psi_formula,
@@ -203,12 +214,12 @@ def compile(args, path):
     _only(args, ("method", *METHOD_KEYS[method], "out"), f"method {method!r}")
     vtree = None
     if method == "grid-junction":
-        diagram = compile_mod.grid_junction_diagram(int(args["n"]))
+        diagram = compile_mod.grid_junction_diagram(_integer(args, "n"))
     elif method == "psi-layer" and args.get("junction"):
         _only(args, ("method", "n", "junction", "out"), "method 'psi-layer' with junction")
-        diagram = compile_mod.psi_grid_junction_fbdd(int(args["n"]))
+        diagram = compile_mod.psi_grid_junction_fbdd(_integer(args, "n"))
     elif method == "psi-layer":
-        diagram = compile_mod.psi_layer_obdd(int(args["n"]), args.get("orientation", "hor"))
+        diagram = compile_mod.psi_layer_obdd(_integer(args, "n"), args.get("orientation", "hor"))
     elif method == "dtree":
         phi = cnf_mod.read_dimacs(path.text(args["cnf"]))
         diagram = compile_mod.dt_to_diagram(compile_mod.decision_tree(phi))

@@ -6,7 +6,6 @@ import pytest
 
 from ddlab import cnf as cnf_mod
 from ddlab.assignments import Assignment
-from ddlab.compile import DTLeaf, DTTest
 from ddlab.diagrams import DiagramBuilder, to_json
 from ddlab.graphs import (Decomposition, Graph, decomposition_from_elimination,
                           exact_elimination_order, grid_order, tag)
@@ -90,28 +89,24 @@ def chain_diagram(size):
     return builder.finalize(node)
 
 
-def dt_size(t):
-    """The number of nodes of a decision tree, shared subtrees counted at
-    every occurrence."""
-    if isinstance(t, DTLeaf):
-        return 1
-    return 1 + dt_size(t.lo) + dt_size(t.hi)
+def dt_size(d):
+    """The number of nodes of the tree a decision diagram unfolds to: a node
+    reached along several paths counts once per path."""
+    size = {}
+    for i in d.topo():
+        size[i] = 1 + (size[d.lo[i]] + size[d.hi[i]] if d.kind[i] else 0)
+    return size[d.source]
 
 
-def dt_evaluate(t, a):
-    """The leaf value a total assignment reaches in a decision tree, as 0 or 1."""
-    while isinstance(t, DTTest):
-        t = t.hi if a[t.var] else t.lo
-    return 1 if t.value else 0
-
-
-def dt_paths(t, prefix=()):
-    """Yield (path assignment, leaf value) over all root-leaf paths."""
-    if isinstance(t, DTLeaf):
-        yield Assignment(prefix), t.value
+def dt_paths(d, node=None, prefix=()):
+    """Yield (path assignment, sink value) over all source-sink paths of a
+    decision diagram."""
+    node = d.source if node is None else node
+    if not d.kind[node]:
+        yield Assignment(prefix), d.lo[node]
         return
-    yield from dt_paths(t.lo, prefix + ((t.var, 0),))
-    yield from dt_paths(t.hi, prefix + ((t.var, 1),))
+    yield from dt_paths(d, d.lo[node], prefix + ((d.var[node], 0),))
+    yield from dt_paths(d, d.hi[node], prefix + ((d.var[node], 1),))
 
 
 def assert_same_classes(d, want):

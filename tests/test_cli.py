@@ -398,6 +398,45 @@ class TestRun:
         assert code == 2 and error["message"].endswith(
             "(FormatError): 'seed' needs 'sample': only a sampled search is seeded")
 
+    # a count that is not an integer: (verb, the other args, key, its text on
+    # the command line, its value in a bundle step)
+    NOT_INTEGERS = [
+        ("compile", {"method": "grid-junction"}, "n", "3.7", 3.7),
+        ("compile", {"method": "psi-layer"}, "n", "three", "3.0"),
+        ("compile", {"method": "psi-layer", "junction": True}, "n", "2e0", True),
+        ("gen", {"family": "vc"}, "grid", "2.9", 2.9),
+        ("gen", {"family": "vc-junction"}, "grid", "", False),
+        ("width", {"sample": 2, "seed": 1}, "grid", "+2", True),
+        ("width", {"grid": 2, "seed": 1}, "sample", "2.5", 2.5),
+        ("minobdd", {"cnf": "f.cnf", "seed": 1}, "sample", "1_0", [2]),
+        ("width", {"grid": 2, "sample": 2}, "seed", "1.5", 1.5),
+        ("minobdd", {"cnf": "f.cnf", "sample": 2}, "seed", "--1", {"seed": 1}),
+    ]
+
+    @pytest.mark.parametrize("verb,args,key,text,value", NOT_INTEGERS,
+                             ids=[f"{c[0]}-{c[2]}-{i}" for i, c in enumerate(NOT_INTEGERS)])
+    def test_a_count_that_is_not_an_integer_is_exit_2_on_both_routes(
+            self, tmp_path, capsys, monkeypatch, verb, args, key, text, value):
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "b")
+        put("f.cnf", "p cnf 2 1\n1 2 0\n")
+        argv = [verb, f"--{key}={text}", "--out", "made.out"]
+        for k, v in args.items():
+            argv += [f"--{k}"] if v is True else [f"--{k}", str(v)]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "FormatError",
+                                   "message": f"--{key} must be an integer, not {text!r}"}
+        args = dict(args, out="made.out", **{key: value})
+        code, message = self.run_step(tmp_path, capsys, verb, args)
+        assert code == 2 and message.endswith(
+            f"(FormatError): {key!r} must be an integer, not {value!r}")
+        assert sorted(os.listdir()) == ["f.cnf", "manifest.json", "summary.json"]
+
+    def test_an_integer_is_read_from_its_text_or_an_int(self):
+        for flags, value in ((True, "-3"), (True, "3"), (False, 3), (False, -3)):
+            assert verbs._integer(verbs.Args({"n": value}, "x", flags), "n") == int(value)
+
     # a key that the method, family or (with cnf) obdd does not read, and
     # what the message names as not reading it
     UNREAD_KEYS = [
@@ -457,7 +496,7 @@ class TestRun:
     def test_wrongly_typed_argument_is_exit_2(self, tmp_path, capsys):
         code, message = self.run_step(tmp_path, capsys, "compile",
                                       {"method": "grid-junction", "n": None, "out": "b.json"})
-        assert code == 2 and "TypeError" in message
+        assert code == 2 and message.endswith("(FormatError): 'n' must be an integer, not None")
 
     def test_restrict_bit_other_than_0_or_1_is_exit_2(self, tmp_path, capsys):
         (tmp_path / "b").mkdir()

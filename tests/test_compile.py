@@ -14,8 +14,7 @@ from ddlab.assignments import Assignment, cube
 from ddlab.errors import FormatError, PreconditionError
 
 from conftest import (assert_same_classes, cycle_graph, doubled_window_decomposition,
-                      dt_evaluate, dt_paths, dt_size, exact_decomposition, matching_graph,
-                      random_cnf)
+                      dt_paths, dt_size, exact_decomposition, matching_graph, random_cnf)
 
 
 def equal_to_cnf(diagram, phi):
@@ -30,8 +29,10 @@ def decomposition_for(phi):
 
 class TestDecisionTree:
     def test_trivial_shapes(self):
-        assert CP.decision_tree(C.Cnf([])) == CP.DTLeaf(True)
-        assert CP.decision_tree(C.Cnf([[]])) == CP.DTLeaf(False)
+        # a lone sink: true without clauses, false with the empty clause
+        for clauses, value in (([], 1), ([[]], 0)):
+            dt = CP.decision_tree(C.Cnf(clauses))
+            assert (dt.size, dt.source, dt.kind[0], dt.lo[0]) == (1, 0, D.SINK, value)
 
     def test_single_clause_has_five_nodes(self):
         dt = CP.decision_tree(C.Cnf([[("x1", 1), ("x2", 1)]]))
@@ -43,7 +44,7 @@ class TestDecisionTree:
             phi = random_cnf(rng, rng.randint(1, 5), rng.randint(1, 3))
             dt = CP.decision_tree(phi)
             for a in cube(phi.vars):
-                assert dt_evaluate(dt, a) == C.evaluate(phi, a)
+                assert D.evaluate(dt, a) == C.evaluate(phi, a)
 
     def test_paths_decide_totally(self):
         # every extension of a root-leaf path assignment lands on the label
@@ -75,31 +76,45 @@ class TestDecisionTree:
         assert D.validate(diagram).is_fbdd
         assert equal_to_cnf(diagram, phi)
 
+    def test_the_shared_diagram_is_an_fbdd_of_its_clause_set(self):
+        rng = random.Random(81)
+        for _ in range(300):
+            phi = random_cnf(rng, rng.randint(1, 8), rng.randint(0, 10))
+            dt = CP.decision_tree(phi)
+            assert D.validate(dt).is_fbdd
+            assert equal_to_cnf(dt, phi)
+
 
 def plain_decision_tree(phi):
-    """The falsifying-spine recursion without shared subtrees or cached
-    clause keys: the oracle for the memoised ``decision_tree``."""
-    if not phi.clauses:
-        return CP.DTLeaf(True)
-    if frozenset() in phi.clauses:
-        return CP.DTLeaf(False)
-    c = min(phi.clauses, key=lambda c: (tuple(sorted(n for n, _ in c)), C.clause_key(c)))
-    polarity = dict(c)
-    spine = sorted(polarity)
-    g = {}
-    branches = []
-    for x in spine:
-        side = dict(g)
-        side[x] = polarity[x]
-        branches.append(plain_decision_tree(C.reduce(phi, Assignment(side))))
-        g[x] = 1 - polarity[x]
-    node = CP.DTLeaf(False)
-    for x, side in zip(reversed(spine), reversed(branches)):
-        if polarity[x]:
-            node = CP.DTTest(x, lo=node, hi=side)
-        else:
-            node = CP.DTTest(x, lo=side, hi=node)
-    return node
+    """The falsifying-spine recursion without shared nodes or cached clause
+    keys, one builder call per tree node: the oracle for the memoised
+    ``decision_tree``."""
+    builder = D.DiagramBuilder()
+
+    def tree(phi):
+        if not phi.clauses:
+            return builder.sink(1)
+        if frozenset() in phi.clauses:
+            return builder.sink(0)
+        c = min(phi.clauses, key=lambda c: (tuple(sorted(n for n, _ in c)), C.clause_key(c)))
+        polarity = dict(c)
+        spine = sorted(polarity)
+        g = {}
+        branches = []
+        for x in spine:
+            side = dict(g)
+            side[x] = polarity[x]
+            branches.append(tree(C.reduce(phi, Assignment(side))))
+            g[x] = 1 - polarity[x]
+        node = builder.sink(0)
+        for x, side in zip(reversed(spine), reversed(branches)):
+            if polarity[x]:
+                node = builder.decision(x, node, side)
+            else:
+                node = builder.decision(x, side, node)
+        return node
+
+    return builder.finalize(tree(phi))
 
 
 class TestDecisionTreeOracle:
@@ -107,16 +122,19 @@ class TestDecisionTreeOracle:
         rng = random.Random(80)
         for _ in range(200):
             phi = random_cnf(rng, rng.randint(1, 7), rng.randint(0, 8))
-            assert CP.decision_tree(phi) == plain_decision_tree(phi)
+            assert node_by_node(CP.decision_tree(phi)) == node_by_node(plain_decision_tree(phi))
 
     def test_vc_grid4_matches_plain_recursion(self):
         phi = F.vc_formula(G.grid(4).graph)
         dt = CP.decision_tree(phi)
-        assert dt == plain_decision_tree(phi)
+        assert node_by_node(dt) == node_by_node(plain_decision_tree(phi))
         assert dt_size(dt) == 3177
 
     def test_vc_grid5_tree_size_and_json_roundtrip(self):
-        d = CP.dt_to_diagram(CP.decision_tree(F.vc_formula(G.grid(5).graph)))
+        dt = CP.decision_tree(F.vc_formula(G.grid(5).graph))
+        # one node per spine position of each residual clause set, two sinks
+        assert (dt.size, dt.merged_size) == (358, 317)
+        d = CP.dt_to_diagram(dt)
         assert d.size == 71186
         back = D.from_json(D.to_json(d))
         assert back == d
@@ -128,24 +146,22 @@ def node_by_node(t):
     its slice copies."""
     builder = D.DiagramBuilder()
 
-    def build(node):
-        if isinstance(node, CP.DTLeaf):
-            return builder.sink(1 if node.value else 0)
-        return builder.decision(node.var, build(node.lo), build(node.hi))
+    def build(i):
+        if t.kind[i] == D.SINK:
+            return builder.sink(t.lo[i])
+        return builder.decision(t.var[i], build(t.lo[i]), build(t.hi[i]))
 
-    return builder.finalize(build(t))
+    return builder.finalize(build(t.source))
 
 
 def shared_tests(t):
-    """How many times the tree reaches a ``DTTest`` object it reached before."""
-    seen, again, stack = set(), 0, [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, CP.DTTest):
-            again += id(node) in seen
-            seen.add(id(node))
-            stack += [node.lo, node.hi]
-    return again
+    """How many decision nodes of the diagram have two or more parents."""
+    parents = {}
+    for i in range(t.size):
+        if t.kind[i]:
+            for c in {t.lo[i], t.hi[i]}:
+                parents[c] = parents.get(c, 0) + 1
+    return sum(n > 1 for c, n in parents.items() if t.kind[c])
 
 
 class TestDtToDiagram:

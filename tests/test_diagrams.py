@@ -643,7 +643,8 @@ def assert_equal_and_hashed_alike(b):
 
 
 def vc_tree(n):
-    """The decision tree of the grid-n vertex-cover formula, not yet a diagram."""
+    """The shared decision diagram of the grid-n vertex-cover formula, not yet
+    unfolded into its tree."""
     from ddlab.compile import decision_tree
     from ddlab.formulas import vc_formula
     from ddlab.graphs import grid
