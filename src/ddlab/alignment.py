@@ -141,8 +141,10 @@ def frontier(b, pi, g):
     below = [b.vars_below(u) for u in l_nodes]
     for u, tested in zip(l_nodes, below):
         if tested & bound:
+            sub, ids = subdiagram(b, u)
+            old = {new: i for i, new in ids.items()}  # decision nodes are copied one to one
             raise SoundnessError(
-                f"incomplete decision node {_smallest_incomplete(b, g, u)} "
+                f"incomplete decision node {min(old[i] for i in align(sub, g).incomplete)} "
                 f"below frontier node {u}")
     covered = frozenset().union(*below)
     if len(covered) != sum(map(len, below)):  # two frontier subdiagrams share a variable
@@ -174,25 +176,6 @@ def _first_remeet(l_nodes, parents):
                 reaches.add(parent_id)
                 stack.append(parent_id)
     return min(remeets)[1]
-
-
-def _smallest_incomplete(b, g, start):
-    """The smallest incomplete decision node that the aligned diagram
-    reaches from ``start``."""
-    found = []
-    seen = set()
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        if i not in seen:
-            seen.add(i)
-            bit = g.get(b.var[i]) if b.kind[i] == DECISION else None
-            if bit is None:
-                stack.extend(b.children(i))
-            else:
-                found.append(i)
-                stack.append(b.hi[i] if bit else b.lo[i])
-    return min(found)
 
 
 def _require_prefix(bound, names):

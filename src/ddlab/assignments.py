@@ -244,6 +244,15 @@ def check_order(order, needed, exact=False):
     return names
 
 
+def check_universe(universe, needed):
+    """``universe`` as a frozenset: the one check of a universe, a ScopeError
+    unless it holds every variable of the set ``needed``."""
+    universe = frozenset(universe)
+    if not needed <= universe:
+        raise ScopeError(f"universe misses {sorted(needed - universe)}")
+    return universe
+
+
 def decode_table(order, table):
     """The uniform set a truth table encodes: bit m of ``table`` set means a
     member binding ``order[p]`` to bit ``len(order) - 1 - p`` of m.

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
-from . import diagrams, verbs
+from . import diagrams, graphs, verbs
 from .errors import MALFORMED, DdlabError, FormatError
 from .version import BUILD_ID
 
@@ -44,11 +45,7 @@ def _split_names(text):
 
 def _read_matching(text):
     pairs = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for raw, parts in graphs.records(text):
         if len(parts) != 2:
             raise FormatError(f"bad matching line {raw!r}")
         pairs.append((parts[0], parts[1]))
@@ -180,6 +177,14 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # the reader went away: nothing more can be shown, and the flush at
+        # exit must find devnull, or it reports the closed pipe once more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except MALFORMED as exc:
         return _fail(exc, 2)
     except DdlabError as exc:

@@ -14,7 +14,7 @@ the truth-table kernels and is capped accordingly.
 from __future__ import annotations
 
 from . import config, kernels
-from .assignments import as_bit, check_order, decode_table
+from .assignments import as_bit, check_order, check_universe, decode_table
 from .errors import FormatError, ScopeError
 from .graphs import Graph
 
@@ -104,18 +104,12 @@ def truth_table(phi, order):
 
 def models(phi, universe):
     """The uniform set of all satisfying assignments over ``universe``."""
-    universe = frozenset(universe)
-    if not phi.vars <= universe:
-        raise ScopeError(f"universe misses {sorted(phi.vars - universe)}")
-    order = sorted(universe)
+    order = sorted(check_universe(universe, phi.vars))
     return decode_table(order, truth_table(phi, order))
 
 
 def count_models(phi, universe):
-    universe = frozenset(universe)
-    if not phi.vars <= universe:
-        raise ScopeError(f"universe misses {sorted(phi.vars - universe)}")
-    return truth_table(phi, sorted(universe)).bit_count()
+    return truth_table(phi, sorted(check_universe(universe, phi.vars))).bit_count()
 
 
 def reduce(phi, g):

@@ -20,7 +20,7 @@ from .assignments import Assignment
 from .cnf import Cnf, clause_key, graphs_of, reduce as cnf_reduce
 from .diagrams import AND, DECISION, SINK, Diagram, DiagramBuilder, graft, validate
 from .errors import FormatError, PreconditionError, ScopeError, SoundnessError
-from .graphs import LinearOrder, grid_name, grid_order, tag, validate_decomposition
+from .graphs import LinearOrder, grid_name, grid_order, records, tag, validate_decomposition
 from .formulas import JUNCTION
 
 
@@ -148,48 +148,43 @@ def decision_tree(phi):
 
 class Vtree:
     """A rooted binary tree whose leaves are the variables, stored densely
-    with children before parents (the root is the last node)."""
+    with children before parents (the root is the last node): ``payload``
+    holds a leaf's name and an internal node's pair of child ids."""
 
-    __slots__ = ("kinds", "payload", "_vars")
+    __slots__ = ("payload", "_vars")
 
     def __init__(self, nested):
         # post-order, left subtree first, with an explicit stack so that a
         # vtree of any depth can be built; ``done`` holds the ids of the
         # finished subtrees whose parent is not numbered yet
-        kinds = []
         payload = []
+        vars_of = []
         done = []
         stack = [(nested, False)]
         while stack:
             part, expanded = stack.pop()
             if isinstance(part, str):
-                kinds.append("leaf")
                 payload.append(part)
+                vars_of.append(frozenset((part,)))
             elif expanded:
                 right = done.pop()
-                kinds.append("internal")
-                payload.append((done.pop(), right))
+                left = done.pop()
+                payload.append((left, right))
+                vars_of.append(vars_of[left] | vars_of[right])
             else:
                 left, right = part
                 stack += ((part, True), (right, False), (left, False))
                 continue
-            done.append(len(kinds) - 1)
-        self.kinds = tuple(kinds)
-        self.payload = tuple(payload)
-        names = [p for k, p in zip(kinds, payload) if k == "leaf"]
+            done.append(len(payload) - 1)
+        names = [p for p in payload if isinstance(p, str)]
         if len(set(names)) != len(names):
             raise ValueError("vtree leaves must carry distinct variables")
-        vars_of = []
-        for k, p in zip(self.kinds, self.payload):
-            if k == "leaf":
-                vars_of.append(frozenset((p,)))
-            else:
-                vars_of.append(vars_of[p[0]] | vars_of[p[1]])
+        self.payload = tuple(payload)
         self._vars = tuple(vars_of)
 
     @property
     def root(self):
-        return len(self.kinds) - 1
+        return len(self.payload) - 1
 
     @property
     def vars(self):
@@ -197,20 +192,19 @@ class Vtree:
 
     def internal_splits(self):
         return [(self._vars[p[0]], self._vars[p[1]])
-                for k, p in zip(self.kinds, self.payload) if k == "internal"]
+                for p in self.payload if not isinstance(p, str)]
 
     def __eq__(self, other):
-        return (isinstance(other, Vtree) and self.kinds == other.kinds
-                and self.payload == other.payload)
+        return isinstance(other, Vtree) and self.payload == other.payload
 
     def __hash__(self):
-        return hash((self.kinds, self.payload))
+        return hash(self.payload)
 
 
 def write_vtree(vt):
     lines = []
-    for i, (k, p) in enumerate(zip(vt.kinds, vt.payload)):
-        if k == "leaf":
+    for i, p in enumerate(vt.payload):
+        if isinstance(p, str):
             lines.append(f"L {i} {p}")
         else:
             lines.append(f"I {i} {p[0]} {p[1]}")
@@ -221,11 +215,7 @@ def read_vtree(text):
     """The vtree of a table whose ids are dense, each child below its parent,
     and every entry but the last (the root) some node's child exactly once."""
     entries = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for raw, parts in records(text):
         try:  # an id that is not an integer makes the line bad too
             if parts[0] == "L" and len(parts) == 3:
                 entries.append((int(parts[1]), parts[2]))

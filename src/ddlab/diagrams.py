@@ -22,7 +22,8 @@ from array import array
 from dataclasses import dataclass
 
 from . import config
-from .assignments import Assignment, AssignmentSet, check_order, decode_table, product
+from .assignments import (Assignment, AssignmentSet, check_order, check_universe, decode_table,
+                          product)
 from .errors import DiagramInvariantError, FormatError, ScopeError
 from .kernels import pattern
 
@@ -376,9 +377,6 @@ class DiagramBuilder:
     def conj(self, left, right):
         return self._add(AND, None, left, right)
 
-    def __len__(self):
-        return len(self._kind)
-
     def finalize(self, source, declared_vars=None):
         """Freeze into a Diagram, dropping unreachable nodes and renumbering
         densely in old-id order."""
@@ -598,9 +596,7 @@ def evaluate(b, a):
 
 def satisfying_set(b, universe=None):
     """All total assignments over the universe satisfying the diagram."""
-    universe = frozenset(universe) if universe is not None else b.vars
-    if not b.vars <= universe:
-        raise ScopeError(f"universe misses {sorted(b.vars - universe)}")
+    universe = b.vars if universe is None else check_universe(universe, b.vars)
     order = sorted(universe)
     return decode_table(order, truth_table(b, order))
 
@@ -643,9 +639,7 @@ def count_models(b, universe=None):
     the child tests it again; a conjunction's set is exactly the union of its
     children's, so it skips none.
     """
-    universe = frozenset(universe) if universe is not None else b.vars
-    if not b.vars <= universe:
-        raise ScopeError(f"universe misses {sorted(b.vars - universe)}")
+    universe = b.vars if universe is None else check_universe(universe, b.vars)
     kind, var, lo, hi, below, live = b._iso_table
     counts = [0] * len(kind)
     for c in live:

@@ -41,11 +41,8 @@ class FormatError(DdlabError):
     """Malformed file or serialized object."""
 
 
-class DiagramInvariantError(DdlabError):
-    """A diagram violates a structural invariant.
-
-    ``rule`` names the invariant; ``where`` cites the offending node id or path.
-    """
+class _RuleError(DdlabError):
+    """A broken rule: ``rule`` names it and ``where`` cites the offender."""
 
     def __init__(self, rule, where, message):
         super().__init__(f"{rule}: {message}")
@@ -53,19 +50,22 @@ class DiagramInvariantError(DdlabError):
         self.where = where
 
 
-class DecompositionError(DdlabError):
+class DiagramInvariantError(_RuleError):
+    """A diagram violates a structural invariant.
+
+    ``rule`` names the invariant; ``where`` cites the offending node id or path.
+    """
+
+
+class DecompositionError(_RuleError):
     """A tree decomposition violates containment or connectivity.
 
     ``rule`` is ``containment`` or ``connectivity`` (or ``tree`` for a broken
     tree); ``where`` is the offending edge, vertex, or bag.
     """
 
-    def __init__(self, rule, where, message):
-        super().__init__(f"{rule}: {message}")
-        self.rule = rule
-        self.where = where
-
 
 # What a command or a bundle step exits 2 on, as malformed input; a missing
-# argument is a FormatError, a wrongly typed one (``"n": null``) a TypeError
+# argument is a FormatError, a wrongly typed list member (``"matching": [5]``)
+# a TypeError
 MALFORMED = (FormatError, ScopeError, ValueError, OSError, TypeError)

@@ -675,6 +675,15 @@ def validate_decomposition(g, d):
 # names are read and written by ``verbs.Paths``
 
 
+def records(text):
+    """``(line, words)`` for each line of ``text`` that is neither blank nor a
+    ``#`` comment: the one line loop of the line-based file formats."""
+    for line in text.splitlines():
+        words = line.split()
+        if words and not words[0].startswith("#"):
+            yield line, words
+
+
 def write_graph(g):
     lines = [f"v {v}" for v in sorted(g.vertices)]
     lines += [f"e {a} {b}" for a, b in sorted(tuple(sorted(e)) for e in g.edges)]
@@ -684,11 +693,7 @@ def write_graph(g):
 def read_graph(text):
     vertices = set()
     edges = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for raw, parts in records(text):
         if parts[0] == "v" and len(parts) == 2:
             vertices.add(parts[1])
         elif parts[0] == "e" and len(parts) == 3:
@@ -718,11 +723,7 @@ def write_decomposition(d):
 def read_decomposition(text):
     bags = {}
     tree = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for raw, parts in records(text):
         if parts[0] == "B" and len(parts) >= 2:
             if parts[1] in bags:
                 raise FormatError(f"bag {parts[1]!r} is given twice")

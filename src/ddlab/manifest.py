@@ -35,36 +35,31 @@ def _resolve(bundle, rel):
     return path
 
 
-def _hash_tree(bundle):
-    sha256 = verbs.Paths().sha256
+def _hash_tree(bundle, path):
     out = {}
     for root, _, files in os.walk(bundle):
         for name in files:
-            path = os.path.join(root, name)
-            rel = os.path.relpath(path, bundle)
+            rel = os.path.relpath(os.path.join(root, name), bundle)
             if rel in ("summary.json", "summary.txt"):
                 continue
-            out[rel] = sha256(path)
+            out[rel] = path.sha256(rel)
     return dict(sorted(out.items()))
 
 
 def run_experiment(manifest_path, out_dir):
     """Execute a manifest into a bundle directory; returns the summary."""
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad manifest: {exc}") from exc
+    try:
+        manifest = json.loads(verbs.Paths().text(manifest_path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FormatError("bad manifest: not a JSON object")
     steps = manifest.get("steps", [])
     if not isinstance(steps, list):
         raise FormatError("bad manifest: steps is not a list")
     bundle = os.path.abspath(out_dir)
-    os.makedirs(bundle, exist_ok=True)
-    with open(os.path.join(bundle, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     path = verbs.Paths(functools.partial(_resolve, bundle))
+    path.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     rows = []
     try:
         for k, step in enumerate(steps):
@@ -85,28 +80,26 @@ def run_experiment(manifest_path, out_dir):
             rows.append({"name": name, "verb": verb, "info": info})
     except StepFailure as exc:
         # the bundle so far still gets a summary, naming the step that failed
-        _write_summary(bundle, manifest, rows, {"name": exc.step, "error": str(exc)})
+        _write_summary(bundle, path, manifest, rows, {"name": exc.step, "error": str(exc)})
         raise
-    summary = _write_summary(bundle, manifest, rows)
+    summary = _write_summary(bundle, path, manifest, rows)
     lines = [f"bundle: {summary['name']}", ""]
     lines.append(f"{'step':<24} {'verb':<10} info")
     for row in rows:
         info = " ".join(f"{k}={v}" for k, v in sorted(row["info"].items()))
         lines.append(f"{row['name']:<24} {row['verb']:<10} {info}")
-    with open(os.path.join(bundle, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path.write("summary.txt", "\n".join(lines) + "\n")
     return summary
 
 
-def _write_summary(bundle, manifest, rows, failed=None):
+def _write_summary(bundle, path, manifest, rows, failed=None):
     summary = {
         "build": BUILD_ID,
         "name": manifest.get("name", ""),
         "steps": rows,
-        "artifacts": _hash_tree(bundle),
+        "artifacts": _hash_tree(bundle, path),
     }
     if failed is not None:
         summary["failed"] = failed
-    with open(os.path.join(bundle, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    path.write("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

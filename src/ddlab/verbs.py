@@ -382,15 +382,25 @@ KEYS = {
 # the keys that are on or off: a flag without a value on the command line
 SWITCHES = frozenset({"meta", "junction", "no_essential_check", "verify"})
 
+# the keys whose values are not text: the counts (``_integer`` reads them),
+# ``bit`` (``as_bit``) and the lists (``_listed``); every other key but a
+# switch holds a string
+NOT_TEXT = frozenset({"n", "grid", "sample", "seed", "bit", "matching", "long", "universe"})
+
 
 def run(verb, args, path):
     """Run one verb, writing its artifact to ``args["out"]`` when that key is
     given; returns the info and, when there is no ``out``, the artifact
     itself. A diagram goes to ``out`` in pieces, its text never made whole.
-    A key the verb does not take is a FormatError naming it."""
+    A key the verb does not take, a switch that is not a bool and a text key
+    that is not a string are each a FormatError naming the key."""
     unknown = args.keys() - KEYS[verb]
     if unknown:
         raise FormatError(f"{verb} takes no {', '.join(map(repr, sorted(unknown)))}")
+    for key, value in args.items():
+        want, kind = (bool, "bool") if key in SWITCHES else (str, "string")
+        if key not in NOT_TEXT and type(value) is not want:
+            raise FormatError(f"{args.name(key)} must be a JSON {kind}, not {value!r}")
     info, made = VERBS[verb](args, path)
     if made is None or "out" not in args:
         return info, made

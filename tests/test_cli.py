@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -498,6 +499,49 @@ class TestRun:
                                       {"method": "grid-junction", "n": None, "out": "b.json"})
         assert code == 2 and message.endswith("(FormatError): 'n' must be an integer, not None")
 
+    @pytest.mark.parametrize("verb,args,message", [
+        ("compile", {"method": "psi-layer", "n": 3, "junction": "false", "out": "d.json"},
+         "'junction' must be a JSON bool, not 'false'"),
+        ("restrict", {"diagram": "ab.json", "var": "a", "bit": 1, "no_essential_check": "no",
+                      "out": "r.json"}, "'no_essential_check' must be a JSON bool, not 'no'"),
+        ("minobdd", {"cnf": "f.cnf", "verify": "no", "out": "o.txt"},
+         "'verify' must be a JSON bool, not 'no'"),
+        ("write", {"path": "w.txt", "text": ["a", "b"]},
+         "'text' must be a JSON string, not ['a', 'b']"),
+        ("eval", {"diagram": "ab.json", "assignment": 5},
+         "'assignment' must be a JSON string, not 5"),
+        ("align", {"diagram": "ab.json", "assignment": 5, "out": "a.json"},
+         "'assignment' must be a JSON string, not 5"),
+    ], ids=["junction", "no-essential-check", "verify", "text", "eval-assignment",
+            "align-assignment"])
+    def test_a_switch_that_is_no_bool_or_text_that_is_no_string_is_exit_2(
+            self, tmp_path, capsys, verb, args, message):
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "ab.json").write_text(json.dumps(A_AND_B))
+        (tmp_path / "b" / "f.cnf").write_text("p cnf 2 1\n1 2 0\n")
+        code, got = self.run_step(tmp_path, capsys, verb, args)
+        assert code == 2 and got.endswith(f"(FormatError): {message}")
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "ab.json", "f.cnf", "manifest.json", "summary.json"]
+
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_a_path_outside_the_bundle_is_exit_2(self, tmp_path, capsys, where):
+        out = "../x.json" if where == "parent" else str(tmp_path / "x.json")
+        code, message = self.run_step(tmp_path, capsys, "compile",
+                                      {"method": "grid-junction", "n": 2, "out": out})
+        assert code == 2 and message.endswith(f"(FormatError): path {out!r} escapes the bundle")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "m.json"]
+
+    def test_unknown_clause_ids_for_split_are_exit_2(self, tmp_path, capsys):
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "f.cnf").write_text("p cnf 2 1\n1 2 0\n")
+        (tmp_path / "b" / "d.txt").write_text("B 0 x1 x2\n")
+        code, message = self.run_step(tmp_path, capsys, "compile",
+                                      {"method": "split", "cnf": "f.cnf", "decomp": "d.txt",
+                                       "long": ["c0", "c7"], "out": "s.json"})
+        assert code == 2 and message.endswith("(FormatError): unknown clause ids ['c7']")
+        assert not (tmp_path / "b" / "s.json").exists()
+
     def test_restrict_bit_other_than_0_or_1_is_exit_2(self, tmp_path, capsys):
         (tmp_path / "b").mkdir()
         (tmp_path / "b" / "ab.json").write_text(json.dumps(A_AND_B))
@@ -554,6 +598,21 @@ class TestRun:
     def test_steps_that_are_not_a_list_are_exit_2(self, tmp_path, capsys):
         code, error = self.run_manifest(tmp_path, capsys, {"name": "x", "steps": 5})
         assert code == 2 and error["error"] == "FormatError"
+
+    def test_a_manifest_that_is_not_json_is_exit_2(self, tmp_path, capsys):
+        man = tmp_path / "m.json"
+        man.write_text('{"name": "x", "steps": [}')
+        code, _, err = run(["run", "--manifest", str(man),
+                            "--out-dir", str(tmp_path / "b")], capsys)
+        assert code == 2 and json.loads(err)["message"].startswith("bad manifest: Expecting value")
+        assert not (tmp_path / "b").exists()
+
+    def test_a_step_name_that_is_not_a_string_is_exit_2(self, tmp_path, capsys):
+        code, error = self.run_manifest(tmp_path, capsys, {"name": "x", "steps": [
+            {"name": ["w"], "verb": "write", "args": {"path": "a.txt", "text": "hi\n"}}]})
+        assert code == 2 and error["message"].endswith(
+            "(FormatError): a step's name is a string and its args a JSON object")
+        assert not (tmp_path / "b" / "a.txt").exists()
 
     @pytest.mark.parametrize("verb,args", [
         ("count", {"diagram": "ab.json", "universe": "a,b"}),
@@ -720,6 +779,29 @@ def test_malformed_arguments_are_one_json_line(capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and "usage:" not in err
     assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "FormatError"
+
+
+def test_a_closed_stdout_exits_1_and_reports_nothing(capsys, monkeypatch):
+    # the text goes nowhere, so the failure is not malformed input (exit 2)
+    # and the flush at exit must not report the closed pipe again
+    read_end, write_end = os.pipe()
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return write_end
+
+    try:
+        with monkeypatch.context() as m:
+            m.setattr("sys.stdout", ClosedPipe())
+            assert cli.main(["gen", "--family", "vc", "--grid", "2"]) == 1
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert capsys.readouterr().err == ""
 
 
 def test_each_subcommand_takes_its_verbs_keys_as_flags():

@@ -262,6 +262,20 @@ class TestDimacs:
         odd = C.Cnf([[("x2", 1), ("a", 0)], [("x10", 1)], [("x01", 0)]])
         assert C.read_dimacs(C.write_dimacs(odd)) == odd
 
+    @pytest.mark.parametrize("text, message", [
+        ("c var one a\np cnf 1 1\n1 0\n", "bad name-map line: 'c var one a'"),
+        ("p cnf 1\n1 0\n", "bad problem line: 'p cnf 1'"),
+        ("p dnf 1 1\n1 0\n", "bad problem line: 'p dnf 1 1'"),
+        ("p cnf 1 1\np cnf 1 1\n1 0\n", "multiple problem lines"),
+        ("p cnf 2 1\n1 -y 0\n", "non-integer literal in '1 -y 0'"),
+        ("p cnf 2 1\n1 -3 0\n", "literal -3 out of range 1..2"),
+    ], ids=["name-map", "short-header", "not-cnf", "second-header", "non-integer",
+            "past-nvars"])
+    def test_a_bad_line_is_named(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            C.read_dimacs(text)
+        assert str(exc.value) == message
+
     def test_malformed_inputs(self):
         with pytest.raises(FormatError):
             C.read_dimacs("p cnf 1 1\n1\n")  # missing terminator

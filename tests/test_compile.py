@@ -242,7 +242,7 @@ class TestVtree:
     ])
     def test_tables_are_numbered_in_post_order_left_first(self, nested, kinds, payload):
         vt = CP.Vtree(nested)
-        assert vt.kinds == tuple("leaf" if k == "L" else "internal" for k in kinds)
+        assert "".join("L" if isinstance(p, str) else "I" for p in vt.payload) == kinds
         assert vt.payload == payload
 
     def test_deep_left_comb_round_trips(self):

@@ -391,6 +391,22 @@ class TestSerialization:
         with pytest.raises(FormatError, match="vars must be a JSON list"):
             D.from_json(json.dumps(doc))
 
+    def test_declared_names_must_hold_the_tested_ones(self):
+        doc = json.loads(D.to_json(a_and_b()))
+        doc["vars"] = ["a", "c"]
+        with pytest.raises(FormatError) as exc:
+            D.from_json(json.dumps(doc))
+        assert str(exc.value) == "declared universe misses tested vars ['b']"
+
+    @pytest.mark.parametrize("lo, hi, bad", [(2, 0, "2"), (0, -1, "-1"), ("1", 0, "'1'")])
+    def test_builder_rejects_a_child_that_does_not_exist_yet(self, lo, hi, bad):
+        b = D.DiagramBuilder()
+        b.sink(0)
+        b.sink(1)
+        with pytest.raises(ValueError) as exc:
+            b.decision("x", lo, hi)
+        assert str(exc.value) == f"child id {bad} does not exist yet"
+
     def test_boolean_source_rejected(self):
         doc = json.loads(D.to_json(a_and_b()))
         doc["source"] = True

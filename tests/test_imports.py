@@ -17,9 +17,9 @@ module counts. Otherwise it must be one of the functions that
 ``perfbench/tracing.py`` wraps (its ``LAYERS`` table, read with ``ast``), or
 be in ``UNREAD``, which gives the reason each name there has no reader; an
 entry there that is gone, traced or read fails too. A call of
-``open`` may stand only in ``verbs.Paths``, through which every verb reads
-and writes its files, in ``manifest``, which writes the bundle's own files,
-and in ``diagrams.save`` and ``diagrams.load``.
+``open`` may stand only in ``verbs.Paths``, through which every verb and the
+bundle runner read and write their files, and in ``diagrams.save`` and
+``diagrams.load``.
 """
 
 import ast
@@ -32,8 +32,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ddlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# module -> the top-level definitions that may call ``open``; ``manifest``
-# writes the bundle's own files and may open them anywhere
+# module -> the top-level definitions that may call ``open``
 OPENERS = {"verbs.py": {"Paths"}, "diagrams.py": {"save", "load"}}
 # module.name -> why this public definition has no reader in the package
 UNREAD = {
@@ -272,8 +271,7 @@ def test_scan_finds_open_calls():
     assert opening_definitions(source) == [(1, None), (5, "Route")]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "manifest.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_file_routes_open_files(path):
     allowed = OPENERS.get(path.name, set())
     stray = [f for f in opening_definitions(path.read_text()) if f[1] not in allowed]
