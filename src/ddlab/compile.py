@@ -471,28 +471,39 @@ def split_vtree(phi, long_clauses, d):
 # grid constructions
 
 
+def _layered(builder, names, start, step, accept):
+    """The reduced OBDD of a layered automaton over ``names`` (Bryant, 1986).
+
+    ``step(i, state, bit)`` is the state after ``names[i]`` reads ``bit``, or
+    None for a rejecting step; a state left after the last name goes to the
+    sink ``accept(state)``. The states reachable from ``start`` are collected
+    layer by layer, then the nodes are built from the last layer up, each
+    layer's states in sorted order; sinks are shared and a test whose two
+    branches are equal is skipped. Returns the node of ``start``.
+    """
+    layers = [{start}]
+    for i in range(len(names)):
+        layers.append({step(i, s, bit) for s in layers[-1] for bit in (0, 1)} - {None})
+    node = {s: builder.sink(accept(s)) for s in sorted(layers[-1])}
+    for i in range(len(names) - 1, -1, -1):
+        below, node = node, {}
+        for s in sorted(layers[i]):
+            lo, hi = (builder.sink(0) if t is None else below[t]
+                      for t in (step(i, s, 0), step(i, s, 1)))
+            node[s] = lo if lo == hi else builder.decision(names[i], lo, hi)
+    return node[start]
+
+
 def _path_obdd(builder, names):
     """Linear OBDD for the conjunction of consecutive-pair clauses along a
-    path of variables, O(1) nodes per layer (tests with equal branches are
-    skipped, which makes each path component canonically minimal)."""
-    def mknode(var, lo, hi):
-        return lo if lo == hi else builder.decision(var, lo, hi)
-
-    m = len(names)
-    t = builder.sink(1)
-    f = builder.sink(0)
-    nxt = {0: t, 1: t}
-    for j in range(m - 1, 0, -1):
-        zero_prev = mknode(names[j], f, nxt[1])
-        one_prev = mknode(names[j], nxt[0], nxt[1])
-        nxt = {0: zero_prev, 1: one_prev}
-    return mknode(names[0], nxt[0], nxt[1])
+    path of variables: the state is the previous bit (2 before the first
+    variable), and two zeros in a row fail."""
+    return _layered(builder, names, 2, lambda i, prev, bit: None if prev == bit == 0 else bit,
+                    lambda prev: 1)
 
 
 def _conj_balanced(builder, ids):
     ids = list(ids)
-    if not ids:
-        return builder.sink(1)
     while len(ids) > 1:
         nxt = []
         for k in range(0, len(ids) - 1, 2):
@@ -544,64 +555,32 @@ def psi_interleaved_order(n, orientation="hor"):
 def psi_layer_obdd(n, orientation="hor"):
     """Layered OBDD for the doubled one-orientation grid formula.
 
-    The state between layers is the previous vertex's two copy values plus
-    the two saw-a-zero flags (at most sixteen states per layer); edge clauses
-    resolve against the previous vertex, the long clauses against the flags
-    at the end. Row starts reset the previous-vertex part.
+    The state between layers is the previous vertex's two copy values (the
+    second replaced by this vertex's first copy once read) and the two
+    saw-a-zero flags, at most sixteen states per layer; edge clauses resolve
+    against the previous vertex, the long clauses against the flags at the
+    end. Row starts reset the previous-vertex part to 2, no vertex.
     """
     if n < 2:
         raise ValueError("layered grid formula needs n >= 2")
-    traversal = grid_order(n, orientation)
-    layers = []
-    for k, v in enumerate(traversal):
-        layers.append(("first", k, tag(v, 1)))
-        layers.append(("second", k, tag(v, 2)))
-    start = ("v", 2, 2, 0, 0)  # 2 = no previous vertex
+    order = psi_interleaved_order(n, orientation)
 
-    def step(layer, state, bit):
-        phase, k, _ = layer
-        if phase == "first":
-            _, p1, p2, z1, z2 = state
-            if p2 == 0 and bit == 0:
-                return None
-            return ("m", p1, bit, z1 | (bit == 0), z2)
-        _, p1, b1, z1, z2 = state
-        if p1 == 0 and bit == 0:
+    def step(i, state, bit):
+        p1, p2, z1, z2 = state
+        if i % 2 == 0:
+            return None if p2 == bit == 0 else (p1, bit, z1 | (bit == 0), z2)
+        if p1 == bit == 0:
             return None
         z2 = z2 | (bit == 0)
-        if k + 1 < len(traversal) and (k + 1) % n != 0:
-            return ("v", b1, bit, z1, z2)
-        return ("v", 2, 2, z1, z2)
+        if (i // 2 + 1) % n:  # the next vertex continues this row
+            return (p2, bit, z1, z2)
+        return (2, 2, z1, z2)
 
-    reachable = [{start}]
-    for layer in layers:
-        nxt = set()
-        for s in reachable[-1]:
-            for bit in (0, 1):
-                out = step(layer, s, bit)
-                if out is not None:
-                    nxt.add(out)
-        reachable.append(nxt)
     builder = DiagramBuilder()
-    node_at = {}
-    for s in sorted(reachable[-1]):
-        _, _, _, z1, z2 = s
-        node_at[(len(layers), s)] = builder.sink(1 if (z1 and z2) else 0)
-
-    for idx in range(len(layers) - 1, -1, -1):
-        layer = layers[idx]
-        for s in sorted(reachable[idx]):
-            kids = []
-            for bit in (0, 1):
-                out = step(layer, s, bit)
-                kids.append(builder.sink(0) if out is None
-                            else node_at[(idx + 1, out)])
-            if kids[0] == kids[1]:
-                node_at[(idx, s)] = kids[0]
-            else:
-                node_at[(idx, s)] = builder.decision(layer[2], kids[0], kids[1])
-    diagram = builder.finalize(node_at[(0, start)])
-    cls = validate(diagram, psi_interleaved_order(n, orientation))
+    source = _layered(builder, order.names, (2, 2, 0, 0), step,
+                      lambda state: state[2] and state[3])
+    diagram = builder.finalize(source)
+    cls = validate(diagram, order)
     if not cls.is_obdd:
         raise SoundnessError("layered construction broke its order")
     return diagram

@@ -54,16 +54,11 @@ def junction_formula(g, e1, e2, kind="vc"):
     result a CNF for either kind.
     """
     e1, e2 = check_edge_partition(g, e1, e2)
-    if kind == "vc":
-        side1 = [[(v, 1) for v in sorted(e)] for e in e1]
-        side2 = [[(v, 1) for v in sorted(e)] for e in e2]
-    elif kind == "psi":
-        side1 = [sorted(c) for c in psi_formula(g.subgraph_of_edges(e1)).clauses]
-        side2 = [sorted(c) for c in psi_formula(g.subgraph_of_edges(e2)).clauses]
-    else:
+    family = {"vc": vc_formula, "psi": psi_formula}.get(kind)
+    if family is None:
         raise ValueError(f"unknown junction kind {kind!r}")
-    clauses = [[(JUNCTION, 0)] + list(c) for c in side1]
-    clauses += [[(JUNCTION, 1)] + list(c) for c in side2]
+    clauses = [[(JUNCTION, 0), *c] for c in family(g.subgraph_of_edges(e1)).clauses]
+    clauses += [[(JUNCTION, 1), *c] for c in family(g.subgraph_of_edges(e2)).clauses]
     return Cnf(clauses)
 
 

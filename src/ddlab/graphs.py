@@ -708,7 +708,7 @@ def write_order(order):
 
 
 def read_order(text):
-    return LinearOrder(line.strip() for line in text.splitlines() if line.strip())
+    return LinearOrder(line.strip() for line, _ in records(text))
 
 
 def write_decomposition(d):

@@ -111,8 +111,8 @@ class TestCompileCountValidate:
         assert json.loads(err.splitlines()[0])["error"] == "FormatError"
 
     @pytest.mark.parametrize("node, field, value", [
-        (1, "value", 2), (1, "value", "1"), (3, "lo", False), (2, "var", 7)],
-        ids=["sink-value-2", "sink-value-string", "boolean-child", "numeric-var"])
+        (1, "value", 2), (1, "value", "1"), (3, "lo", False), (2, "var", 7), (3, "kind", "or")],
+        ids=["sink-value-2", "sink-value-string", "boolean-child", "numeric-var", "or-node"])
     def test_loader_rejections_are_exit_2(self, tmp_path, capsys, node, field, value):
         doc = json.loads(json.dumps(A_AND_B))
         del doc["vars"]  # no declared universe, so the one bad field is the only fault
@@ -135,7 +135,9 @@ class TestCompileCountValidate:
     @pytest.mark.parametrize("cnf, decomp, message", [
         ("p cnf x 1\n1 0\n", "B b1 x1\n", "bad problem line: 'p cnf x 1'"),
         ("p cnf 1 1\n1 0\n", "B b1 x1\nB b1 x1\n", "bag 'b1' is given twice"),
-    ], ids=["dimacs-header", "bag-twice"])
+        ("c var 1 c0\np cnf 2 1\n1 2 0\n", "B b0 c0 x2\n",
+         "variable names collide with clause vertex names: ['c0']"),
+    ], ids=["dimacs-header", "bag-twice", "variable-named-like-a-clause"])
     def test_malformed_input_files_are_exit_2(self, tmp_path, capsys, monkeypatch,
                                               cnf, decomp, message):
         monkeypatch.chdir(tmp_path)
@@ -1309,3 +1311,47 @@ def test_scope_errors_are_malformed_input(tmp_path, capsys, monkeypatch, argv, e
     code, _, err = run(argv, capsys)
     assert code == 2
     assert json.loads(err.splitlines()[0]) == {"error": "ScopeError", "message": error}
+
+
+def test_an_order_file_skips_blank_lines_and_comments(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    put("ab.json", json.dumps(A_AND_B))
+    put("c.order", "# best order\n\na\nb\n")
+    code, out, _ = run(["validate", "--diagram", "ab.json", "--order", "c.order"], capsys)
+    assert code == 0
+    assert json.loads(out)["order"] == ["a", "b"]
+
+
+# a graph with the two matching edges u1-w1 and u2-w2, joined by u1-u2
+TWO_EDGES = "v u1\nv w1\nv u2\nv w2\ne u1 w1\ne u2 w2\ne u1 u2\n"
+
+
+@pytest.mark.parametrize("files, argv, code, error, message", [
+    ({"aa.graph": "v a\ne a a\n"},
+     ["width", "--graph", "aa.graph"], 2, "ValueError", "edge ['a'] is not a vertex pair"),
+    ({"f.cnf": "p cnf 2 1\n1 2 0\n", "t.decomp": "B b0 x1 x2\nT b0 b9\n"},
+     ["compile", "--method", "primal", "--cnf", "f.cnf", "--decomp", "t.decomp"],
+     2, "ValueError", "bad tree edge ['b0', 'b9']"),
+    ({"g.graph": TWO_EDGES, "m.txt": "u1 w1 x\n"},
+     ["lb", "fool", "--graph", "g.graph", "--matching", "m.txt", "--engine", "obdd"],
+     2, "FormatError", "bad matching line 'u1 w1 x'"),
+    ({"g.graph": TWO_EDGES, "m.txt": "u1 w2\n"},
+     ["lb", "fool", "--graph", "g.graph", "--matching", "m.txt", "--engine", "obdd"],
+     1, "PreconditionError", "matching pairs must be edges of the graph"),
+], ids=["self-loop-edge", "tree-edge-to-no-bag", "three-word-matching-line",
+        "matching-pair-not-an-edge"])
+def test_malformed_inputs_are_named(tmp_path, capsys, monkeypatch, files, argv, code, error,
+                                    message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        put(name, text)
+    got, out, err = run(argv, capsys)
+    assert got == code and out == ""
+    assert json.loads(err.splitlines()[0]) == {"error": error, "message": message}
+
+
+def test_the_width_of_an_empty_graph_is_0(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    put("empty.graph", "")
+    code, out, _ = run(["width", "--graph", "empty.graph"], capsys)
+    assert code == 0 and out.strip() == "0"

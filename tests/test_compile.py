@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 
@@ -20,6 +21,10 @@ from conftest import (assert_same_classes, cycle_graph, doubled_window_decomposi
 def equal_to_cnf(diagram, phi):
     order = sorted(phi.vars | diagram.vars)
     return D.truth_table(diagram, order) == C.truth_table(phi, order)
+
+
+def json_sha256(diagram):
+    return hashlib.sha256(D.to_json(diagram).encode()).hexdigest()
 
 
 def decomposition_for(phi):
@@ -406,6 +411,15 @@ class TestGridJunction:
         with pytest.raises(ValueError):
             CP.grid_junction_diagram(1)
 
+    @pytest.mark.parametrize("n, sha256", [
+        (2, "f6dad8c4e9d7bd57f4743e5d3daed5940e81794588161c377b6fc367ccc5101a"),
+        (3, "19ca83a6ea4a9383e690eb493bce9d95063ac69a426ddf2ad8c35ce62884fd46"),
+        (4, "972707ad9619ee881df011e4afdf511c8918d44cc0c9188b8b7663f1bdb45285"),
+        (5, "24013690a5e66063f11e3970c64e987a0e86ad9461a35e61311a9dd9f63095a3"),
+    ])
+    def test_bytes_pinned(self, n, sha256):
+        assert json_sha256(CP.grid_junction_diagram(n)) == sha256
+
 
 class TestPsiLayer:
     @pytest.mark.parametrize("n,orientation", [(2, "hor"), (2, "vert"), (3, "hor")])
@@ -432,6 +446,24 @@ class TestPsiLayer:
         phi = F.grid_junction_formula(2, "psi")
         assert equal_to_cnf(diagram, phi)
         assert D.validate(diagram).is_fbdd
+
+    @pytest.mark.parametrize("n, orientation, sha256", [
+        (2, "hor", "ab2b17a4b09bbdb9bb30c14f7a0fea6c78e8eabe6c51f3e3ec314ac121a90fe1"),
+        (2, "vert", "51406860f3c9a519760bc8ad450d983870bb31fd45e04977a208401412233558"),
+        (3, "hor", "3a75418695ae5b69d3f3fe5c343848ccaba8af88ef725dfb746ba0ffba2a3e09"),
+        (3, "vert", "1f6f19f596d330121719d7b7e21483635b3d809942d5fa957bb9681f358fc5e7"),
+        (4, "hor", "f15914eb8d8e3f361dcd5de8c25c83bc690689c48e5ed77cfde9a16548d78da4"),
+        (4, "vert", "7ee153cf90e7525c4031c5de02afb8cb7ebe2e7abe0bcd84607a8675ca7c51f8"),
+    ])
+    def test_layer_bytes_pinned(self, n, orientation, sha256):
+        assert json_sha256(CP.psi_layer_obdd(n, orientation)) == sha256
+
+    @pytest.mark.parametrize("n, sha256", [
+        (2, "44863a3bc213d2c4aabceab73acec0fdc9f0d8641988f35196aa81054a251a58"),
+        (3, "515b87ec896780cadd609629ed4ac202e1145dbe1dd3d596c851175672aa3cda"),
+    ])
+    def test_junction_fbdd_bytes_pinned(self, n, sha256):
+        assert json_sha256(CP.psi_grid_junction_fbdd(n)) == sha256
 
 
 def mixing_conjunction():
