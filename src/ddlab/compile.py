@@ -20,7 +20,7 @@ from .assignments import Assignment
 from .cnf import Cnf, clause_key, graphs_of, reduce as cnf_reduce
 from .diagrams import AND, DECISION, SINK, Diagram, DiagramBuilder, graft, validate
 from .errors import FormatError, PreconditionError, ScopeError, SoundnessError
-from .graphs import LinearOrder, grid_name, grid_order, records, tag, validate_decomposition
+from .graphs import Graph, LinearOrder, grid_name, grid_order, records, tag, validate_decomposition
 from .formulas import JUNCTION
 
 
@@ -83,7 +83,7 @@ def dt_to_diagram(t):
         source = build(t.source)
     finally:
         del build  # the closure refers to itself: a cycle until deleted
-    return Diagram(kind, var, lo, hi, source, copies=copies)
+    return Diagram(kind, var, lo, hi, source, t.declared_vars, copies)
 
 
 class _SpineKeys(dict):
@@ -137,7 +137,7 @@ def decision_tree(phi):
         return node
 
     try:
-        return builder.finalize(tree(phi))
+        return builder.finalize(tree(phi), declared_vars=phi.vars)
     finally:
         del tree  # the closure refers to itself: a cycle until deleted
 
@@ -273,11 +273,8 @@ class _Rooted:
 
     def __init__(self, d):
         bags = dict(d.bags)
-        adj = {b: set() for b in bags}
-        for e in d.tree:
-            a, b = sorted(e)
-            adj[a].add(b)
-            adj[b].add(a)
+        tree = Graph(bags, d.tree)
+        adj = {b: set(tree.neighbors(b)) for b in bags}
         # contract edges whose bags nest, the first such pair in sorted
         # order each time; shrinks to <= |V| useful bags
         while pair := next(((a, b) for a in sorted(bags) for b in sorted(adj[a])
@@ -340,7 +337,7 @@ def compile_primal(phi, d):
     validate_decomposition(primal, d)
     rooted = _Rooted(d)
     builder = DiagramBuilder()
-    diagram = builder.finalize(_compile_rooted(phi, rooted, builder))
+    diagram = builder.finalize(_compile_rooted(phi, rooted, builder), declared_vars=phi.vars)
     return diagram, vtree_from_decomposition_rooted(rooted)
 
 
@@ -415,13 +412,12 @@ def vtree_from_decomposition_rooted(rooted, extra_vars=()):
 
 
 def compile_split(phi, long_clauses, d):
-    """Three-stage pipeline for a CNF whose long clauses are few.
+    """Two-stage pipeline for a CNF whose long clauses are few.
 
     Stage 1 builds the decision tree of the long clauses; stage 2 hangs a
     decomposition-guided compilation of the reduced remainder off every true
-    leaf, all respecting the one vtree the decomposition induces; stage 3
-    shares the sinks and prepends a don't-care chain over any untested
-    variables.
+    leaf, all respecting the one vtree the decomposition induces. The
+    diagram declares the CNF's variables, tested or not.
     """
     long_set = frozenset(frozenset(c) for c in long_clauses)
     if not long_set <= phi.clauses:
@@ -449,15 +445,7 @@ def compile_split(phi, long_clauses, d):
         source = walk(dt.source, {})
     finally:
         del walk  # the closure refers to itself: a cycle until deleted
-    body = builder.finalize(source)
-    untested = sorted(phi.vars - body.vars)
-    if not untested:
-        return body
-    chained = DiagramBuilder()
-    cur = graft(chained, body)
-    for x in reversed(untested):
-        cur = chained.decision(x, cur, cur)
-    return chained.finalize(cur)
+    return builder.finalize(source, declared_vars=phi.vars)
 
 
 def split_vtree(phi, long_clauses, d):

@@ -72,26 +72,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class Matching:
-    """Disjoint edges, optionally with a bipartition witness."""
+    """Disjoint edges; the sides of a crossing are read off its cut."""
 
     edges: frozenset
-    u_side: frozenset | None = None
-    w_side: frozenset | None = None
 
     def __post_init__(self):
-        seen = set()
-        for e in self.edges:
-            if seen & e:
-                raise ValueError(f"matching edges share vertex {sorted(seen & e)}")
-            seen.update(e)
-        if (self.u_side is None) != (self.w_side is None):
-            raise ValueError("both witness sides or neither")
-        if self.u_side is not None:
-            if self.u_side | self.w_side != frozenset(seen) or self.u_side & self.w_side:
-                raise ValueError("witness sides must partition the matched vertices")
-            for e in self.edges:
-                if len(e & self.u_side) != 1:
-                    raise ValueError(f"edge {sorted(e)} not between the witness sides")
+        if not is_matching(self.edges):
+            raise ValueError("matching edges share a vertex")
 
     def __len__(self):
         return len(self.edges)
@@ -122,30 +109,20 @@ class Decomposition:
         return max((len(b) for b in self.bags.values()), default=0) - 1
 
     def is_path(self):
-        deg = {b: 0 for b in self.bags}
-        for e in self.tree:
-            for b in e:
-                deg[b] += 1
-        return all(d <= 2 for d in deg.values()) and _tree_connected(set(self.bags), self.tree)
+        tree = Graph(self.bags, self.tree)
+        return all(tree.degree(b) <= 2 for b in tree.vertices) and _connected(tree)
 
 
-def _tree_connected(nodes, edges):
-    if not nodes:
-        return True
-    adj = {v: set() for v in nodes}
-    for e in edges:
-        a, b = sorted(e)
-        adj[a].add(b)
-        adj[b].add(a)
+def _connected(g):
+    """Whether ``g`` is connected; a graph with no vertex is."""
     seen = set()
-    stack = [next(iter(sorted(nodes)))]
+    stack = list(g.vertices)[:1]  # connectivity does not depend on the start
     while stack:
         v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return seen == nodes
+        if v not in seen:
+            seen.add(v)
+            stack.extend(g.neighbors(v) - seen)
+    return len(seen) == len(g.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +219,17 @@ def is_induced_matching(g, edges):
     return True
 
 
-def neat_sides(edges, order, cut):
-    """Copy tags of the prefix/suffix endpoints at the cut; None if mixed."""
-    prefix = order.prefix(cut)
-    ptags = set()
-    stags = set()
-    for e in edges:
-        for v in e:
-            _, c = untag(v)
-            (ptags if v in prefix else stags).add(c)
-    if len(ptags) <= 1 and len(stags) <= 1 and ptags != stags:
-        return (next(iter(ptags), None), next(iter(stags), None))
-    return None
+# the (in prefix, copy tag) pairs of the ends of a neat crossing: all
+# prefix ends carry one copy tag and all suffix ends the other
+_NEAT = ({(True, 1), (False, 2)}, {(True, 2), (False, 1)})
 
 
 def neatly_crosses(order, edges):
     """First cut witnessing a neat crossing, or None."""
     for k in range(1, len(order)):
         prefix = order.prefix(k)
-        if all(len(e & prefix) == 1 for e in edges) and neat_sides(edges, order, k):
+        if (all(len(e & prefix) == 1 for e in edges)
+                and {(v in prefix, untag(v)[1]) for e in edges for v in e} in _NEAT):
             return k
     return None
 
@@ -345,8 +314,8 @@ def _picker(mode):
 def crossing_width(g, pi, mode="lmm"):
     """Largest (induced) matching crossing the order, with a witness.
 
-    Returns ``(size, (cut, Matching))``; the witness matching carries its
-    bipartition sides. Exhaustive over the |V|-1 prefix cuts.
+    Returns ``(size, (cut, Matching))``; each witness edge has one end in
+    the cut's prefix. Exhaustive over the |V|-1 prefix cuts.
     """
     pick = _picker(mode)
     pi = check_order(pi, g.vertices, exact=True)
@@ -357,11 +326,7 @@ def crossing_width(g, pi, mode="lmm"):
         m = pick(g, [e for e in g.edges if len(e & prefix) == 1], prefix)
         if len(m) > len(best):
             best, best_cut = m, k
-    prefix = pi.prefix(best_cut)
-    matched_p = frozenset().union(*(e & prefix for e in best)) if best else frozenset()
-    matched_s = frozenset().union(*(e - prefix for e in best)) if best else frozenset()
-    witness = Matching(best, matched_p or None, matched_s or None)
-    return len(best), (best_cut, witness)
+    return len(best), (best_cut, Matching(best))
 
 
 def _cut_value(g, subset, pick, cache):
@@ -499,32 +464,15 @@ def extract_neat(g, pi_star):
     if size == 0:
         return Matching(frozenset())
     prefix = pi.prefix(cut)
-    u_all = frozenset().union(*(e & prefix for e in witness.edges))
-    sides = {1: frozenset(u for u in u_all if ind[u] == 1),
-             2: frozenset(u for u in u_all if ind[u] == 2)}
+    ends = [(u, w) for e in witness.edges for u in e & prefix for w in e - prefix]
 
     def lifted(side):
-        out = set()
-        u_vs = set()
-        w_vs = set()
-        for e in witness.edges:
-            us = e & sides[side]
-            if not us:
-                continue
-            (u,) = us
-            (w,) = e - {u}
-            out.add(edge(tag(u, side), tag(w, 3 - side)))
-            u_vs.add(tag(u, side))
-            w_vs.add(tag(w, 3 - side))
-        return Matching(frozenset(out), frozenset(u_vs) or None, frozenset(w_vs) or None)
+        """The witness edges whose prefix end u has ``ind[u] == side``, lifted."""
+        return Matching(frozenset(edge(tag(u, side), tag(w, 3 - side))
+                                  for u, w in ends if ind[u] == side))
 
-    if len(sides[1]) > len(sides[2]):
-        side = 1
-    elif len(sides[2]) > len(sides[1]):
-        side = 2
-    else:
-        side = 1 if lifted(1).sorted_edges() <= lifted(2).sorted_edges() else 2
-    result = lifted(side)
+    # more edges first, then the smaller sorted edge list, then side 1
+    result = min(lifted(1), lifted(2), key=lambda m: (-len(m), m.sorted_edges()))
     if not is_induced_matching(dg, result.edges):
         raise SoundnessError("extracted matching is not induced in the doubled graph")
     if neatly_crosses(pi_star, result.edges) is None:
@@ -646,7 +594,7 @@ def validate_decomposition(g, d):
     ids = set(d.bags)
     if not ids:
         raise DecompositionError("tree", None, "no bags")
-    if len(d.tree) != len(ids) - 1 or not _tree_connected(ids, d.tree):
+    if len(d.tree) != len(ids) - 1 or not _connected(Graph(ids, d.tree)):
         raise DecompositionError("tree", None, "bag graph is not a tree")
     for bid, bag in d.bags.items():
         foreign = bag - g.vertices
@@ -664,7 +612,7 @@ def validate_decomposition(g, d):
                                      f"edge {sorted(e)} inside no bag")
     for v in sorted(g.vertices):
         holding = {b for b, bag in d.bags.items() if v in bag}
-        if not _tree_connected(holding, [e for e in d.tree if e <= holding]):
+        if not _connected(Graph(holding, (e for e in d.tree if e <= holding))):
             raise DecompositionError("connectivity", v,
                                      f"bags holding {v!r} are disconnected")
     return d.width
@@ -699,8 +647,11 @@ def read_graph(text):
         elif parts[0] == "e" and len(parts) == 3:
             edges.add(frozenset(parts[1:]))
         else:
-            raise ValueError(f"bad graph line {raw!r}")
-    return Graph(vertices, edges)
+            raise FormatError(f"bad graph line {raw!r}")
+    try:
+        return Graph(vertices, edges)
+    except ValueError as err:
+        raise FormatError(str(err)) from err
 
 
 def write_order(order):
@@ -731,5 +682,8 @@ def read_decomposition(text):
         elif parts[0] == "T" and len(parts) == 3:
             tree.add(frozenset(parts[1:]))
         else:
-            raise ValueError(f"bad decomposition line {raw!r}")
-    return Decomposition(bags, tree)
+            raise FormatError(f"bad decomposition line {raw!r}")
+    try:
+        return Decomposition(bags, tree)
+    except ValueError as err:
+        raise FormatError(str(err)) from err

@@ -314,7 +314,7 @@ def obdd_for_order(phi, order):
         return memo[key]
 
     try:
-        return builder.finalize(node_for(0, table))
+        return builder.finalize(node_for(0, table), declared_vars=phi.vars)
     finally:
         del node_for  # the closure refers to itself: a cycle until deleted
 

@@ -117,11 +117,23 @@ class Paths:
         return diagrams.from_json(self.text(rel))
 
 
-def _listed(value, key):
-    """A list argument; a string here would be read one character at a time."""
+def _listed(value, key, pairs=False):
+    """A list argument of names, or with ``pairs`` of name pairs, each a list
+    of two names (the command line's matching file gives tuples). A string
+    here would be read one character at a time."""
     if isinstance(value, str):
         raise FormatError(f"{key} must be a JSON list, not the string {value!r}")
+    if not (isinstance(value, (list, tuple))
+            and all(_pair(x) if pairs else isinstance(x, str) for x in value)):
+        what = "pairs of strings" if pairs else "strings"
+        raise FormatError(f"{key} must be a JSON list of {what}, not {value!r}")
     return value
+
+
+def _pair(value):
+    """Whether ``value`` is a list (or tuple) of two strings."""
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(x, str) for x in value))
 
 
 def _only(args, keys, what):
@@ -143,7 +155,7 @@ def _graph(args, path):
 
 def _experiment(args, path):
     graph = _graph(args, path)
-    pairs = [tuple(_listed(p, "matching")) for p in _listed(args["matching"], "matching")]
+    pairs = [tuple(p) for p in _listed(args["matching"], "matching", pairs=True)]
     order = graphs.read_order(path.text(args["order"])) if args.get("order") else None
     return lowerbound.make_experiment(graph, pairs, args["engine"], order)
 

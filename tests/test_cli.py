@@ -628,6 +628,29 @@ class TestRun:
         code, message = self.run_step(tmp_path, capsys, verb, args)
         assert code == 2 and "must be a JSON list" in message
 
+    def test_a_universe_member_that_is_not_a_name_is_exit_2(self, tmp_path, capsys):
+        from ddlab.compile import grid_junction_diagram
+        (tmp_path / "b").mkdir()
+        D.save(grid_junction_diagram(2), str(tmp_path / "b" / "gj.json"))
+        universe = ["jn", "(1,1)", "(1,2)", "(2,1)", "(2,2)", 5]
+        code, message = self.run_step(tmp_path, capsys, "count",
+                                      {"diagram": "gj.json", "universe": universe})
+        assert code == 2 and message.endswith(
+            f"(FormatError): universe must be a JSON list of strings, not {universe!r}")
+
+    @pytest.mark.parametrize("matching", [[[1, 2]], [["(1,1)"]]],
+                             ids=["pair-of-numbers", "one-name-pair"])
+    def test_a_matching_member_that_is_not_a_name_pair_is_exit_2(self, tmp_path, capsys,
+                                                                  matching):
+        code, message = self.run_step(tmp_path, capsys, "fool",
+                                      {"grid": 2, "engine": "obdd", "matching": matching,
+                                       "out": "f.txt"})
+        assert code == 2 and message.endswith(
+            f"(FormatError): matching must be a JSON list of pairs of strings, "
+            f"not {matching!r}")
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "manifest.json", "summary.json"]
+
     @pytest.mark.parametrize("names", ["ab", {"a": 1, "b": 2}, None],
                              ids=["string", "object", "null"])
     def test_diagram_vars_that_are_not_a_list_are_exit_2(self, tmp_path, capsys, names):
@@ -1328,10 +1351,10 @@ TWO_EDGES = "v u1\nv w1\nv u2\nv w2\ne u1 w1\ne u2 w2\ne u1 u2\n"
 
 @pytest.mark.parametrize("files, argv, code, error, message", [
     ({"aa.graph": "v a\ne a a\n"},
-     ["width", "--graph", "aa.graph"], 2, "ValueError", "edge ['a'] is not a vertex pair"),
+     ["width", "--graph", "aa.graph"], 2, "FormatError", "edge ['a'] is not a vertex pair"),
     ({"f.cnf": "p cnf 2 1\n1 2 0\n", "t.decomp": "B b0 x1 x2\nT b0 b9\n"},
      ["compile", "--method", "primal", "--cnf", "f.cnf", "--decomp", "t.decomp"],
-     2, "ValueError", "bad tree edge ['b0', 'b9']"),
+     2, "FormatError", "bad tree edge ['b0', 'b9']"),
     ({"g.graph": TWO_EDGES, "m.txt": "u1 w1 x\n"},
      ["lb", "fool", "--graph", "g.graph", "--matching", "m.txt", "--engine", "obdd"],
      2, "FormatError", "bad matching line 'u1 w1 x'"),
@@ -1355,3 +1378,29 @@ def test_the_width_of_an_empty_graph_is_0(tmp_path, capsys, monkeypatch):
     put("empty.graph", "")
     code, out, _ = run(["width", "--graph", "empty.graph"], capsys)
     assert code == 0 and out.strip() == "0"
+
+
+# (a) AND (a OR z): z is never tested, yet the formula has 2 models over {a, z}
+A_AND_A_OR_Z = "c var 1 a\nc var 2 z\np cnf 2 2\n1 0\n1 2 0\n"
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("compile", {"method": "dtree", "cnf": "f.cnf"}),
+    ("compile", {"method": "primal", "cnf": "f.cnf", "decomp": "t.decomp"}),
+    ("compile", {"method": "split", "cnf": "f.cnf", "decomp": "t.decomp"}),
+    ("obdd", {"cnf": "f.cnf", "order": "o.txt"}),
+], ids=["dtree", "primal", "split", "obdd"])
+def test_a_compiled_diagram_counts_over_its_cnfs_variables(tmp_path, capsys, monkeypatch,
+                                                           verb, args):
+    monkeypatch.chdir(tmp_path)
+    put("f.cnf", A_AND_A_OR_Z)
+    put("t.decomp", "B b0 a z\n")
+    put("o.txt", "a\nz\n")
+    steps = [{"name": "build", "verb": verb, "args": {**args, "out": "b.json"}},
+             {"name": "count", "verb": "count", "args": {"diagram": "b.json"}}]
+    code, summary, _ = run_manifest(tmp_path, capsys, steps, tmp_path)
+    assert code == 0 and summary["steps"][1]["info"] == {"count": 2}
+    if verb == "compile":  # obdd is a bundle verb only
+        argv = [f"--{k}={v}" for k, v in args.items()]
+        assert run(["compile", *argv, "--out", "b.json"], capsys)[0] == 0
+    assert run(["count", "--diagram", "b.json"], capsys)[:2] == (0, "2\n")

@@ -119,7 +119,7 @@ def plain_decision_tree(phi):
                 node = builder.decision(x, side, node)
         return node
 
-    return builder.finalize(tree(phi))
+    return builder.finalize(tree(phi), declared_vars=phi.vars)
 
 
 class TestDecisionTreeOracle:
@@ -156,7 +156,7 @@ def node_by_node(t):
             return builder.sink(t.lo[i])
         return builder.decision(t.var[i], build(t.lo[i]), build(t.hi[i]))
 
-    return builder.finalize(build(t.source))
+    return builder.finalize(build(t.source), declared_vars=t.declared_vars)
 
 
 def shared_tests(t):
@@ -178,7 +178,7 @@ class TestDtToDiagram:
             dt = CP.decision_tree(phi)
             d, want = CP.dt_to_diagram(dt), node_by_node(dt)
             assert_same_classes(d, want)
-            assert d.declared_vars is None
+            assert d.declared_vars == dt.declared_vars
             shared += shared_tests(dt) > 0
         assert shared > 50  # the slice copies ran
 

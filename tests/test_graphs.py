@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -230,21 +231,13 @@ def split_neat(g, e1, e2, pi_star):
     e1, e2 = G.check_edge_partition(g, e1, e2)
     whole = G.extract_neat(g, pi_star)
     parts = {1: whole.edges & G.lift_edges(e1), 2: whole.edges & G.lift_edges(e2)}
-
-    def witness(edges):
-        if not edges:
-            return G.Matching(frozenset())
-        u = whole.u_side & frozenset().union(*edges)
-        w = whole.w_side & frozenset().union(*edges)
-        return G.Matching(edges, u, w)
-
     if len(parts[1]) > len(parts[2]):
         side = 1
     elif len(parts[2]) > len(parts[1]):
         side = 2
     else:
         side = 1 if sorted(map(sorted, parts[1])) <= sorted(map(sorted, parts[2])) else 2
-    return side, witness(parts[side])
+    return side, G.Matching(parts[side])
 
 
 class TestSplitNeat:
@@ -434,9 +427,9 @@ class TestFiles:
 
     def test_one_line_graph_text_and_missing_file(self, tmp_path):
         assert G.read_graph("v a") == G.Graph({"a"}, ())
-        with pytest.raises(ValueError, match="bad graph line"):
+        with pytest.raises(FormatError, match="bad graph line"):
             G.read_graph(str(tmp_path / "missing.txt"))
-        with pytest.raises(ValueError, match="undeclared vertices"):
+        with pytest.raises(FormatError, match="undeclared vertices"):
             G.read_graph("e a b")
 
     def test_one_line_order_is_text(self, tmp_path):
@@ -447,7 +440,7 @@ class TestFiles:
     def test_one_line_decomposition_text_and_missing_file(self, tmp_path):
         d = G.read_decomposition("B 0 a b")
         assert d.bags == {"0": frozenset({"a", "b"})} and not d.tree
-        with pytest.raises(ValueError, match="bad decomposition line"):
+        with pytest.raises(FormatError, match="bad decomposition line"):
             G.read_decomposition(str(tmp_path / "missing.txt"))
 
     def test_a_bag_id_given_twice_is_rejected(self):
@@ -460,3 +453,60 @@ class TestFiles:
         p.write_text(G.write_decomposition(d))
         back = G.read_decomposition(p.read_text())
         assert back.bags == d.bags and back.tree == d.tree
+
+
+
+def _digest(rows):
+    return hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+
+
+def _pin_corpus():
+    """Seeded random graphs, each with a plain order, four doubled orders
+    and a few doubled edges for each doubled order."""
+    rng = random.Random(2034)
+    corpus = []
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(2, 7))
+        order = sorted(g.vertices)
+        rng.shuffle(order)
+        lifted = sorted(tuple(sorted(e)) for e in G.double(g).edges)
+        doubled = []
+        for _ in range(4):
+            names = sorted(G.double(g).vertices)
+            rng.shuffle(names)
+            doubled.append((names, sorted(rng.sample(lifted, rng.randint(1, min(3, len(lifted)))))))
+        corpus.append((g, order, doubled))
+    return corpus
+
+
+class TestPinnedMatchings:
+    """The crossing witnesses, the neat extractions and the neat cuts of a
+    seeded corpus, pinned by digest: a change to how a matching or a cut is
+    represented must not move a single witness."""
+
+    def test_crossing_width_witnesses_pinned(self):
+        rows = []
+        for i, (g, order, _) in enumerate(_pin_corpus()):
+            for mode in ("lmm", "lsim"):
+                size, (cut, m) = G.crossing_width(g, order, mode)
+                rows.append((i, mode, size, cut, m.sorted_edges()))
+        assert _digest(rows) == (
+            "32ea65e81a8d8346ce4f4a6998dc86548ba3ff7d6c92d99c9881fc7ffb02cb5f")
+
+    def test_extract_neat_results_pinned(self):
+        rows = []
+        for i, (g, _, doubled) in enumerate(_pin_corpus()):
+            for j, (names, _) in enumerate(doubled):
+                rows.append((i, j, G.extract_neat(g, names).sorted_edges()))
+        assert _digest(rows) == (
+            "820184abef8fe8e4e3fd7d44be011ed7488094173e1cf720147353d631611365")
+
+    def test_neatly_crosses_cuts_pinned(self):
+        rows = []
+        for i, (_, _, doubled) in enumerate(_pin_corpus()):
+            for j, (names, picked) in enumerate(doubled):
+                cut = G.neatly_crosses(G.LinearOrder(names), [frozenset(e) for e in picked])
+                rows.append((i, j, picked, cut))
+        assert sum(cut is not None for *_, cut in rows) > 0
+        assert _digest(rows) == (
+            "6ed6bdeba3aa23b233194cc724b5c2c9d029381cc47fad0e0174dd7952bb3418")
