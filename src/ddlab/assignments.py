@@ -55,19 +55,27 @@ class Assignment:
     def _rows(cls, items):
         """The assignment whose sorted items are ``items``: a tuple of
         (name, bit) pairs, names strictly increasing and bits the ints 0 and
-        1. Nothing is checked; the callers build such tuples only."""
+        1. Nothing is checked; the callers build such tuples only. Its
+        name-to-bit map is made when first read (``__getattr__``)."""
         a = object.__new__(cls)
         a._items = items
-        a._map = dict(items)
         a._hash = hash(items)
         return a
+
+    def __getattr__(self, name):
+        # called only when normal lookup fails; for ``_map`` that is a member
+        # from ``_rows`` whose map no read has made yet
+        if name != "_map":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._map = m = dict(self._items)
+        return m
 
     @property
     def vars(self):
         return frozenset(self._map)
 
     def __len__(self):
-        return len(self._map)
+        return len(self._items)
 
     def __iter__(self):
         return iter(self._items)
@@ -89,7 +97,7 @@ class Assignment:
 
     def __le__(self, other):
         """Containment: self is a sub-assignment of other."""
-        if len(self._map) > len(other._map):
+        if len(self._items) > len(other._items):
             return False
         get = other._map.get
         return all(get(n) == b for n, b in self._items)
@@ -152,8 +160,10 @@ class AssignmentSet:
         self.elements = frozenset(Assignment(e) if not isinstance(e, Assignment) else e
                                   for e in elements)
         u = set()
+        add = u.add
         for a in self.elements:
-            u.update(a._map)
+            for name, _ in a._items:
+                add(name)
         self.universe = frozenset(u)
 
     @classmethod
@@ -170,7 +180,7 @@ class AssignmentSet:
     def is_uniform(self):
         # every member's variables lie in the universe, so equal sizes suffice
         n = len(self.universe)
-        return all(len(a._map) == n for a in self.elements)
+        return all(len(a._items) == n for a in self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -322,13 +332,18 @@ def restrict_set(h, a):
     n = len(names)
     rows = Assignment._rows
     out = []
+    uniform = True
     for b in h.elements:
         items = b._items
         if len(items) == n:
             if pick(items) == want:
                 out.append(rows(rest(items)))
-        elif a0 <= b:
-            out.append(b.minus(a0))
+        else:
+            uniform = False
+            if a0 <= b:
+                out.append(b.minus(a0))
+    if uniform:  # every survivor binds the names of h's universe outside a0's
+        return AssignmentSet._uniform(out, h.universe - a0.vars)
     return AssignmentSet(out)
 
 

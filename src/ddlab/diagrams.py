@@ -607,6 +607,8 @@ def truth_table(b, order):
 
     This is diagram-route semantics (the extension reading of the accepted
     sets), vectorized; it shares no code path with the clause-route tables.
+    A class's table is dropped once its last reachable parent has read it,
+    so only tables still to be read, and the source's, are held.
     """
     order = check_order(order, b.vars)
     config.check_scale(len(order), config.BRUTE_FORCE_VAR_CAP, "variables")
@@ -615,15 +617,27 @@ def truth_table(b, order):
     full = (1 << size) - 1
     pats = {name: pattern(n, p) for p, name in enumerate(order)}
     kind, var, lo, hi, _, live = b._iso_table
-    tt = [0] * len(kind)
+    # reads still to come of each class's table, one per parent edge: a
+    # decision whose two children are one class reads it twice
+    reads = [0] * len(kind)
+    for c in live:
+        if kind[c] != SINK:
+            reads[lo[c]] += 1
+            reads[hi[c]] += 1
+    tt = [None] * len(kind)
     for c in live:
         if kind[c] == SINK:
             tt[c] = full if lo[c] else 0
-        elif kind[c] == DECISION:  # hi where the variable is 1, lo elsewhere
-            low = tt[lo[c]]
-            tt[c] = low ^ (pats[var[c]] & (tt[hi[c]] ^ low))
+            continue
+        x, y = lo[c], hi[c]
+        if kind[c] == DECISION:  # hi where the variable is 1, lo elsewhere
+            tt[c] = tt[x] ^ (pats[var[c]] & (tt[y] ^ tt[x]))
         else:
-            tt[c] = tt[lo[c]] & tt[hi[c]]
+            tt[c] = tt[x] & tt[y]
+        for child in (x, y):
+            reads[child] -= 1
+            if not reads[child]:
+                tt[child] = None
     return tt[b._iso[b.source]]
 
 

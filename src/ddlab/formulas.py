@@ -51,15 +51,19 @@ def junction_formula(g, e1, e2, kind="vc"):
 
     The guard literal resolves under jn=1 to the first side's formula and
     under jn=0 to the second side's; guarding clause by clause keeps the
-    result a CNF for either kind.
+    result a CNF for either kind. The sides' clauses are well-formed and do
+    not mention the selector, so the guarded clauses are not checked again.
     """
     e1, e2 = check_edge_partition(g, e1, e2)
     family = {"vc": vc_formula, "psi": psi_formula}.get(kind)
     if family is None:
         raise ValueError(f"unknown junction kind {kind!r}")
-    clauses = [[(JUNCTION, 0), *c] for c in family(g.subgraph_of_edges(e1)).clauses]
-    clauses += [[(JUNCTION, 1), *c] for c in family(g.subgraph_of_edges(e2)).clauses]
-    return Cnf(clauses)
+    sides = [(0, family(g.subgraph_of_edges(e1))), (1, family(g.subgraph_of_edges(e2)))]
+    if any(JUNCTION in side.vars for _, side in sides):
+        raise PreconditionError(
+            f"the {kind} formula has a variable {JUNCTION!r}, the junction selector's name")
+    return Cnf.__new__(Cnf)._fill(
+        frozenset(c | {(JUNCTION, bit)} for bit, side in sides for c in side.clauses))
 
 
 def grid_junction_formula(n, kind="vc"):

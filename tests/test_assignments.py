@@ -275,6 +275,70 @@ def random_members(rng, names, uniform):
     return AssignmentSet(members)
 
 
+def map_is_made(a):
+    """Whether ``a``'s name-to-bit map is made, read from its slot so that
+    ``__getattr__`` does not make it."""
+    try:
+        Assignment._map.__get__(a)
+    except AttributeError:
+        return False
+    return True
+
+
+def rows_built_members():
+    """Members that ``decode_table``, ``minus``, ``project`` and
+    ``restrict_set`` (both its routes) build with ``Assignment._rows``, by
+    route: the same members on every call, each made afresh."""
+    rng = random.Random(47)
+    names = ["a", "b10", "b2", "c", "x_1"]
+    a = public((v, rng.randint(0, 1)) for v in names)
+    uniform = AssignmentSet(rng.sample(sorted(cube(names), key=lambda m: m._items), 12))
+    mixed = aset({"a": 1, "c": 0}, {"a": 1, "b2": 1, "c": 0}, {"a": 0, "c": 1}, {"a": 1})
+    return {
+        "decode_table": list(decode_table(names, rng.getrandbits(32))),
+        "minus": [a.minus(["b2", "foreign"]), a.minus(public([("a", 1), ("c", 0)])),
+                  a.minus(names)],
+        "project": [a.project(["b10", "c", "foreign"]), a.project([]), a.project(names)],
+        "restrict_set": [*restrict_set(uniform, public([("b2", 1)])),
+                         *restrict_set(mixed, public([("a", 1)]))],
+    }
+
+
+def relatives(a):
+    """Assignments to compare ``a`` with under ``<=``: itself, one more
+    name, one fewer, its first bit flipped, and the empty one."""
+    out = [a, a.union(Assignment({"foreign": 1})), Assignment()]
+    if len(a):
+        (name, bit), *rest = a
+        out += [Assignment(rest), Assignment([(name, 1 - bit), *rest])]
+    return out
+
+
+def key_error(a, name):
+    try:
+        a[name]
+    except KeyError:
+        return True
+    return False
+
+
+# each check of a member ``got`` against ``want``, the same assignment from
+# the public constructor
+ROW_CHECKS = {
+    "==": lambda got, want: got == want and want == got and not got != want,
+    "hash": lambda got, want: hash(got) == hash(want),
+    "get": lambda got, want: all(got.get(n, 7) == want.get(n, 7) and got.get(n) == want.get(n)
+                                 for n in ["foreign", *(n for n, _ in want)]),
+    "in": lambda got, want: all((n in got) == (n in want)
+                                for n in ["foreign", *(n for n, _ in want)]),
+    "[]": lambda got, want: all(got[n] == want[n] for n, _ in want) and key_error(got, "foreign"),
+    "len": lambda got, want: len(got) == len(want),
+    "vars": lambda got, want: got.vars == want.vars and type(got.vars) is frozenset,
+    "<=": lambda got, want: all((got <= o) == (want <= o) and (o <= got) == (o <= want)
+                                for o in relatives(want)),
+}
+
+
 class TestRowConstructor:
     NAMES = ["b10", "a", "x_1", "b2", "c", "zz", "m", "k", "d", "e", "f", "g"]
 
@@ -352,6 +416,49 @@ class TestRowConstructor:
         h = AssignmentSet(b for b in h if b["a"] == 0)
         assert restrict_set(h, Assignment({"a": 1})) == AssignmentSet()
         assert restrict_set(h, Assignment({"a": 1, "b": 0, "c": 0})) == AssignmentSet()
+
+    def test_rows_members_answer_as_public_ones_before_and_after_their_map(self):
+        # each check runs on members whose map no read has made yet, then
+        # every check again once each member's map is made
+        for name, check in ROW_CHECKS.items():
+            for route, members in rows_built_members().items():
+                assert members, route
+                for got in members:
+                    assert not map_is_made(got), route
+                    assert check(got, public(got)), (name, route, got)
+        routes = rows_built_members()
+        for route, members in routes.items():
+            for got in members:
+                assert got._map == dict(got._items) and map_is_made(got)
+                for name, check in ROW_CHECKS.items():
+                    assert check(got, public(got)), (name, route, got)
+
+    def test_a_rows_member_lacks_every_other_attribute(self):
+        got = next(iter(decode_table(["a", "b"], 0b0100)))
+        with pytest.raises(AttributeError, match="'Assignment' object has no attribute 'bogus'"):
+            got.bogus
+        assert not hasattr(got, "_mapp") and not hasattr(got, "__dict__")
+        assert not map_is_made(got)
+
+    @pytest.mark.parametrize("case", ["uniform", "non-uniform", "no survivors", "foreign"])
+    def test_restrict_set_universe_is_its_members(self, case):
+        h = cube(["a", "b", "c", "d"])
+        a = public([("b", 1), ("d", 0)])
+        universe = {"a", "c"}
+        if case == "non-uniform":
+            h = h | aset({"a": 1}, {"b": 1, "c": 0}, {"b": 1, "d": 0, "zz": 1})
+            universe = {"a", "c", "zz"}
+        elif case == "no survivors":
+            h = AssignmentSet(m for m in h if m["b"] == 0)
+            universe = set()
+        elif case == "foreign":
+            a = public([("b", 1), ("zz", 0)])
+            universe = {"a", "c", "d"}
+        got = restrict_set(h, a)
+        assert got == restrict_set_by_minus(h, a)
+        assert bool(got) == (case != "no survivors")
+        assert got.universe == AssignmentSet(list(got)).universe == universe
+        assert got.is_uniform == (case != "non-uniform")
 
     def test_is_uniform_on_non_uniform_sets(self):
         assert not aset({"a": 1}, {"b": 0}).is_uniform

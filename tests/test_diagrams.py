@@ -254,6 +254,112 @@ def test_truth_table_order_names_each_variable_once():
         D.truth_table(b, ["a"])
 
 
+def truth_table_by_nodes(b, order):
+    """The model bitset by one table per node, every node of the table
+    included, none dropped: bit m is the value under ``order[p]`` set to bit
+    ``len(order) - 1 - p`` of m."""
+    n = len(order)
+    full = (1 << (1 << n)) - 1
+    ones = {x: sum(1 << m for m in range(1 << n) if m >> (n - 1 - p) & 1)
+            for p, x in enumerate(order)}
+    table = {}
+    for i in toposort_by_nodes(b):
+        k, lo, hi = b.kind[i], b.lo[i], b.hi[i]
+        if k == D.SINK:
+            table[i] = full if lo else 0
+        elif k == D.DECISION:
+            x = ones[b.var[i]]
+            table[i] = (table[hi] & x) | (table[lo] & (full ^ x))
+        else:
+            table[i] = table[lo] & table[hi]
+    return table[b.source]
+
+
+def random_shared_diagram(rng, names):
+    """A random diagram straight from its columns, not through the builder:
+    children drawn from a few recent nodes (so a class has many parents),
+    some decisions with one child twice or with a copy of their 0-child as
+    1-child (a one-class decision), and a source that may leave later nodes
+    unreachable or be a sink."""
+    kind, var, lo, hi = [D.SINK, D.SINK], [None, None], [0, 1], [-1, -1]
+    for _ in range(rng.randint(1, 24)):
+        i = len(kind)
+        a, c = (rng.randrange(max(0, i - 4), i) for _ in range(2))
+        roll = rng.random()
+        if roll < 0.1:
+            c = a
+        elif roll < 0.2:  # a copy of node a, then a decision over a and its copy
+            kind.append(kind[a])
+            var.append(var[a])
+            lo.append(lo[a])
+            hi.append(hi[a])
+            c = i
+        if rng.random() < 0.25:
+            kind.append(D.AND)
+            var.append(None)
+        else:
+            kind.append(D.DECISION)
+            var.append(rng.choice(names))
+        lo.append(a)
+        hi.append(c)
+    roll = rng.random()
+    source = (rng.randrange(2) if roll < 0.1 else
+              rng.randrange(2, len(kind)) if roll < 0.4 else len(kind) - 1)
+    return D.Diagram(kind, var, lo, hi, source)
+
+
+def test_truth_table_matches_a_table_per_node():
+    rng = random.Random(151)
+    seen = {"many parents": 0, "one-class decision": 0, "unreachable": 0, "sink source": 0}
+    for _ in range(400):
+        names = [f"x{i}" for i in range(rng.randint(1, 5))]
+        b = random_shared_diagram(rng, names)
+        order = sorted(set(names) | {"z"})
+        assert D.truth_table(b, order) == truth_table_by_nodes(b, order)
+        cls = [b.iso_class(i) for i in range(b.size)]
+        reached, stack = {b.source}, [b.source]
+        while stack:
+            i = stack.pop()
+            if b.kind[i] != D.SINK:
+                for c in (b.lo[i], b.hi[i]):
+                    if c not in reached:
+                        reached.add(c)
+                        stack.append(c)
+        edges = {(cls[i], cls[c]) for i in reached if b.kind[i] != D.SINK
+                 for c in (b.lo[i], b.hi[i])}
+        parents = [sum(1 for _, c in edges if c == k) for k in set(cls)]
+        seen["many parents"] += max(parents) >= 3
+        seen["one-class decision"] += any(
+            b.kind[i] == D.DECISION and cls[b.lo[i]] == cls[b.hi[i]] for i in reached)
+        seen["unreachable"] += len({cls[i] for i in reached}) < b.merged_size
+        seen["sink source"] += b.kind[b.source] == D.SINK
+    assert min(seen.values()) >= 20, seen
+
+
+def test_truth_table_holds_a_table_only_until_its_last_reader():
+    # the 8-matching's OBDD in the bad order: 512 nodes over 16 variables,
+    # each table 8 KB; holding every class's table peaked at 4.5 MB
+    # (tracemalloc counts Python allocations only)
+    from ddlab import cnf
+    from ddlab import lowerbound as LB
+    from conftest import matching_graph
+    q = 8
+    exp = LB.make_experiment(matching_graph(q), [(f"u{i}", f"w{i}") for i in range(1, q + 1)],
+                             "obdd")
+    b = LB.obdd_for_order(exp.formula(), exp.order)
+    order = sorted(b.vars)
+    assert b.size == 512 and len(order) == 16
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = D.truth_table(b, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table == cnf.truth_table(exp.formula(), order)
+    assert peak < 2_000_000
+
+
 def path_assignment(b, node_ids):
     """The assignment read off a directed path's decision out-edges.
 

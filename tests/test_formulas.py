@@ -113,6 +113,32 @@ class TestJunction:
         target = F.psi_formula(gg.graph.subgraph_of_edges(gg.hor))
         assert side1 == target
 
+    @pytest.mark.parametrize("kind", ["vc", "psi"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_checked_build(self, n, kind):
+        # the oracle runs every guarded clause through cnf.clause again
+        gg = G.grid(n)
+        family = {"vc": F.vc_formula, "psi": F.psi_formula}[kind]
+        checked = C.Cnf(
+            [(F.JUNCTION, bit), *c] for bit, part in ((0, gg.hor), (1, gg.vert))
+            for c in family(gg.graph.subgraph_of_edges(part)).clauses)
+        phi = F.grid_junction_formula(n, kind)
+        assert phi == checked and hash(phi) == hash(checked) and phi.vars == checked.vars
+        assert phi.clauses == checked.clauses
+
+    def test_a_variable_named_like_the_selector_is_rejected(self):
+        # the four-cycle jn-a-b-c, split into its two perfect matchings
+        g = G.Graph(["jn", "a", "b", "c"], [("jn", "a"), ("a", "b"), ("b", "c"), ("c", "jn")])
+        e1 = [G.edge("jn", "a"), G.edge("b", "c")]
+        e2 = [G.edge("a", "b"), G.edge("c", "jn")]
+        with pytest.raises(PreconditionError, match="variable 'jn'"):
+            F.junction_formula(g, e1, e2, "vc")
+        with pytest.raises(PreconditionError, match="variable 'jn'"):
+            F.junction_formula(g, e2, e1, "vc")
+        # the doubled copies are jn#1 and jn#2: nothing collides
+        phi = F.junction_formula(g, e1, e2, "psi")
+        assert {"jn", "jn#1", "jn#2"} <= phi.vars
+
     def test_partition_must_span(self, c4):
         edges = sorted(c4.edges, key=sorted)
         with pytest.raises(PreconditionError):
