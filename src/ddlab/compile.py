@@ -416,7 +416,8 @@ def compile_split(phi, long_clauses, d):
 
     Stage 1 builds the decision tree of the long clauses; stage 2 hangs a
     decomposition-guided compilation of the reduced remainder off every true
-    leaf, all respecting the one vtree the decomposition induces. The
+    leaf, all respecting the one vtree the decomposition induces. Returns
+    ``(Diagram, Vtree)``, both from one rooting of the decomposition; the
     diagram declares the CNF's variables, tested or not.
     """
     long_set = frozenset(frozenset(c) for c in long_clauses)
@@ -445,14 +446,20 @@ def compile_split(phi, long_clauses, d):
         source = walk(dt.source, {})
     finally:
         del walk  # the closure refers to itself: a cycle until deleted
-    return builder.finalize(source, declared_vars=phi.vars)
+    return builder.finalize(source, declared_vars=phi.vars), _split_vtree(phi, rest, rooted)
 
 
 def split_vtree(phi, long_clauses, d):
-    """The fixed vtree every stage-2 residual of compile_split respects."""
+    """The fixed vtree every stage-2 residual of compile_split respects, the
+    one it returns, without compiling."""
     long_set = frozenset(frozenset(c) for c in long_clauses)
-    rest = Cnf(phi.clauses - long_set)
-    return vtree_from_decomposition_rooted(_Rooted(d), extra_vars=sorted(phi.vars - rest.vars))
+    return _split_vtree(phi, Cnf(phi.clauses - long_set), _Rooted(d))
+
+
+def _split_vtree(phi, rest, rooted):
+    """The vtree of a split compile: the rooted decomposition of the
+    remainder ``rest``, after the variables only the long clauses test."""
+    return vtree_from_decomposition_rooted(rooted, extra_vars=sorted(phi.vars - rest.vars))
 
 
 # ---------------------------------------------------------------------------

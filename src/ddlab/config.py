@@ -10,8 +10,13 @@ from .errors import ScaleError
 # Largest universe (in variables) the 2^n enumerations accept.
 BRUTE_FORCE_VAR_CAP = 22
 
-# Largest vertex count for exhaustive linear-order search (a 2^n·n subset DP).
+# Largest vertex count for exhaustive width search over linear orders (a
+# 2^n·n subset DP).
 EXHAUSTIVE_ORDER_CAP = 8
+
+# Largest variable count for exhaustive minimum-OBDD search: the same subset
+# DP, each placed set keeping its distinct full-width 2^n-bit subfunctions.
+EXHAUSTIVE_OBDD_CAP = 10
 
 # Largest vertex count for the exact treewidth/pathwidth subset DP.
 TREEWIDTH_CAP = 10

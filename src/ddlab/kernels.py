@@ -14,7 +14,19 @@ that places rank ``order[p]`` at position ``p``.
 
 from functools import lru_cache
 
+from .config import OBDD_SIZING_CAP
+
 BACKEND = "python"
+
+# The level table of one order search. The distinct cofactors left after
+# fixing a set S of ranks, |L(S)|, and the decision nodes of the level after S
+# where rank v is placed, nodes(S, v), depend only on S and v, not on the
+# order within S, so they serve every order sharing that prefix set. S is a
+# bitmask, bit rank - 1 for each placed rank, shifted above a field that
+# holds v: key ``S << RANK_BITS`` holds |L(S)| and ``S << RANK_BITS | v``
+# nodes(S, v). The field must hold every rank the sizing cap allows.
+RANK_BITS = 5
+assert OBDD_SIZING_CAP < 1 << RANK_BITS
 
 
 @lru_cache(maxsize=4096)
@@ -63,7 +75,7 @@ def cnf_truth_table(n, clauses):
     return _truth_table(n, clauses, _literals(n))
 
 
-def obdd_size_for_order(n, clauses, bound=None, order=None):
+def obdd_size_for_order(n, clauses, bound=None, order=None, known=None):
     """Node count of the reduced OBDD of a clause set, sinks included, or
     ``None`` when a ``bound`` is given and the count is at least ``bound``.
 
@@ -91,6 +103,12 @@ def obdd_size_for_order(n, clauses, bound=None, order=None):
     ``internal + len(level)``, and once that reaches the bound the rest of
     the split cannot bring the count under it. Without a bound every level
     is split and the count is returned.
+
+    With a ``known`` dict (and an ``order``) the kernel records in it the
+    counts of every level it reaches, keyed as the level-table comment at
+    the top of this module says: |L(S)| before the level's bound check (and
+    for all n ranks once the split ends), and nodes(S, v) once the level is
+    split.
     """
     lits = _literals(n)
     if order is not None:
@@ -101,11 +119,15 @@ def obdd_size_for_order(n, clauses, bound=None, order=None):
         lits = placed
     level = {_truth_table(n, clauses, lits)}
     internal = 0
+    key = 0  # the placed set S, shifted into a table key
     for p in range(n):
+        if known is not None:
+            known[key] = len(level)
         if bound is not None and internal + len(level) >= bound:
             return None
         half = 1 << (n - 1 - p)
         low = (1 << half) - 1
+        above = internal
         below = set()
         for block in level:
             lo = block & low
@@ -115,7 +137,59 @@ def obdd_size_for_order(n, clauses, bound=None, order=None):
                 below.add(hi)
             below.add(lo)
         level = below
+        if known is not None:
+            rank = order[p]
+            known[key | rank] = internal - above
+            key |= 1 << (rank - 1 + RANK_BITS)
+    if known is not None:
+        known[key] = len(level)
     size = internal + len(level)
     if bound is not None and size >= bound:
         return None
     return size
+
+
+def obdd_size_from_table(n, clauses, bound, order, known):
+    """``obdd_size_for_order(n, clauses, bound, order, known)``, read from
+    the level table ``known`` when the counts there decide it.
+
+    ``known`` holds what the kernel recorded for earlier orders of the same
+    search. The walk follows the order level by level. While every node
+    count so far is known it sums the exact nodes above each level and cuts
+    the order once they plus |L(S)| reach the bound, the kernel's own check.
+    After the first unknown node count it sums a lower bound instead: a
+    cofactor of L(S) whose halves are equal passes one half on to
+    L(S ∪ {v}) and a decision node passes two, so |L(S ∪ {v})| <= |L(S)| +
+    nodes(S, v), that is, nodes(S, v) >= |L(S ∪ {v})| - |L(S)|. The sum never
+    exceeds the kernel's count at that level, so a cut on it is one the
+    kernel makes at that level or before. With every count known the order
+    is settled from the table: its size, or a cut once that reaches the
+    bound. Otherwise, at the first unknown |L(S)| or with no bound (the
+    search's first order), the kernel sizes the order and records what it
+    counts.
+    """
+    if bound is not None:
+        get = known.get
+        key = internal = 0
+        exact = True
+        for v in order:
+            width = get(key)
+            if width is None:
+                break
+            if internal + width >= bound:
+                return None
+            nodes = get(key | v)
+            key |= 1 << (v - 1 + RANK_BITS)
+            if nodes is None:
+                exact = False
+                nodes = max(get(key, 0) - width, 0)
+            internal += nodes
+        else:
+            # past the last level: the sinks, known whenever the last node
+            # count is, and 0 is a lower bound for them otherwise
+            size = internal + get(key, 0)
+            if size >= bound:
+                return None
+            if exact:
+                return size
+    return obdd_size_for_order(n, clauses, bound, order, known)

@@ -328,7 +328,10 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None, verify=False):
 
     The sampled search is ``sample_order`` over the ranks of the sorted
     names. It sizes each order with the best size so far as the kernel's
-    bound, so an order stops being sized once it cannot beat it.
+    bound, so an order stops being sized once it cannot beat it. The search
+    keeps one table of the level counts the kernel has made, for this call
+    only, and sizes each order by ``kernels.obdd_size_from_table`` over it,
+    so the kernel runs only for the orders the table cannot decide.
     """
     if search not in ("exhaustive", "sampled"):
         raise FormatError(f"unknown search {search!r}")
@@ -338,7 +341,7 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None, verify=False):
         return 1, LinearOrder(())
     config.check_scale(n, config.OBDD_SIZING_CAP, "variables for OBDD sizing")
     if search == "exhaustive":
-        config.check_scale(n, config.EXHAUSTIVE_ORDER_CAP, "variables for exhaustive order search")
+        config.check_scale(n, config.EXHAUSTIVE_OBDD_CAP, "variables for exhaustive order search")
         cost = _level_nodes(n, cnf_truth_table(phi, names))
         size, index = best_order(n, cost, operator.add)
         order = [names[v] for v in index]
@@ -346,8 +349,9 @@ def min_obdd(phi, search="exhaustive", count=None, seed=None, verify=False):
         # encode once over the ranks of the sorted names; the kernel places
         # each order's positions itself
         base = encode(phi, names)
+        known = {}
         size, ranks = sample_order(n, count, seed, lambda ranks, bound:
-                                   kernels.obdd_size_for_order(n, base, bound, ranks))
+                                   kernels.obdd_size_from_table(n, base, bound, ranks, known))
         order = [names[rank - 1] for rank in ranks]
     if verify:
         built = obdd_for_order(phi, order)

@@ -247,8 +247,7 @@ def compile(args, path):
         if wanted - labels.keys():
             raise FormatError(f"unknown clause ids {sorted(wanted - labels.keys())}")
         chosen = [c for name, c in labels.items() if name in wanted]
-        diagram = compile_mod.compile_split(phi, chosen, d)
-        vtree = compile_mod.split_vtree(phi, chosen, d)
+        diagram, vtree = compile_mod.compile_split(phi, chosen, d)
     if vtree is not None and args.get("vtree_out"):
         path.write(args["vtree_out"], compile_mod.write_vtree(vtree))
     return {"size": diagram.size}, diagram

@@ -123,7 +123,7 @@ def test_criterion_01_semantics_oracle_equivalence():
             rest = C.Cnf(phi.clauses - frozenset(long))
             d = (doubled_window_decomposition(3) if name == "grid3"
                  else split_decomposition(rest))
-            diagram = CP.compile_split(phi, long, d)
+            diagram, _ = CP.compile_split(phi, long, d)
             full_check(diagram, phi, f"split vs psi({name})")
             vt = CP.split_vtree(phi, long, d)
             assert CP.respects(diagram, vt, "conjunction-only") == (True, None)
@@ -132,11 +132,11 @@ def test_criterion_01_semantics_oracle_equivalence():
             phi = F.star_formula(graphs[name])
             long = [c for c in phi.clauses if len(c) > 2]
             rest = C.Cnf(phi.clauses - frozenset(long))
-            diagram = CP.compile_split(phi, long, split_decomposition(rest))
+            diagram, _ = CP.compile_split(phi, long, split_decomposition(rest))
             full_check(diagram, phi, f"split vs star({name})")
             ran.append(("split", f"star({name})"))
         phi = F.grid_junction_formula(2)
-        diagram = CP.compile_split(phi, [], split_decomposition(phi))
+        diagram, _ = CP.compile_split(phi, [], split_decomposition(phi))
         assert equal_to_cnf(diagram, phi)
         ran.append(("split", "vc-junction(grid2) with no long clauses"))
 
@@ -507,6 +507,10 @@ def test_criterion_10_separation_echo():
                   f"{samples} sampled plain-OBDD orders {sampled_size} nodes")
             if n == 3:
                 assert junction_size < sampled_size
+                # the exact minimum over all 10! orders, beside the sampled gate
+                exact_size, _ = LB.min_obdd(F.grid_junction_formula(n), verify=True)
+                print(f"  n={n}: exact minimum plain OBDD {exact_size} nodes")
+                assert junction_size < exact_size == 33
 
 
 def test_criterion_11_deterministic_bundles(tmp_path):

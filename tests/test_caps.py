@@ -42,7 +42,7 @@ ONE_PAST = {
     "width_min": (lambda: G.width_min(path_graph(range(9))), 9, 8),
     "obdd_size": (lambda: LB.obdd_size(units(21), sorted(units(21).vars)), 21, 20),
     "min_obdd sizing": (lambda: LB.min_obdd(units(21)), 21, 20),
-    "min_obdd exhaustive": (lambda: LB.min_obdd(units(9)), 9, 8),
+    "min_obdd exhaustive": (lambda: LB.min_obdd(units(11)), 11, 10),
 }
 
 

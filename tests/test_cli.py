@@ -764,6 +764,31 @@ class TestRun:
         assert code == 0
         assert (bundle / "b.vtree").read_text() == (tmp_path / "cli.vtree").read_text()
 
+    def test_a_split_step_roots_its_decomposition_once(self, tmp_path, capsys, monkeypatch):
+        # the diagram and the --vtree-out vtree come from one rooted view
+        from ddlab import compile as CP
+        from ddlab import graphs as G
+        from conftest import exact_decomposition
+        monkeypatch.chdir(tmp_path)
+        run(["gen", "--family", "psi", "--grid", "2", "--out", "psi2.cnf"], capsys)
+        labels = C.clause_labels(C.read_dimacs(pathlib.Path("psi2.cnf").read_text()))
+        long = [name for name, c in labels if len(c) > 2]
+        rest = C.Cnf(c for name, c in labels if name not in long)
+        put("d.txt", G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0])))
+        rooted = []
+        plain_init = CP._Rooted.__init__
+
+        def counted_init(obj, d):
+            rooted.append(d)
+            plain_init(obj, d)
+
+        monkeypatch.setattr(CP._Rooted, "__init__", counted_init)
+        code, _, _ = run(["compile", "--method", "split", "--cnf", "psi2.cnf", "--decomp", "d.txt",
+                          "--long", ",".join(long), "--out", "s.json",
+                          "--vtree-out", "s.vtree"], capsys)
+        assert code == 0 and pathlib.Path("s.vtree").read_text()
+        assert len(rooted) == 1
+
 
 @pytest.mark.parametrize("argv", [
     ["width", "--graph", "e a b"],

@@ -327,7 +327,7 @@ class TestCompileSplit:
     def test_no_long_clauses_behaves_like_primal(self, c4):
         phi = F.vc_formula(c4)
         d = decomposition_for(phi)
-        split = CP.compile_split(phi, [], d)
+        split, _ = CP.compile_split(phi, [], d)
         assert equal_to_cnf(split, phi)
 
     def test_psi_single_edge(self, single_edge):
@@ -335,7 +335,7 @@ class TestCompileSplit:
         long = [c for c in psi.clauses if all(s == 0 for _, s in c)]
         rest = C.Cnf(psi.clauses - frozenset(long))
         d = exact_decomposition(C.graphs_of(rest)[0])
-        diagram = CP.compile_split(psi, long, d)
+        diagram, _ = CP.compile_split(psi, long, d)
         assert equal_to_cnf(diagram, psi)
         assert D.count_models(diagram, psi.vars) == 2
 
@@ -344,16 +344,17 @@ class TestCompileSplit:
         long = [c for c in psi.clauses if len(c) > 2]
         rest = C.Cnf(psi.clauses - frozenset(long))
         d = exact_decomposition(C.graphs_of(rest)[0])
-        diagram = CP.compile_split(psi, long, d)
+        diagram, returned = CP.compile_split(psi, long, d)
         assert equal_to_cnf(diagram, psi)
         vt = CP.split_vtree(psi, long, d)
+        assert CP.write_vtree(returned) == CP.write_vtree(vt)
         assert CP.respects(diagram, vt, "conjunction-only") == (True, None)
 
     def test_psi_grid3_with_window_decomposition(self):
         psi = F.psi_formula(G.grid(3).graph)
         long = [c for c in psi.clauses if len(c) > 2]
         d = doubled_window_decomposition(3)
-        diagram = CP.compile_split(psi, long, d)
+        diagram, _ = CP.compile_split(psi, long, d)
         assert equal_to_cnf(diagram, psi)
         vt = CP.split_vtree(psi, long, d)
         assert CP.respects(diagram, vt, "conjunction-only") == (True, None)
@@ -364,7 +365,7 @@ class TestCompileSplit:
         long = [frozenset([("a", 0), ("b", 0), ("z", 0)])]
         rest = C.Cnf(phi.clauses - frozenset(long))
         d = exact_decomposition(C.graphs_of(rest)[0])
-        diagram = CP.compile_split(phi, long, d)
+        diagram, _ = CP.compile_split(phi, long, d)
         assert equal_to_cnf(diagram, phi)
 
     def test_long_must_be_subset(self, c4):
@@ -385,7 +386,7 @@ class TestCompileSplit:
             rest = C.Cnf(phi.clauses - frozenset(long))
             d = (decomposition_for(rest) if rest.vars
                  else G.Decomposition({"b0": frozenset()}, frozenset()))
-            diagram = CP.compile_split(phi, long, d)
+            diagram, _ = CP.compile_split(phi, long, d)
             assert equal_to_cnf(diagram, phi)
             D.validate(diagram)
             done += 1

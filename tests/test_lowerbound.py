@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ import pytest
 from ddlab import alignment as AL
 from ddlab import cnf as C
 from ddlab import diagrams as D
+from ddlab import kernels as K
 from ddlab import lowerbound as LB
 from ddlab.assignments import Assignment, AssignmentSet, restrict_set, breaks
 from ddlab.errors import PreconditionError, SoundnessError
@@ -378,6 +380,23 @@ def permutation_min_obdd(phi):
     return best
 
 
+def cut_kind(known, ranks, bound):
+    """How the level table cut an order it decided: "exact-cut" when the
+    exact node counts above a level and its |L(S)| reach the bound, "table"
+    when every count is known and the size reaches it, and "bound-cut" when
+    an unknown node count came first."""
+    placed = internal = 0
+    for v in ranks:
+        if internal + known[placed << K.RANK_BITS] >= bound:
+            return "exact-cut"
+        nodes = known.get(placed << K.RANK_BITS | v)
+        if nodes is None:
+            return "bound-cut"
+        internal += nodes
+        placed |= 1 << (v - 1)
+    return "table"
+
+
 def unbounded_sampled_min_obdd(phi, count, seed):
     """The sampled search without the bound: the same shuffles, every order
     sized to the last level, the first order of the least size kept."""
@@ -434,6 +453,60 @@ class TestMinObdd:
             for seed in range(4):
                 assert LB.min_obdd(phi, search="sampled", count=300, seed=seed,
                                    verify=True) == unbounded_sampled_min_obdd(phi, 300, seed)
+
+    def test_sampled_with_the_level_table_matches_the_unbounded_search(self, monkeypatch):
+        # every order the level table decides gets the kernel's own answer,
+        # and the corpus reaches each way an order is decided
+        outcomes = collections.Counter()
+        from_table, size_for_order = K.obdd_size_from_table, K.obdd_size_for_order
+        sized = []
+
+        def counted(*args):
+            sized.append(args)
+            return size_for_order(*args)
+
+        def checked(n, clauses, bound, ranks, known):
+            before = len(sized)
+            answer = from_table(n, clauses, bound, ranks, known)
+            if len(sized) > before:
+                outcomes["kernel"] += 1
+            else:
+                assert answer == size_for_order(n, clauses, bound, ranks)
+                outcomes["table" if answer is not None else cut_kind(known, ranks, bound)] += 1
+            return answer
+
+        monkeypatch.setattr(K, "obdd_size_for_order", counted)
+        monkeypatch.setattr(K, "obdd_size_from_table", checked)
+        rng = random.Random(23)
+        searches = []
+        for _ in range(30):
+            phi = random_cnf(rng, rng.randint(1, 8), rng.randint(1, 12))
+            n = len(phi.vars)
+            searches += [(phi, 1 << n, rng.randrange(100)), (phi, 4 << n, rng.randrange(100))]
+        searches.append((grid_junction_formula(2), 2000, 7))
+        searches += [(grid_junction_formula(3), 2000, seed) for seed in (2, 3, 4)]
+        for phi, count, seed in searches:
+            assert LB.min_obdd(phi, search="sampled", count=count, seed=seed) == \
+                unbounded_sampled_min_obdd(phi, count, seed)
+        assert set(outcomes) == {"exact-cut", "bound-cut", "table", "kernel"}
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_level_table_pins_the_kernel_calls(self, monkeypatch):
+        calls = []
+        size_for_order = K.obdd_size_for_order
+
+        def counted(n, *args):
+            calls.append(n)
+            return size_for_order(n, *args)
+
+        monkeypatch.setattr(K, "obdd_size_for_order", counted)
+        phi = grid_junction_formula(3)  # 10 variables, 1,024 prefix sets
+        LB.min_obdd(phi, search="sampled", count=2000, seed=1)
+        assert len(calls) == 870
+        # fewer orders than prefix sets: the table still decides a few
+        calls.clear()
+        LB.min_obdd(phi, search="sampled", count=300, seed=1)
+        assert len(calls) == 263
 
     def test_sampled_grid3_result_pinned(self):
         # the answer of sizing all 2000 orders in full, so a change to the
