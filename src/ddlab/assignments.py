@@ -31,11 +31,8 @@ class Assignment:
     __slots__ = ("_items", "_map", "_hash")
 
     def __init__(self, bindings=()):
-        if isinstance(bindings, Assignment):
-            self._items = bindings._items
-            self._map = bindings._map
-            self._hash = bindings._hash
-            return
+        """``bindings`` is a dict or an iterable of (name, bit) pairs, as an
+        assignment is itself."""
         if isinstance(bindings, dict):
             pairs = bindings.items()
         else:
@@ -152,13 +149,13 @@ EMPTY = Assignment()
 
 
 class AssignmentSet:
-    """A finite set of assignments; the universe is the union of member vars."""
+    """A finite set of assignments, held as given; the universe is the union
+    of member vars."""
 
     __slots__ = ("elements", "universe")
 
     def __init__(self, elements=()):
-        self.elements = frozenset(Assignment(e) if not isinstance(e, Assignment) else e
-                                  for e in elements)
+        self.elements = frozenset(elements)
         u = set()
         add = u.add
         for a in self.elements:

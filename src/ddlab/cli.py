@@ -26,7 +26,8 @@ def _fail(exc, code):
 
 
 def _split_names(text):
-    """Comma-separated names; commas inside parentheses belong to the name."""
+    """Comma-separated names, stripped, empty ones dropped; commas inside
+    parentheses belong to the name."""
     out = []
     depth = 0
     cur = []
@@ -64,10 +65,9 @@ def _verb_args(ns, path):
     args = verbs.Args(((k, v) for k, v in vars(ns).items()
                        if v is not None and k not in ("func", "verb", "lbverb")),
                       what, flags=True)
-    if "universe" in args:
-        args["universe"] = _split_names(args["universe"])
-    if "long" in args:
-        args["long"] = [name for name in args["long"].split(",") if name]
+    for key in ("universe", "long"):
+        if key in args:
+            args[key] = _split_names(args[key])
     if "matching" in args:
         args["matching"] = _read_matching(path.text(args["matching"]))
     return args

@@ -147,39 +147,36 @@ def decision_tree(phi):
 
 
 class Vtree:
-    """A rooted binary tree whose leaves are the variables, stored densely
-    with children before parents (the root is the last node): ``payload``
-    holds a leaf's name and an internal node's pair of child ids."""
+    """A rooted binary tree whose leaves are the variables, kept as its
+    children-first table ``payload``: entry ``i`` is a leaf's name or an
+    internal node's pair of child ids, both below ``i``; the root is the
+    last entry."""
 
     __slots__ = ("payload", "_vars")
 
-    def __init__(self, nested):
-        # post-order, left subtree first, with an explicit stack so that a
-        # vtree of any depth can be built; ``done`` holds the ids of the
-        # finished subtrees whose parent is not numbered yet
-        payload = []
+    def __init__(self, payload):
+        """The vtree of the table ``payload``, whose one forward pass
+        gathers each node's variables. A child id not below its parent, an
+        entry other than the root that is not a child exactly once, or two
+        leaves with one name is a ``ValueError``."""
+        payload = tuple(payload)
         vars_of = []
-        done = []
-        stack = [(nested, False)]
-        while stack:
-            part, expanded = stack.pop()
-            if isinstance(part, str):
-                payload.append(part)
-                vars_of.append(frozenset((part,)))
-            elif expanded:
-                right = done.pop()
-                left = done.pop()
-                payload.append((left, right))
-                vars_of.append(vars_of[left] | vars_of[right])
-            else:
-                left, right = part
-                stack += ((part, True), (right, False), (left, False))
+        children = []
+        for i, p in enumerate(payload):
+            if isinstance(p, str):
+                vars_of.append(frozenset((p,)))
                 continue
-            done.append(len(payload) - 1)
+            left, right = p
+            if not (0 <= left < i and 0 <= right < i):
+                raise ValueError(f"vtree node {i} has children {p} not below it")
+            children += p
+            vars_of.append(vars_of[left] | vars_of[right])
+        if not payload or sorted(children) != list(range(len(payload) - 1)):
+            raise ValueError("every vtree node but the root must be a child exactly once")
         names = [p for p in payload if isinstance(p, str)]
         if len(set(names)) != len(names):
             raise ValueError("vtree leaves must carry distinct variables")
-        self.payload = tuple(payload)
+        self.payload = payload
         self._vars = tuple(vars_of)
 
     @property
@@ -212,8 +209,9 @@ def write_vtree(vt):
 
 
 def read_vtree(text):
-    """The vtree of a table whose ids are dense, each child below its parent,
-    and every entry but the last (the root) some node's child exactly once."""
+    """The vtree of ``L <id> <var>`` and ``I <id> <left> <right>`` lines, in
+    any order, with the ids they give: the ids must be dense, and ``Vtree``
+    checks the table they number; a bad table is a ``FormatError``."""
     entries = []
     for raw, parts in records(text):
         try:  # an id that is not an integer makes the line bad too
@@ -229,39 +227,10 @@ def read_vtree(text):
     entries.sort(key=lambda e: e[0])
     if not entries or [i for i, _ in entries] != list(range(len(entries))):
         raise FormatError("vtree ids must be dense 0..n-1")
-    nested = []
-    children = []
-    for i, e in entries:
-        if isinstance(e, tuple):
-            if not all(0 <= c < i for c in e):
-                raise FormatError(f"vtree node {i} has children {e} not below it")
-            children += e
-            e = (nested[e[0]], nested[e[1]])
-        nested.append(e)
-    if sorted(children) != list(range(len(entries) - 1)):
-        raise FormatError("every vtree node but the root must be a child exactly once")
-    return Vtree(nested[-1])
-
-
-def _right_comb(parts):
-    """Right-leaning combination; None parts drop out."""
-    parts = [p for p in parts if p is not None]
-    if not parts:
-        return None
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = (p, out)
-    return out
-
-
-def _left_comb(parts):
-    parts = [p for p in parts if p is not None]
-    if not parts:
-        return None
-    out = parts[0]
-    for p in parts[1:]:
-        out = (out, p)
-    return out
+    try:
+        return Vtree(e for _, e in entries)
+    except ValueError as err:
+        raise FormatError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +367,37 @@ def vtree_from_decomposition_rooted(rooted, extra_vars=()):
 
     Per bag: a right-leaning comb over the bag's own variables ending in a
     left-leaning comb over the child subtrees. Extra variables (not placed by
-    any bag) comb on top in sorted order. None when there are no variables.
+    any bag) comb on top in sorted order, as the variables of a bag above the
+    root. The table is appended in post-order, left subtree first. None when
+    there are no variables.
     """
-    def part(b):
-        child_parts = _left_comb([part(c) for c in rooted.children[b]])
-        return _right_comb([*rooted.local(b), child_parts])
+    table = []
+
+    def join(left, right):
+        """The node over two appended subtrees; a None side, a subtree
+        without variables, drops out."""
+        if left is None or right is None:
+            return right if left is None else left
+        table.append((left, right))
+        return len(table) - 1
+
+    def part(names, bags):
+        """Append the leaves ``names``, then the subtrees of ``bags``, and
+        comb the leaves over those subtrees' left-leaning comb."""
+        first = len(table)
+        table.extend(names)
+        top = None
+        for b in bags:
+            top = join(top, part(rooted.local(b), rooted.children[b]))
+        for leaf in range(first + len(names) - 1, first - 1, -1):
+            top = join(leaf, top)
+        return top
 
     try:
-        nested = _right_comb([*sorted(extra_vars), part(rooted.root)])
+        top = part(sorted(extra_vars), [rooted.root])
     finally:
         del part  # the closure refers to itself: a cycle until deleted
-    return None if nested is None else Vtree(nested)
+    return None if top is None else Vtree(table)
 
 
 def compile_split(phi, long_clauses, d):

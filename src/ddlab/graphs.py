@@ -207,16 +207,14 @@ def is_matching(edges):
 
 
 def is_induced_matching(g, edges):
-    """No edge of g joins matched vertices apart from the matching itself."""
+    """No edge of g joins matched vertices apart from the matching itself.
+    ``edges`` is read once, so a generator gives the verdict of its list."""
+    edges = tuple(edges)  # a repeated edge still fails is_matching
     if not is_matching(edges):
         return False
-    matched = set()
-    for e in edges:
-        matched.update(e)
-    for e in g.edges:
-        if e <= matched and e not in frozenset(edges):
-            return False
-    return True
+    edge_set = frozenset(edges)
+    matched = frozenset().union(*edge_set)
+    return all(e in edge_set for e in g.edges if e <= matched)
 
 
 # the (in prefix, copy tag) pairs of the ends of a neat crossing: all

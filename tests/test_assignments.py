@@ -135,6 +135,13 @@ class TestAssignment:
         with pytest.raises(ValueError):
             Assignment([("x", 1), ("x", 0)])
 
+    def test_an_assignment_of_an_assignment_reads_its_pairs(self):
+        a = Assignment({"y": 0, "x": 1})
+        rows = Assignment._rows((("x", 1), ("y", 0)))  # no name-to-bit map made yet
+        for given in (a, rows):
+            copy = Assignment(given)
+            assert copy == a and hash(copy) == hash(a) and copy["y"] == 0
+
     def test_union_and_minus(self):
         a = Assignment({"x": 1})
         b = Assignment({"y": 0})

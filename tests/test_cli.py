@@ -764,6 +764,28 @@ class TestRun:
         assert code == 0
         assert (bundle / "b.vtree").read_text() == (tmp_path / "cli.vtree").read_text()
 
+    def test_spaces_after_the_commas_of_long_are_dropped(self, tmp_path, capsys, monkeypatch):
+        # --long is split as --universe is: "c8, c9" names c8 and c9
+        from ddlab import compile as CP
+        from ddlab import graphs as G
+        from conftest import exact_decomposition
+        monkeypatch.chdir(tmp_path)
+        run(["gen", "--family", "psi", "--grid", "2", "--out", "psi2.cnf"], capsys)
+        phi = C.read_dimacs(pathlib.Path("psi2.cnf").read_text())
+        rest = C.Cnf(c for c in phi.clauses if len(c) <= 2)
+        put("d.txt", G.write_decomposition(exact_decomposition(C.graphs_of(rest)[0])))
+        for name, long in (("plain", "c8,c9"), ("spaced", "c8, c9")):
+            code, _, err = run(["compile", "--method", "split", "--cnf", "psi2.cnf",
+                                "--decomp", "d.txt", "--long", long, "--out", f"{name}.json",
+                                "--vtree-out", f"{name}.vtree"], capsys)
+            assert code == 0, err
+        for suffix in ("json", "vtree"):
+            plain = pathlib.Path(f"plain.{suffix}").read_bytes()
+            assert pathlib.Path(f"spaced.{suffix}").read_bytes() == plain
+        text = pathlib.Path("spaced.vtree").read_text()
+        assert CP.write_vtree(CP.read_vtree(text)) == text
+        assert CP.read_vtree(text).vars == phi.vars
+
     def test_a_split_step_roots_its_decomposition_once(self, tmp_path, capsys, monkeypatch):
         # the diagram and the --vtree-out vtree come from one rooted view
         from ddlab import compile as CP

@@ -190,9 +190,41 @@ class TestDtToDiagram:
         assert_same_classes(CP.dt_to_diagram(dt), node_by_node(dt))
 
 
+class _BagTree:
+    """A rooted decomposition as ``vtree_from_decomposition_rooted`` reads
+    it, from a nested bag ``(local variables, child bag, ...)``: bag ids
+    in pre-order, the root 0."""
+
+    def __init__(self, bag):
+        self.root = 0
+        self.children = {}
+        self._local = {}
+
+        def add(bag):
+            b = len(self._local)
+            self._local[b] = list(bag[0])
+            self.children[b] = [add(c) for c in bag[1:]]
+            return b
+
+        add(bag)
+
+    def local(self, b):
+        return self._local[b]
+
+
+# children-first tables: a leaf's name or a pair of child ids, root last
+TABLES = [
+    ("x",),
+    ("a", "b", (0, 1)),
+    ("a", "b", "c", (1, 2), "d", (3, 4), (0, 5)),
+    ("a", "b", (0, 1), "c", "d", (3, 4), (2, 5), "e", "f", "g", (8, 9), (7, 10), (6, 11)),
+]
+ONCE = "every vtree node but the root must be a child exactly once"
+
+
 class TestVtree:
     def test_roundtrip(self):
-        vt = CP.Vtree(("a", (("b", "c"), "d")))
+        vt = CP.Vtree(TABLES[2])
         text = CP.write_vtree(vt)
         assert CP.read_vtree(text) == vt
         # children precede parents; the root is the last line
@@ -200,24 +232,36 @@ class TestVtree:
 
     def test_one_line_text_and_missing_file(self, tmp_path):
         # the reader parses text only: a file's name, missing or not, is text
-        assert CP.read_vtree("L 0 x") == CP.Vtree("x")
+        assert CP.read_vtree("L 0 x") == CP.Vtree(("x",))
         with pytest.raises(FormatError, match="bad vtree line"):
             CP.read_vtree(str(tmp_path / "missing.vtree"))
 
-    @pytest.mark.parametrize("text", [
-        "L 0 a\nL 1 b\nL 2 c\nI 3 0 1\n",
-        "I 0 1 2\nL 1 a\nL 2 b\n",
-        "I 0 0 0\n",
-        "L 0 a\nI 1 0 0\n",
-        "L 0 a\nL 1 b\nI 2 0 1\nI 3 0 2\n",
-        "L 0 a\nL 1 b\nI 2 0 1\nI 3 0 5\n",
-        "L 0 a\nL 0 b\n",
-        "",
+    @pytest.mark.parametrize("text,message", [
+        ("L 0 a\nL 1 b\nL 2 c\nI 3 0 1\n", ONCE),
+        ("I 0 1 2\nL 1 a\nL 2 b\n", "vtree node 0 has children (1, 2) not below it"),
+        ("I 0 0 0\n", "vtree node 0 has children (0, 0) not below it"),
+        ("L 0 a\nI 1 0 0\n", ONCE),
+        ("L 0 a\nL 1 b\nI 2 0 1\nI 3 0 2\n", ONCE),
+        ("L 0 a\nL 1 b\nI 2 0 1\nI 3 0 5\n", "vtree node 3 has children (0, 5) not below it"),
+        ("L 0 a\nL 0 b\n", "vtree ids must be dense 0..n-1"),
+        ("", "vtree ids must be dense 0..n-1"),
+        ("L 0 a\nL 1 a\nI 2 0 1\n", "vtree leaves must carry distinct variables"),
     ], ids=["unreached-leaf", "child-above-parent", "own-child", "child-twice",
-            "shared-child", "missing-child", "duplicate-id", "empty"])
-    def test_malformed_tables_are_rejected(self, text):
-        with pytest.raises(FormatError):
+            "shared-child", "missing-child", "duplicate-id", "empty", "repeated-leaf"])
+    def test_malformed_tables_are_rejected(self, text, message):
+        with pytest.raises(FormatError) as exc:
             CP.read_vtree(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("table,message", [
+        (("a", "b", "c", (0, 1)), ONCE),
+        (("a", "b", (0, 5)), "vtree node 2 has children (0, 5) not below it"),
+        ((), ONCE),
+    ], ids=["unreached-leaf", "missing-child", "empty"])
+    def test_a_table_that_is_not_one_tree_is_a_value_error(self, table, message):
+        with pytest.raises(ValueError) as exc:
+            CP.Vtree(table)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("line", ["L x a", "I 0 a b", "I x 0 1"])
     def test_a_non_integer_id_names_its_line(self, line):
@@ -225,30 +269,53 @@ class TestVtree:
             CP.read_vtree(f"L 0 a\nL 1 b\n{line}\n")
         assert str(exc.value) == f"bad vtree line {line!r}"
 
-    @pytest.mark.parametrize("nested", ["x", ("a", "b"), ("a", (("b", "c"), "d")),
-                                        ((("a", "b"), ("c", "d")), ("e", ("f", "g")))])
-    def test_written_tables_read_back(self, nested):
-        vt = CP.Vtree(nested)
+    @pytest.mark.parametrize("table", TABLES, ids=["x", "nested1", "nested2", "nested3"])
+    def test_written_tables_read_back(self, table):
+        vt = CP.Vtree(table)
         assert CP.read_vtree(CP.write_vtree(vt)) == vt
         # the ids may come in any order
         shuffled = "".join(reversed(CP.write_vtree(vt).splitlines(keepends=True)))
         assert CP.read_vtree(shuffled) == vt
 
+    def test_a_file_keeps_its_own_numbering(self):
+        # right subtrees first, and a leaf numbered after a join: not the
+        # post-order numbering the decompositions give, read with its own ids
+        text = "L 0 d\nL 1 c\nL 2 b\nI 3 2 1\nI 4 3 0\nL 5 a\nI 6 5 4\n"
+        vt = CP.read_vtree(text)
+        assert vt.payload == ("d", "c", "b", (2, 1), (3, 0), "a", (5, 4))
+        assert CP.write_vtree(vt) == text
+        assert vt.vars == {"a", "b", "c", "d"}
+        assert vt.internal_splits() == [({"b"}, {"c"}), ({"b", "c"}, {"d"}),
+                                        ({"a"}, {"b", "c", "d"})]
+
     def test_distinct_leaves_required(self):
         with pytest.raises(ValueError):
-            CP.Vtree(("a", "a"))
+            CP.Vtree(("a", "a", (0, 1)))
 
-    @pytest.mark.parametrize("nested,kinds,payload", [
-        ("x", "L", ("x",)),
-        (("a", "b"), "LLI", ("a", "b", (0, 1))),
-        (("a", (("b", "c"), "d")), "LLLILII", ("a", "b", "c", (1, 2), "d", (3, 4), (0, 5))),
-        (((("a", "b"), "c"), ("d", "e")), "LLILILLII",
+    @pytest.mark.parametrize("bags,kinds,payload", [
+        ((["x"],), "L", ("x",)),
+        ((["a", "b"],), "LLI", ("a", "b", (0, 1))),
+        ((["a"], (["b", "c"],), (["d"],)), "LLLILII",
+         ("a", "b", "c", (1, 2), "d", (3, 4), (0, 5))),
+        (([], ([], (["a", "b"],), (["c"],)), (["d", "e"],)), "LLILILLII",
          ("a", "b", (0, 1), "c", (2, 3), "d", "e", (5, 6), (4, 7))),
-    ])
-    def test_tables_are_numbered_in_post_order_left_first(self, nested, kinds, payload):
-        vt = CP.Vtree(nested)
+    ], ids=["x-L-payload0", "nested1-LLI-payload1", "nested2-LLLILII-payload2",
+            "nested3-LLILILLII-payload3"])
+    def test_tables_are_numbered_in_post_order_left_first(self, bags, kinds, payload):
+        # a bag's own variables comb to the right over the left comb of its
+        # children's subtrees
+        vt = CP.vtree_from_decomposition_rooted(_BagTree(bags))
         assert "".join("L" if isinstance(p, str) else "I" for p in vt.payload) == kinds
         assert vt.payload == payload
+
+    def test_decomposition_vtrees_are_pinned(self):
+        # extra variables comb on top, in sorted order
+        vt = CP.vtree_from_decomposition_rooted(_BagTree((["a"], (["b"],))), ["z", "y"])
+        assert vt.payload == ("y", "z", "a", "b", (2, 3), (1, 4), (0, 5))
+        assert CP.vtree_from_decomposition_rooted(_BagTree(([],))) is None
+        c4 = cycle_graph(["a", "b", "c", "d"])
+        vt = CP.compile_primal(F.vc_formula(c4), exact_decomposition(c4))[1]
+        assert CP.write_vtree(vt) == "L 0 a\nL 1 b\nL 2 d\nL 3 c\nI 4 2 3\nI 5 1 4\nI 6 0 5\n"
 
     def test_deep_left_comb_round_trips(self):
         # 1,200 leaves nest deeper than the interpreter's recursion limit
@@ -475,7 +542,7 @@ def mixing_conjunction():
     f = b.sink(0)
     ab = b.conj(b.decision("a", f, t), b.decision("b", f, t))
     cd = b.conj(b.decision("c", f, t), b.decision("d", f, t))
-    return b.finalize(b.conj(ab, cd)), CP.Vtree(((("a", "c"), ("b", "d"))))
+    return b.finalize(b.conj(ab, cd)), CP.Vtree(("a", "c", (0, 1), "b", "d", (3, 4), (2, 5)))
 
 
 class TestRespects:
@@ -483,7 +550,7 @@ class TestRespects:
         rng = random.Random(7)
         from conftest import random_and_obdd
         b, names = random_and_obdd(rng, ["a", "b", "c"], p_and=0.0)
-        vt = CP.Vtree((("a", "b"), "c"))
+        vt = CP.Vtree(("a", "b", (0, 1), "c", (2, 3)))
         assert CP.respects(b, vt, "conjunction-only") == (True, None)
 
     def test_mixing_conjunction_fails_with_witness(self):
@@ -496,7 +563,7 @@ class TestRespects:
         diagram = b.finalize(b.decision("zz", t, t))
         from ddlab.errors import ScopeError
         with pytest.raises(ScopeError):
-            CP.respects(diagram, CP.Vtree(("a", "b")))
+            CP.respects(diagram, CP.Vtree(("a", "b", (0, 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -875,6 +875,17 @@ class TestColumnarCore:
         with pytest.raises(FormatError, match="a sink's hi is -1"):
             D.Diagram([D.SINK, D.SINK], [None, None], [0, 1], [-1, hi], 0)
 
+    @pytest.mark.parametrize("code", [3, -1])
+    def test_an_unknown_kind_code_names_its_node(self, code):
+        with pytest.raises(FormatError) as exc:
+            D.Diagram(array("b", [code]), [None], [0], [-1], 0)
+        assert str(exc.value) == f"node 0 has unknown kind code {code}"
+
+    def test_finalizing_at_a_source_that_is_not_a_node_is_rejected(self):
+        with pytest.raises(FormatError) as exc:
+            D.DiagramBuilder().finalize(5)
+        assert str(exc.value) == "source 5 is not a node id"
+
     def test_unequal_diagrams_compare_unequal(self):
         d = figure_diagram()
         lo = list(d.lo)

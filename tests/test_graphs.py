@@ -315,6 +315,12 @@ class TestTreewidth:
         with pytest.raises(ScaleError):
             G.treewidth_exact(random_graph(random.Random(1), 11))
 
+    def test_the_empty_graph_has_width_minus_one(self):
+        empty = G.Graph([])
+        assert G.treewidth_exact(empty) == -1
+        assert G.exact_elimination_order(empty) == (-1, ())
+        assert G.pathwidth_exact(empty) == -1
+
     def test_elimination_decomposition_matches(self):
         rng = random.Random(12)
         for _ in range(10):
@@ -409,6 +415,19 @@ class TestGreedyInduced:
             out = greedy_induced(g, m)
             assert G.is_induced_matching(g, out.edges)
             assert len(out) >= math.ceil(len(m) / (2 * max_degree(g) + 1))
+
+
+class TestIsInducedMatching:
+    @pytest.mark.parametrize("pairs,verdict", [
+        ([("a", "b"), ("d", "e")], True),
+        ([("a", "b"), ("c", "d")], False),  # the edge b-c joins them
+        ([("a", "b"), ("a", "b")], False),  # a repeated edge is no matching
+    ], ids=["induced", "not-induced", "repeated"])
+    def test_a_generator_gives_the_lists_verdict(self, pairs, verdict):
+        g = path_graph(["a", "b", "c", "d", "e"])
+        edges = [frozenset(p) for p in pairs]
+        assert G.is_induced_matching(g, edges) is verdict
+        assert G.is_induced_matching(g, (e for e in edges)) is verdict
 
 
 class TestFiles:
